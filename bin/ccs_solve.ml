@@ -38,19 +38,20 @@ let algo_conv =
   in
   Arg.conv (parse, print)
 
+(* The printers write straight into the output buffer: a million-job
+   schedule prints without a string per job. *)
+let add_int buf i = Q.add_to_buffer buf (Q.of_int i)
+
 let print_nonpreemptive buf inst assignment =
-  let machines = Hashtbl.create 16 in
-  Array.iteri
-    (fun j mi ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt machines mi) in
-      Hashtbl.replace machines mi (j :: prev))
-    assignment;
-  Hashtbl.fold (fun mi jobs acc -> (mi, jobs) :: acc) machines []
-  |> List.sort compare
-  |> List.iter (fun (mi, jobs) ->
-         let load = List.fold_left (fun acc j -> acc + (Ccs.Instance.job inst j).Ccs.Instance.p) 0 jobs in
-         Printf.bprintf buf "machine %d (load %d): %s\n" mi load
-           (String.concat " " (List.rev_map (fun j -> Printf.sprintf "j%d" j) jobs)))
+  Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
+      let load = ref 0 in
+      for i = lo to hi - 1 do load := !load + (Ccs.Instance.job inst jobs.(i)).Ccs.Instance.p done;
+      Printf.bprintf buf "machine %d (load %d):" mi !load;
+      for i = lo to hi - 1 do
+        Buffer.add_string buf " j";
+        add_int buf jobs.(i)
+      done;
+      Buffer.add_char buf '\n')
 
 let print_splittable buf sched =
   List.iter
@@ -62,9 +63,13 @@ let print_splittable buf sched =
     sched.Ccs.Schedule.blocks;
   List.iter
     (fun (mi, loads) ->
-      Printf.bprintf buf "machine %d: %s\n" mi
-        (String.concat ", "
-           (List.map (fun (u, l) -> Printf.sprintf "class %d: %s" u (Q.to_string l)) loads)))
+      Printf.bprintf buf "machine %d: " mi;
+      List.iteri
+        (fun k (u, l) ->
+          if k > 0 then Buffer.add_string buf ", ";
+          Printf.bprintf buf "class %d: %s" u (Q.to_string l))
+        loads;
+      Buffer.add_char buf '\n')
     sched.Ccs.Schedule.explicit_machines
 
 let print_preemptive buf sched =
@@ -74,9 +79,13 @@ let print_preemptive buf sched =
         Printf.bprintf buf "machine %d:" mi;
         List.iter
           (fun pc ->
-            Printf.bprintf buf " j%d@[%s,%s)" pc.Ccs.Schedule.pjob
-              (Q.to_string pc.Ccs.Schedule.start)
-              (Q.to_string (Q.add pc.Ccs.Schedule.start pc.Ccs.Schedule.len)))
+            Buffer.add_string buf " j";
+            add_int buf pc.Ccs.Schedule.pjob;
+            Buffer.add_string buf "@[";
+            Q.add_to_buffer buf pc.Ccs.Schedule.start;
+            Buffer.add_char buf ',';
+            Q.add_to_buffer buf (Q.add pc.Ccs.Schedule.start pc.Ccs.Schedule.len);
+            Buffer.add_char buf ')')
           pieces;
         Buffer.add_char buf '\n'
       end)
@@ -89,81 +98,95 @@ let print_preemptive buf sched =
    output), extended to the integral variants so that printing a
    million-job schedule costs O(machines) lines, not O(jobs). *)
 
+(* Per-class (count, total) tallies over one machine at a time: [stamp.(u)]
+   is the last machine that touched class [u], [classes] the classes the
+   current machine touched. *)
+type 'a tally = {
+  stamp : int array;
+  count : int array;
+  total : 'a array;
+  mutable classes : int list;
+}
+
+let tally inst zero =
+  let nc = Ccs.Instance.num_classes inst in
+  { stamp = Array.make nc (-1); count = Array.make nc 0; total = Array.make nc zero;
+    classes = [] }
+
+let tally_add t plus mi u x =
+  let fresh = t.stamp.(u) <> mi in
+  if fresh then begin
+    t.stamp.(u) <- mi;
+    t.classes <- u :: t.classes
+  end;
+  t.count.(u) <- (if fresh then 1 else t.count.(u) + 1);
+  t.total.(u) <- (if fresh then x else plus t.total.(u) x)
+
+(* Visits the current machine's classes in increasing order and resets. *)
+let tally_iteri t f =
+  let classes = List.sort Int.compare t.classes in
+  t.classes <- [];
+  List.iteri f classes
+
 let print_nonpreemptive_compressed buf inst assignment =
-  let machines = Hashtbl.create 16 in
-  Array.iteri
-    (fun j mi ->
-      let per_cls =
-        match Hashtbl.find_opt machines mi with
-        | Some h -> h
-        | None ->
-            let h = Hashtbl.create 4 in
-            Hashtbl.replace machines mi h;
-            h
-      in
-      let job = Ccs.Instance.job inst j in
-      let cnt, load =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt per_cls job.Ccs.Instance.cls)
-      in
-      Hashtbl.replace per_cls job.Ccs.Instance.cls (cnt + 1, load + job.Ccs.Instance.p))
-    assignment;
-  let rows =
-    Hashtbl.fold
-      (fun mi h acc ->
-        let classes =
-          Hashtbl.fold (fun u v acc -> (u, v) :: acc) h [] |> List.sort compare
-        in
-        let load = List.fold_left (fun acc (_, (_, l)) -> acc + l) 0 classes in
-        let desc =
-          String.concat ", "
-            (List.map
-               (fun (u, (cnt, l)) -> Printf.sprintf "class %d: %d jobs, load %d" u cnt l)
-               classes)
-        in
-        (mi, load, desc) :: acc)
-      machines []
-    |> List.sort compare
+  let t = tally inst 0 and desc = Buffer.create 64 in
+  (* the pending run of identical consecutive machines: first, last, load, summary *)
+  let run = ref None in
+  let flush () =
+    match !run with
+    | None -> ()
+    | Some (first, last, load, d) ->
+        if first = last then Printf.bprintf buf "machine %d (load %d): %s\n" first load d
+        else Printf.bprintf buf "machines %d..%d (load %d each): %s\n" first last load d
   in
-  let rec emit = function
-    | [] -> ()
-    | (mi, load, desc) :: rest ->
-        let rec run last = function
-          | (mj, lj, dj) :: tl when mj = last + 1 && lj = load && dj = desc -> run mj tl
-          | tl -> (last, tl)
-        in
-        let last, rest = run mi rest in
-        if last = mi then Printf.bprintf buf "machine %d (load %d): %s\n" mi load desc
-        else Printf.bprintf buf "machines %d..%d (load %d each): %s\n" mi last load desc;
-        emit rest
-  in
-  emit rows
+  Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
+      for i = lo to hi - 1 do
+        let job = Ccs.Instance.job inst jobs.(i) in
+        tally_add t ( + ) mi job.Ccs.Instance.cls job.Ccs.Instance.p
+      done;
+      Buffer.clear desc;
+      let load = ref 0 in
+      tally_iteri t (fun k u ->
+          if k > 0 then Buffer.add_string desc ", ";
+          Printf.bprintf desc "class %d: %d jobs, load %d" u t.count.(u) t.total.(u);
+          load := !load + t.total.(u));
+      let d = Buffer.contents desc in
+      match !run with
+      | Some (first, last, l, d') when mi = last + 1 && l = !load && String.equal d d' ->
+          run := Some (first, mi, l, d')
+      | _ ->
+          flush ();
+          run := Some (mi, mi, !load, d));
+  flush ()
 
 let print_preemptive_compressed buf inst sched =
+  let t = tally inst Q.zero in
   Array.iteri
     (fun mi pieces ->
       if pieces <> [] then begin
-        let per_cls = Hashtbl.create 4 in
         let finish = ref Q.zero in
         List.iter
           (fun pc ->
-            let cls = (Ccs.Instance.job inst pc.Ccs.Schedule.pjob).Ccs.Instance.cls in
-            let cnt, tot =
-              Option.value ~default:(0, Q.zero) (Hashtbl.find_opt per_cls cls)
-            in
-            Hashtbl.replace per_cls cls (cnt + 1, Q.add tot pc.Ccs.Schedule.len);
+            let u = (Ccs.Instance.job inst pc.Ccs.Schedule.pjob).Ccs.Instance.cls in
+            tally_add t Q.add mi u pc.Ccs.Schedule.len;
             finish := Q.max !finish (Q.add pc.Ccs.Schedule.start pc.Ccs.Schedule.len))
           pieces;
-        let classes =
-          Hashtbl.fold (fun u v acc -> (u, v) :: acc) per_cls [] |> List.sort compare
-        in
-        Printf.bprintf buf "machine %d (finish %s): %s\n" mi (Q.to_string !finish)
-          (String.concat ", "
-             (List.map
-                (fun (u, (cnt, tot)) ->
-                  Printf.sprintf "class %d: %d pieces, time %s" u cnt (Q.to_string tot))
-                classes))
+        Printf.bprintf buf "machine %d (finish %s): " mi (Q.to_string !finish);
+        tally_iteri t (fun k u ->
+            if k > 0 then Buffer.add_string buf ", ";
+            Printf.bprintf buf "class %d: %d pieces, time %s" u t.count.(u)
+              (Q.to_string t.total.(u)));
+        Buffer.add_char buf '\n'
       end)
     sched
+
+(* A schedule the validator rejects is a solver bug, not bad input: it is
+   reported with the validator's reason and exit code 3. *)
+exception Rejected of string * string
+
+let validated variant = function
+  | Ok makespan -> makespan
+  | Error msg -> raise (Rejected (variant, msg))
 
 (* Anytime mode (--deadline-ms / --anytime): run the degradation ladder
    starting at the requested algorithm's rung. A deadline never fails the
@@ -184,7 +207,7 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
    fun name validate print o ->
     match o with
     | O.Complete s ->
-        let mk = Result.get_ok (validate s.D.schedule) in
+        let mk = validated name (validate s.D.schedule) in
         Printf.bprintf out "%s anytime: makespan %s (complete, %s rung)\n" name (Q.to_string mk)
           (D.rung_name s.D.rung);
         if not quiet then print s.D.schedule
@@ -192,7 +215,7 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
         (* The fallback rung cannot fail, so a degraded outcome always
            carries an incumbent. *)
         let s = Option.get dg.O.incumbent in
-        let mk = Result.get_ok (validate s.D.schedule) in
+        let mk = validated name (validate s.D.schedule) in
         Printf.bprintf out
           "%s anytime: degraded at %s rung: incumbent makespan %s (%s rung), lower bound %s%s\n"
           name dg.O.phase_reached (Q.to_string mk) (D.rung_name s.D.rung)
@@ -254,13 +277,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
               if format = `Flat then Ccs.Approx.Splittable.solve_flat fl
               else Ccs.Approx.Splittable.solve inst
             in
-            let mk = Result.get_ok (Ccs.Schedule.validate_splittable inst sched) in
+            let mk = validated "splittable" (Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Splittable.t_guess);
             if not quiet then print_splittable out sched
         | Splittable, Ptas ->
             let sched, stats = Ccs.Ptas.Splittable_ptas.solve param inst in
-            let mk = Result.get_ok (Ccs.Schedule.validate_splittable inst sched) in
+            let mk = validated "splittable" (Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
               (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Splittable_ptas.t_accepted);
             if not quiet then print_splittable out sched
@@ -285,7 +308,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             let sched, t_acc =
               Ccs.Ptas.Common.geometric_search ~lb ~ub ~delta ~oracle ()
             in
-            let mk = Result.get_ok (Ccs.Schedule.validate_splittable inst sched) in
+            let mk = validated "splittable" (Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out
               "splittable N-fold (delta=1/%d): makespan %s (accepted T=%s)\n" d
               (Q.to_string mk) (Q.to_string t_acc);
@@ -304,13 +327,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
               if format = `Flat then Ccs.Approx.Preemptive.solve_flat fl
               else Ccs.Approx.Preemptive.solve inst
             in
-            let mk = Result.get_ok (Ccs.Schedule.validate_preemptive inst sched) in
+            let mk = validated "preemptive" (Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Preemptive.t_guess);
             if not quiet then print_pre out sched
         | Preemptive, Ptas ->
             let sched, stats = Ccs.Ptas.Preemptive_ptas.solve param inst in
-            let mk = Result.get_ok (Ccs.Schedule.validate_preemptive inst sched) in
+            let mk = validated "preemptive" (Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
               (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Preemptive_ptas.t_accepted);
             if not quiet then print_pre out sched
@@ -322,13 +345,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
               if format = `Flat then Ccs.Approx.Nonpreemptive.solve_flat fl
               else Ccs.Approx.Nonpreemptive.solve inst
             in
-            let mk = Result.get_ok (Ccs.Schedule.validate_nonpreemptive inst sched) in
+            let mk = validated "non-preemptive" (Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive 7/3-approx: makespan %d (guess T=%d, <= 7/3 T)\n" mk
               stats.Ccs.Approx.Nonpreemptive.t_guess;
             if not quiet then print_np out inst sched
         | Nonpreemptive, Ptas ->
             let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
-            let mk = Result.get_ok (Ccs.Schedule.validate_nonpreemptive inst sched) in
+            let mk = validated "non-preemptive" (Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive PTAS (delta=1/%d): makespan %d (accepted T=%s)\n" d mk
               (Q.to_string stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted);
             if not quiet then print_np out inst sched
@@ -361,6 +384,9 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
         0
         end
       with
+      | Rejected (variant, msg) ->
+          Printf.bprintf err "error: %s schedule failed validation: %s\n" variant msg;
+          3
       | Invalid_argument msg ->
           Printf.bprintf err "error: %s\n" msg;
           1
@@ -395,8 +421,8 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime format compres
     in
     Array.fold_left
       (fun acc (out, err, code) ->
-        print_string (Buffer.contents out);
-        prerr_string (Buffer.contents err);
+        Buffer.output_buffer stdout out;
+        Buffer.output_buffer stderr err;
         max acc code)
       0 results
   end
@@ -465,7 +491,17 @@ let cmd =
                      When the budget runs out the incumbent and its proven lower \
                      bound are reported instead of being discarded.")
   in
-  let info = Cmd.info "ccs_solve" ~doc:"Solve Class Constrained Scheduling instances" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on an unreadable instance or one the chosen algorithm cannot solve."
+    :: Cmd.Exit.info 2 ~doc:"on a bad option value: $(b,--jobs) below 1 or an unknown $(b,--log-level)."
+    :: Cmd.Exit.info 3
+         ~doc:"when a computed schedule fails validation (a solver bug; the validator's \
+               reason is printed)."
+    :: Cmd.Exit.defaults
+  in
+  let info =
+    Cmd.info "ccs_solve" ~exits ~doc:"Solve Class Constrained Scheduling instances"
+  in
   Cmd.v info
     Term.(const run $ files $ variant $ algo $ epsilon $ quiet $ jobs $ deadline_ms $ anytime
           $ format $ compress $ portfolio $ node_limit $ Obs_cli.term)

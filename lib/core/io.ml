@@ -56,13 +56,14 @@ type parser_state = {
   mutable jp : int array; (* growable job arrays, [njobs] filled *)
   mutable jcls : int array;
   mutable njobs : int;
+  mutable ntokens : int; (* tokens not yet added to [io.stream_tokens] *)
   mutable error : string option;
 }
 
 let new_state () =
   { lineno = 1; tok = Array.make 3 ""; ntok = 0; in_comment = false;
     pending = Buffer.create 32; machines = None; slots = None;
-    jp = Array.make 1024 0; jcls = Array.make 1024 0; njobs = 0; error = None }
+    jp = Array.make 1024 0; jcls = Array.make 1024 0; njobs = 0; ntokens = 0; error = None }
 
 let fail st msg =
   if st.error = None then
@@ -81,8 +82,15 @@ let push_job st p cls =
   st.jcls.(st.njobs) <- cls;
   st.njobs <- st.njobs + 1
 
+(* The token counter is bumped once per chunk, not once per token: a
+   [Metrics] update takes a lock, and a million-job load has millions of
+   tokens. *)
+let flush_token_count st =
+  if st.ntokens > 0 then Ccs_obs.Metrics.add m_stream_tokens st.ntokens;
+  st.ntokens <- 0
+
 let add_token st s =
-  Ccs_obs.Metrics.incr m_stream_tokens;
+  st.ntokens <- st.ntokens + 1;
   if st.ntok < 3 then st.tok.(st.ntok) <- s;
   st.ntok <- st.ntok + 1
 
@@ -155,7 +163,8 @@ let feed st buf len =
   done;
   (* a token cut by the chunk boundary waits in [pending] *)
   if !tok_start >= 0 then
-    Buffer.add_subbytes st.pending buf !tok_start (len - !tok_start)
+    Buffer.add_subbytes st.pending buf !tok_start (len - !tok_start);
+  flush_token_count st
 
 let finish st =
   (* final line without a trailing newline *)
@@ -166,6 +175,7 @@ let finish st =
     end;
     dispatch_line st
   end;
+  flush_token_count st;
   match (st.error, st.machines, st.slots, st.njobs) with
   | Some e, _, _, _ -> Error e
   | None, None, _, _ -> Error "missing 'machines' line"

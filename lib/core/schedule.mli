@@ -40,7 +40,12 @@ val splittable_makespan : splittable -> Rat.t
     block ranges pairwise disjoint; every class's loads sum to exactly
     [P_u]; every load positive; every machine carries at most [c] distinct
     classes (blocks contribute their class to every machine of the run).
-    Returns the makespan, or [Error] with a human-readable reason. *)
+    Returns the makespan, or [Error] with a human-readable reason; of
+    several faulty blocks, the first in list order is reported.
+
+    O((B + E) log (B + E) + C) for [B] blocks and [E] explicit entries:
+    overlap is tested between neighbours in [m_start] order. Nothing is
+    allocated per machine, so [m] may be astronomically large. *)
 val validate_splittable : Instance.t -> splittable -> (Rat.t, string) result
 
 (** Canonical job-level decoding: per class, jobs are concatenated in index
@@ -64,7 +69,12 @@ val preemptive_makespan : preemptive -> Rat.t
 (** Checks: every job fully scheduled; piece lengths positive; no two pieces
     overlap in time on the same machine; no two pieces of the same job
     overlap in time across machines (the defining constraint of the
-    regime); at most [c] classes per machine. *)
+    regime); at most [c] classes per machine. The first faulty machine is
+    reported, then the first faulty job.
+
+    O(P + n + C) for [P] pieces, plus a sort of the pieces of each machine
+    not already listed in start order and of each job with two or more
+    pieces. Nothing is allocated per machine beyond the schedule itself. *)
 val validate_preemptive : Instance.t -> preemptive -> (Rat.t, string) result
 
 (** {1 Non-preemptive} *)
@@ -72,8 +82,20 @@ val validate_preemptive : Instance.t -> preemptive -> (Rat.t, string) result
 (** [assignment.(j)] is the machine of job [j]. *)
 type nonpreemptive = int array
 
+(** [iter_machines a f] calls [f mi jobs lo hi] once for every machine [mi]
+    that carries a job, in increasing machine order; its jobs are
+    [jobs.(lo) .. jobs.(hi - 1)], in increasing order. One grouping pass: a
+    counting sort when every machine index lies in [0, n), a sort of the
+    job ids otherwise, so a huge [m] never costs O(m). *)
+val iter_machines : nonpreemptive -> (int -> int array -> int -> int -> unit) -> unit
+
 val nonpreemptive_makespan : Instance.t -> nonpreemptive -> int
 
+(** Checks the length, every machine index within [0, m) (the lowest bad job
+    is reported) and at most [c] classes per machine (the lowest overfull
+    machine is reported). Returns the makespan.
+
+    O(n + C) when [m <= n], O(n log n + C) otherwise; never O(m). *)
 val validate_nonpreemptive : Instance.t -> nonpreemptive -> (int, string) result
 
 (** {1 Rendering} *)

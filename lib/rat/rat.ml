@@ -260,6 +260,21 @@ let of_string s =
           let mag = B.add (B.mul (B.abs whole) scale) frac_v in
           make (if negative then B.neg mag else mag) scale)
 
+(* decimal digits of a non-negative int; no closure, so nothing allocates *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_to_buffer buf = function
+  | S (n, d) ->
+      if n < 0 then Buffer.add_char buf '-';
+      add_digits buf (Stdlib.abs n);
+      if d <> 1 then begin
+        Buffer.add_char buf '/';
+        add_digits buf d
+      end
+  | Big _ as q -> Buffer.add_string buf (to_string q)
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let ( + ) = add

@@ -66,6 +66,11 @@ val to_float : t -> float
 (** ["p/q"], or just ["p"] when integral. *)
 val to_string : t -> string
 
+(** [add_to_buffer buf q] appends [to_string q] to [buf]; a value with
+    native-int parts is written digit by digit, with no intermediate
+    string. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 (** Parses ["p"], ["p/q"] and decimal literals like ["3.25"]. *)
 val of_string : string -> t
 

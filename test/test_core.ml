@@ -181,6 +181,294 @@ let test_splittable_block_explicit_combination () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "block+explicit slot violation not caught"
 
+(* ---- one case per validator message ---- *)
+
+let expect_error name want = function
+  | Error msg -> Alcotest.(check string) name want msg
+  | Ok _ -> Alcotest.failf "%s: accepted" name
+
+let block cls m_start m_count per = { S.cls; m_start; m_count; per_machine = Q.of_int per }
+
+let test_splittable_messages () =
+  let inst = mk ~machines:3 ~slots:1 [ (6, 0); (3, 1) ] in
+  let ok = { S.blocks = [ block 0 0 2 3 ]; explicit_machines = [ (2, [ (1, Q.of_int 3) ]) ] } in
+  let with_blocks blocks = { ok with S.blocks } in
+  let with_explicit explicit_machines = { ok with S.explicit_machines } in
+  List.iter
+    (fun (want, sched) -> expect_error want want (S.validate_splittable inst sched))
+    [ ("block with non-positive machine count", with_blocks [ block 0 0 0 3 ]);
+      ("block out of machine range", with_blocks [ block 0 2 2 3 ]);
+      ("block with non-positive load", with_blocks [ block 0 0 2 0 ]);
+      ("block with bad class", with_blocks [ block 5 0 2 3 ]);
+      ("overlapping blocks", with_blocks [ block 0 0 2 3; block 0 1 1 3 ]);
+      ("bad explicit machine entry", with_explicit [ (3, [ (1, Q.of_int 3) ]) ]);
+      ( "bad explicit machine entry",
+        with_explicit [ (2, [ (1, Q.of_int 1) ]); (2, [ (1, Q.of_int 2) ]) ] );
+      ("bad explicit machine entry", with_explicit [ (2, [ (1, Q.of_int (-3)) ]) ]);
+      ("class 1: scheduled 2 but P_u = 3", with_explicit [ (2, [ (1, Q.of_int 2) ]) ]);
+      ( "machine exceeds class slots",
+        with_explicit [ (1, [ (1, Q.of_int 3) ]) ] |> fun s ->
+        { s with S.blocks = [ block 0 0 1 3; block 0 1 1 3 ] } ) ]
+
+let test_preemptive_messages () =
+  let inst = mk ~machines:2 ~slots:1 [ (4, 0); (3, 1) ] in
+  let pc pjob start len = { S.pjob; start = Q.of_int start; len = Q.of_int len } in
+  let ok = [| [ pc 0 0 4 ]; [ pc 1 0 3 ] |] in
+  let on0 pieces = [| pieces; ok.(1) |] in
+  List.iter
+    (fun (want, sched) -> expect_error want want (S.validate_preemptive inst sched))
+    [ ("more machines used than available", Array.append ok [| [] |]);
+      ("machine 0: bad job index", on0 [ pc 2 0 4 ]);
+      ("machine 0: non-positive piece", on0 [ pc 0 0 0; pc 0 0 4 ]);
+      ("machine 0: negative start", on0 [ pc 0 (-1) 4 ]);
+      ("machine 0: overlapping pieces", on0 [ pc 0 0 2; pc 0 1 2 ]);
+      ("machine 0: too many classes", [| [ pc 0 0 4; pc 1 4 3 ]; [] |]);
+      ("job 0: scheduled 3 of 4", on0 [ pc 0 0 3 ]) ];
+  let inst2 = mk ~machines:2 ~slots:2 [ (4, 0); (3, 1) ] in
+  expect_error "parallel" "job 0 runs in parallel with itself"
+    (S.validate_preemptive inst2 [| [ pc 0 0 2 ]; [ pc 0 1 2; pc 1 3 3 ] |])
+
+let test_nonpreemptive_messages () =
+  let inst = mk ~machines:2 ~slots:1 [ (3, 0); (4, 1); (2, 0) ] in
+  expect_error "length" "wrong assignment length" (S.validate_nonpreemptive inst [| 0; 1 |]);
+  expect_error "range" "job 1: bad machine" (S.validate_nonpreemptive inst [| 0; -1; 2 |]);
+  expect_error "slots" "machine 0: 2 classes > c" (S.validate_nonpreemptive inst [| 0; 0; 1 |])
+
+let test_splittable_first_offender () =
+  (* block 0 overlaps block 2 (not its list neighbour); block 1 has a bad
+     class: the lowest list position with a fault decides the message *)
+  let inst = mk ~machines:8 ~slots:2 [ (6, 0); (3, 1) ] in
+  let a = block 0 0 2 3 and bad = block 7 5 1 3 and c = block 1 1 1 3 in
+  let split blocks = S.validate_splittable inst { S.blocks; explicit_machines = [] } in
+  expect_error "overlap first" "overlapping blocks" (split [ a; bad; c ]);
+  expect_error "bad class first" "block with bad class" (split [ bad; a; c ]);
+  (* the overlap's first block sits after the bad class *)
+  expect_error "bad class before overlap" "block with bad class"
+    (split [ block 0 6 1 3; bad; a; block 1 7 1 3; c ])
+
+let test_preemptive_out_of_order () =
+  let inst = mk ~machines:1 ~slots:2 [ (4, 0); (3, 1) ] in
+  let pc pjob start len = { S.pjob; start = Q.of_int start; len = Q.of_int len } in
+  (match S.validate_preemptive inst [| [ pc 1 4 3; pc 0 0 4 ] |] with
+  | Ok mk -> Alcotest.check q "makespan" (Q.of_int 7) mk
+  | Error e -> Alcotest.fail e);
+  expect_error "out of order overlap" "machine 0: overlapping pieces"
+    (S.validate_preemptive inst [| [ pc 1 3 3; pc 0 0 4 ] |])
+
+let test_nonpreemptive_huge_m () =
+  let m = max_int / 2 in
+  let inst = I.make ~machines:m ~slots:1 [ (3, 0); (4, 1); (5, 0) ] in
+  let before = Gc.allocated_bytes () in
+  let r = S.validate_nonpreemptive inst [| m - 1; 0; m - 1 |] in
+  let bytes = Gc.allocated_bytes () -. before in
+  (match r with Ok mk -> Alcotest.(check int) "makespan" 8 mk | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes" bytes) true (bytes < 65536.)
+
+(* The three approximations on the four generator families: their schedules
+   validate, and each single-fault mutation of one is rejected. *)
+
+(* machine -> class -> load of a splittable schedule, blocks and explicit
+   entries combined; re-encoded with explicit entries only *)
+let dense inst (s : S.splittable) =
+  let mat = Array.make_matrix (I.m inst) (I.num_classes inst) Q.zero in
+  let put mi u l = mat.(mi).(u) <- Q.add mat.(mi).(u) l in
+  List.iter
+    (fun b ->
+      for mi = b.S.m_start to b.S.m_start + b.S.m_count - 1 do put mi b.S.cls b.S.per_machine done)
+    s.S.blocks;
+  List.iter (fun (mi, loads) -> List.iter (fun (u, l) -> put mi u l) loads) s.S.explicit_machines;
+  mat
+
+let of_dense mat =
+  let rows =
+    Array.to_list
+      (Array.mapi
+         (fun mi row ->
+           (mi, List.filter (fun (_, l) -> Q.sign l > 0) (List.mapi (fun u l -> (u, l)) (Array.to_list row))))
+         mat)
+  in
+  { S.blocks = []; explicit_machines = List.filter (fun (_, loads) -> loads <> []) rows }
+
+let half q = Q.div q (Q.of_int 2)
+
+let prop_validators_reject_mutations =
+  QCheck.Test.make ~name:"approximations validate; single-fault mutations are rejected"
+    ~count:200 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let spec =
+        { Ccs.Generator.n = 6 + (seed mod 30); classes = 2 + (seed mod 6);
+          machines = 2 + (seed mod 4); slots = 1 + (seed mod 3); p_lo = 1; p_hi = 40;
+          family = Ccs.Generator.[| Uniform; Zipf; Heavy_classes; Large_jobs |].(seed mod 4) }
+      in
+      let inst = Ccs.Generator.generate ~seed spec in
+      QCheck.assume (I.schedulable inst);
+      let m = I.m inst and c = I.c inst and nc = I.num_classes inst in
+      let rejected want r = match r with Error msg -> want = "" || msg = want | Ok _ -> false in
+      let cls j = (I.job inst j).I.cls in
+      (* non-preemptive *)
+      let a, _ = Ccs.Approx.Nonpreemptive.solve inst in
+      let np_ok = Result.is_ok (S.validate_nonpreemptive inst a) in
+      let np_range =
+        let a' = Array.copy a in
+        a'.(0) <- m;
+        rejected "job 0: bad machine" (S.validate_nonpreemptive inst a')
+      in
+      let np_class =
+        (* move one job of each missing class onto job 0's machine until it
+           carries c + 1 classes *)
+        nc <= c
+        ||
+        let a' = Array.copy a and t = a.(0) in
+        let on_t = Array.make nc false in
+        Array.iteri (fun j mi -> if mi = t then on_t.(cls j) <- true) a;
+        let count = ref (Array.fold_left (fun k b -> if b then k + 1 else k) 0 on_t) in
+        Array.iteri
+          (fun j _ ->
+            if !count <= c && not on_t.(cls j) then begin
+              on_t.(cls j) <- true;
+              a'.(j) <- t;
+              incr count
+            end)
+          a;
+        !count <= c
+        || rejected (Printf.sprintf "machine %d: %d classes > c" t (c + 1))
+             (S.validate_nonpreemptive inst a')
+      in
+      (* preemptive *)
+      let p, _ = Ccs.Approx.Preemptive.solve inst in
+      let pre_ok = Result.is_ok (S.validate_preemptive inst p) in
+      let pre_range =
+        rejected "more machines used than available"
+          (S.validate_preemptive inst (Array.append p (Array.make (m + 1 - Array.length p) [])))
+      in
+      let pre_class =
+        (* append one piece of each missing class to machine 0, after the
+           makespan, so only the class count breaks *)
+        nc <= c
+        ||
+        let p' = Array.copy p and at = ref (S.preemptive_makespan p) in
+        let on_0 = Array.make nc false in
+        List.iter (fun pc -> on_0.(cls pc.S.pjob) <- true) p.(0);
+        let count = ref (Array.fold_left (fun k b -> if b then k + 1 else k) 0 on_0) in
+        Array.iteri
+          (fun mi pieces ->
+            if mi > 0 then
+              List.iter
+                (fun pc ->
+                  if !count <= c && not on_0.(cls pc.S.pjob) then begin
+                    on_0.(cls pc.S.pjob) <- true;
+                    incr count;
+                    p'.(mi) <- List.filter (fun x -> x != pc) p'.(mi);
+                    p'.(0) <- p'.(0) @ [ { pc with S.start = !at } ];
+                    at := Q.add !at pc.S.len
+                  end)
+                pieces)
+          p;
+        !count <= c || rejected "machine 0: too many classes" (S.validate_preemptive inst p')
+      in
+      let pre_overlap =
+        let mi = ref 0 in
+        while p.(!mi) = [] do incr mi done;
+        let p' = Array.copy p in
+        p'.(!mi) <- List.hd p.(!mi) :: p.(!mi);
+        rejected (Printf.sprintf "machine %d: overlapping pieces" !mi) (S.validate_preemptive inst p')
+      in
+      let pre_short =
+        (* take 1 off the first piece of length >= 1 (drop it at exactly 1) *)
+        let p' = Array.copy p and hit = ref None in
+        Array.iteri
+          (fun mi pieces ->
+            List.iter
+              (fun pc ->
+                if !hit = None && Q.(pc.S.len >= one) then begin
+                  hit := Some pc.S.pjob;
+                  p'.(mi) <-
+                    List.filter_map
+                      (fun x ->
+                        if x != pc then Some x
+                        else if Q.equal x.S.len Q.one then None
+                        else Some { x with S.len = Q.sub x.S.len Q.one })
+                      pieces
+                end)
+              pieces)
+          p;
+        match !hit with
+        | None -> true
+        | Some j ->
+            let pj = (I.job inst j).I.p in
+            rejected (Printf.sprintf "job %d: scheduled %d of %d" j (pj - 1) pj)
+              (S.validate_preemptive inst p')
+      in
+      (* splittable *)
+      let s, _ = Ccs.Approx.Splittable.solve inst in
+      let mat = dense inst s in
+      let split_ok =
+        match (S.validate_splittable inst s, S.validate_splittable inst (of_dense mat)) with
+        | Ok a, Ok b -> Q.equal a b
+        | _ -> false
+      in
+      let split_range =
+        match s.S.blocks with
+        | b :: rest ->
+            rejected "block out of machine range"
+              (S.validate_splittable inst
+                 { s with S.blocks = { b with S.m_start = m - b.S.m_count + 1 } :: rest })
+        | [] ->
+            let e = of_dense mat in
+            rejected "bad explicit machine entry"
+              (S.validate_splittable inst
+                 { e with S.explicit_machines = (m, []) :: e.S.explicit_machines })
+      in
+      let split_overlap =
+        (* the first block, or the first explicit load, as two half-load
+           copies of itself: loads and classes are unchanged *)
+        let s' =
+          match s.S.blocks with
+          | b :: rest ->
+              let h = { b with S.per_machine = half b.S.per_machine } in
+              { s with S.blocks = h :: h :: rest }
+          | [] -> (
+              match (of_dense mat).S.explicit_machines with
+              | (mi, (u, l) :: loads) :: rest ->
+                  let h = { S.cls = u; m_start = mi; m_count = 1; per_machine = half l } in
+                  { S.blocks = [ h; h ]; explicit_machines = (mi, loads) :: rest }
+              | _ -> s)
+        in
+        rejected "overlapping blocks" (S.validate_splittable inst s')
+      in
+      let split_class =
+        (* move every load of each missing class onto machine 0 *)
+        nc <= c
+        ||
+        let mat' = Array.map Array.copy mat in
+        let count = ref (Array.fold_left (fun k l -> if Q.sign l > 0 then k + 1 else k) 0 mat.(0)) in
+        for u = 0 to nc - 1 do
+          if !count <= c && Q.sign mat'.(0).(u) = 0 then begin
+            incr count;
+            for mi = 1 to m - 1 do
+              mat'.(0).(u) <- Q.add mat'.(0).(u) mat'.(mi).(u);
+              mat'.(mi).(u) <- Q.zero
+            done
+          end
+        done;
+        !count <= c
+        || rejected "machine exceeds class slots" (S.validate_splittable inst (of_dense mat'))
+      in
+      let split_short =
+        (* take 1 off class 0, from its loads in machine order *)
+        let mat' = Array.map Array.copy mat and left = ref Q.one in
+        Array.iter
+          (fun row ->
+            let take = Q.min !left row.(0) in
+            row.(0) <- Q.sub row.(0) take;
+            left := Q.sub !left take)
+          mat';
+        let p0 = (I.class_load inst).(0) in
+        rejected (Printf.sprintf "class 0: scheduled %d but P_u = %d" (p0 - 1) p0)
+          (S.validate_splittable inst (of_dense mat'))
+      in
+      np_ok && np_range && np_class && pre_ok && pre_range && pre_class && pre_overlap
+      && pre_short && split_ok && split_range && split_overlap && split_class && split_short)
+
 let test_bounds () =
   let inst = mk ~machines:4 ~slots:2 [ (8, 0); (4, 1); (4, 2) ] in
   Alcotest.check q "lb split" (Q.of_int 4) (Ccs.Bounds.lb_splittable inst);
@@ -346,7 +634,13 @@ let () =
           Alcotest.test_case "non-preemptive first error wins" `Quick
             test_nonpreemptive_first_error_wins;
           Alcotest.test_case "block+explicit combination" `Quick
-            test_splittable_block_explicit_combination ] );
+            test_splittable_block_explicit_combination;
+          Alcotest.test_case "splittable messages" `Quick test_splittable_messages;
+          Alcotest.test_case "preemptive messages" `Quick test_preemptive_messages;
+          Alcotest.test_case "non-preemptive messages" `Quick test_nonpreemptive_messages;
+          Alcotest.test_case "splittable first offender" `Quick test_splittable_first_offender;
+          Alcotest.test_case "preemptive out of start order" `Quick test_preemptive_out_of_order;
+          Alcotest.test_case "non-preemptive huge m" `Quick test_nonpreemptive_huge_m ] );
       ( "bounds",
         [ Alcotest.test_case "values" `Quick test_bounds;
           Alcotest.test_case "ub_integral no overflow" `Quick
@@ -358,4 +652,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_generator_valid; prop_round_robin_lemma3; prop_io_fuzz;
-            prop_io_roundtrip_random; prop_decode_preserves_jobs ] ) ]
+            prop_io_roundtrip_random; prop_decode_preserves_jobs;
+            prop_validators_reject_mutations ] ) ]

@@ -133,6 +133,14 @@ let boundary_props =
       (check_op `Mul Q.mul);
     QCheck.Test.make ~name:"boundary div = bigint div" ~count:400 arb2 (fun (x, y) ->
         Q.is_zero y || check_op `Div Q.div (x, y));
+    QCheck.Test.make ~name:"boundary add_to_buffer = to_string" ~count:400 arb2
+      (fun (x, y) ->
+        List.for_all
+          (fun z ->
+            let buf = Buffer.create 16 in
+            Q.add_to_buffer buf z;
+            Buffer.contents buf = Q.to_string z)
+          [ x; Q.neg y; Q.mul x y ]);
     QCheck.Test.make ~name:"boundary compare = bigint compare" ~count:400 arb2
       (fun (x, y) ->
         let ref_cmp =
