@@ -32,8 +32,8 @@ let run n classes machines slots p_lo p_hi family seed output format obs =
   (* Both formats draw the same PRNG stream: a flat file holds exactly the
      instance the text file would, byte-exactly after renumbering. *)
   let fl =
-    Ccs_obs.Span.with_ "gen.generate"
-      ~fields:[ Ccs_obs.Log.int "n" n; Ccs_obs.Log.int "seed" seed ]
+    Ccs_obs.Recorder.phase "gen.generate"
+      ~fields:Ccs_obs.Jsonx.[ ("n", Int n); ("seed", Int seed) ]
       (fun () -> Ccs.Generator.generate_flat ~seed spec)
   in
   Ccs_obs.Log.info (fun log ->

@@ -3,7 +3,9 @@
    here. With --jobs N the instances are solved as a parallel batch on a
    Ccs_par pool (which the in-solver probe loops share); each instance's
    output is buffered and flushed in input order, so the bytes printed are
-   identical at any job count. *)
+   identical at any job count. Load, instance build, validation and emit
+   run as flight-recorder phases (io, instance, schedule, emit), so
+   --trace-out and --record cover the CLI's own time. *)
 
 open Cmdliner
 module Q = Rat
@@ -43,6 +45,7 @@ let algo_conv =
 let add_int buf i = Q.add_to_buffer buf (Q.of_int i)
 
 let print_nonpreemptive buf inst assignment =
+  Ccs_obs.Recorder.phase "emit" @@ fun () ->
   Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
       let load = ref 0 in
       for i = lo to hi - 1 do load := !load + (Ccs.Instance.job inst jobs.(i)).Ccs.Instance.p done;
@@ -54,6 +57,7 @@ let print_nonpreemptive buf inst assignment =
       Buffer.add_char buf '\n')
 
 let print_splittable buf sched =
+  Ccs_obs.Recorder.phase "emit" @@ fun () ->
   List.iter
     (fun b ->
       Printf.bprintf buf "machines %d..%d: class %d, %s each\n" b.Ccs.Schedule.m_start
@@ -73,6 +77,7 @@ let print_splittable buf sched =
     sched.Ccs.Schedule.explicit_machines
 
 let print_preemptive buf sched =
+  Ccs_obs.Recorder.phase "emit" @@ fun () ->
   Array.iteri
     (fun mi pieces ->
       if pieces <> [] then begin
@@ -129,6 +134,7 @@ let tally_iteri t f =
   List.iteri f classes
 
 let print_nonpreemptive_compressed buf inst assignment =
+  Ccs_obs.Recorder.phase "emit" @@ fun () ->
   let t = tally inst 0 and desc = Buffer.create 64 in
   (* the pending run of identical consecutive machines: first, last, load, summary *)
   let run = ref None in
@@ -160,6 +166,7 @@ let print_nonpreemptive_compressed buf inst assignment =
   flush ()
 
 let print_preemptive_compressed buf inst sched =
+  Ccs_obs.Recorder.phase "emit" @@ fun () ->
   let t = tally inst Q.zero in
   Array.iteri
     (fun mi pieces ->
@@ -184,7 +191,8 @@ let print_preemptive_compressed buf inst sched =
    reported with the validator's reason and exit code 3. *)
 exception Rejected of string * string
 
-let validated variant = function
+let validated variant validate =
+  match Ccs_obs.Recorder.phase "schedule" validate with
   | Ok makespan -> makespan
   | Error msg -> raise (Rejected (variant, msg))
 
@@ -207,7 +215,7 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
    fun name validate print o ->
     match o with
     | O.Complete s ->
-        let mk = validated name (validate s.D.schedule) in
+        let mk = validated name (fun () -> validate s.D.schedule) in
         Printf.bprintf out "%s anytime: makespan %s (complete, %s rung)\n" name (Q.to_string mk)
           (D.rung_name s.D.rung);
         if not quiet then print s.D.schedule
@@ -215,7 +223,7 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
         (* The fallback rung cannot fail, so a degraded outcome always
            carries an incumbent. *)
         let s = Option.get dg.O.incumbent in
-        let mk = validated name (validate s.D.schedule) in
+        let mk = validated name (fun () -> validate s.D.schedule) in
         Printf.bprintf out
           "%s anytime: degraded at %s rung: incumbent makespan %s (%s rung), lower bound %s%s\n"
           name dg.O.phase_reached (Q.to_string mk) (D.rung_name s.D.rung)
@@ -250,12 +258,12 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
      auto-detected); the record view is rebuilt for the solvers and
      validators that want it. --format flat routes the 2-approximations
      through their flat fast paths instead — same bits out either way. *)
-  match Ccs.Io.load_flat file with
+  match Ccs_obs.Recorder.phase "io" (fun () -> Ccs.Io.load_flat file) with
   | Error e ->
       Printf.bprintf err "error: %s\n" e;
       1
   | Ok fl -> (
-      let inst = Ccs.Instance.of_flat fl in
+      let inst = Ccs_obs.Recorder.phase "instance" (fun () -> Ccs.Instance.of_flat fl) in
       let print_np = if compress then print_nonpreemptive_compressed else print_nonpreemptive in
       let print_pre buf s =
         if compress then print_preemptive_compressed buf inst s else print_preemptive buf s
@@ -277,13 +285,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
               if format = `Flat then Ccs.Approx.Splittable.solve_flat fl
               else Ccs.Approx.Splittable.solve inst
             in
-            let mk = validated "splittable" (Ccs.Schedule.validate_splittable inst sched) in
+            let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Splittable.t_guess);
             if not quiet then print_splittable out sched
         | Splittable, Ptas ->
             let sched, stats = Ccs.Ptas.Splittable_ptas.solve param inst in
-            let mk = validated "splittable" (Ccs.Schedule.validate_splittable inst sched) in
+            let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
               (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Splittable_ptas.t_accepted);
             if not quiet then print_splittable out sched
@@ -308,7 +316,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             let sched, t_acc =
               Ccs.Ptas.Common.geometric_search ~lb ~ub ~delta ~oracle ()
             in
-            let mk = validated "splittable" (Ccs.Schedule.validate_splittable inst sched) in
+            let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out
               "splittable N-fold (delta=1/%d): makespan %s (accepted T=%s)\n" d
               (Q.to_string mk) (Q.to_string t_acc);
@@ -327,13 +335,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
               if format = `Flat then Ccs.Approx.Preemptive.solve_flat fl
               else Ccs.Approx.Preemptive.solve inst
             in
-            let mk = validated "preemptive" (Ccs.Schedule.validate_preemptive inst sched) in
+            let mk = validated "preemptive" (fun () -> Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Preemptive.t_guess);
             if not quiet then print_pre out sched
         | Preemptive, Ptas ->
             let sched, stats = Ccs.Ptas.Preemptive_ptas.solve param inst in
-            let mk = validated "preemptive" (Ccs.Schedule.validate_preemptive inst sched) in
+            let mk = validated "preemptive" (fun () -> Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
               (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Preemptive_ptas.t_accepted);
             if not quiet then print_pre out sched
@@ -345,13 +353,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
               if format = `Flat then Ccs.Approx.Nonpreemptive.solve_flat fl
               else Ccs.Approx.Nonpreemptive.solve inst
             in
-            let mk = validated "non-preemptive" (Ccs.Schedule.validate_nonpreemptive inst sched) in
+            let mk = validated "non-preemptive" (fun () -> Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive 7/3-approx: makespan %d (guess T=%d, <= 7/3 T)\n" mk
               stats.Ccs.Approx.Nonpreemptive.t_guess;
             if not quiet then print_np out inst sched
         | Nonpreemptive, Ptas ->
             let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
-            let mk = validated "non-preemptive" (Ccs.Schedule.validate_nonpreemptive inst sched) in
+            let mk = validated "non-preemptive" (fun () -> Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive PTAS (delta=1/%d): makespan %d (accepted T=%s)\n" d mk
               (Q.to_string stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted);
             if not quiet then print_np out inst sched
@@ -419,6 +427,7 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime format compres
           (out, err, code))
         (Array.of_list files)
     in
+    Ccs_obs.Recorder.phase "emit" @@ fun () ->
     Array.fold_left
       (fun acc (out, err, code) ->
         Buffer.output_buffer stdout out;
@@ -493,7 +502,10 @@ let cmd =
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"on an unreadable instance or one the chosen algorithm cannot solve."
-    :: Cmd.Exit.info 2 ~doc:"on a bad option value: $(b,--jobs) below 1 or an unknown $(b,--log-level)."
+    :: Cmd.Exit.info 2
+         ~doc:"on a bad option value: $(b,--jobs) below 1, an unknown $(b,--log-level), or \
+               a $(b,--trace-out), $(b,--record) or $(b,--metrics-out) file that cannot be \
+               written."
     :: Cmd.Exit.info 3
          ~doc:"when a computed schedule fails validation (a solver bug; the validator's \
                reason is printed)."

@@ -28,7 +28,9 @@ let trace_out =
     value
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Record solver-phase spans and write a Chrome trace-event JSON file.")
+        ~doc:
+          "Start the flight recorder and write its phases as a Chrome \
+           trace-event JSON file.")
 
 let metrics =
   Arg.(
@@ -69,10 +71,10 @@ let setup level_s json trace metrics metrics_out record progress =
       Printf.eprintf "error: --log-level: %s\n" e;
       exit 2);
   if json then Ccs_obs.Log.set_format Ccs_obs.Log.Jsonl;
-  if trace <> None then Ccs_obs.Span.set_enabled true;
-  (* the ticker rides on the recorder's event stream, so --progress alone
-     still starts one (it just never gets written out) *)
-  if record <> None || progress then Ccs_obs.Recorder.start ();
+  (* --trace-out renders the recorder's phases and the ticker rides on its
+     event stream, so each of the three starts it (--progress alone never
+     gets written out) *)
+  if trace <> None || record <> None || progress then Ccs_obs.Recorder.start ();
   if progress then Ccs_obs.Recorder.set_progress true;
   { trace_out = trace; metrics; metrics_out; record_out = record; progress }
 
@@ -82,35 +84,44 @@ let term =
     $ record_out $ progress)
 
 (* Runs even when the solver raised: partial metrics, traces and recordings
-   are exactly what one wants when diagnosing a failure. *)
+   are exactly what one wants when diagnosing a failure. An output file that
+   cannot be written is a bad option value: it is reported by name and the
+   result is exit code 2, after every other output has been written. *)
 let report t =
-  (match t.trace_out with
-  | Some path ->
-      Ccs_obs.Span.write_chrome_trace path;
-      Printf.eprintf "wrote trace (%d spans) to %s\n" (Ccs_obs.Span.count ()) path
-  | None -> ());
-  (match t.record_out with
-  | Some path ->
-      Ccs_obs.Recorder.write_jsonl path;
+  let code = ref 0 in
+  let write out save on_success =
+    Option.iter
+      (fun path ->
+        match save path with
+        | () -> on_success path
+        | exception Sys_error e ->
+            let prefix = path ^ ": " in
+            let reason =
+              if String.starts_with ~prefix e then
+                String.sub e (String.length prefix) (String.length e - String.length prefix)
+              else e
+            in
+            Printf.eprintf "error: cannot write %s: %s\n" path reason;
+            code := 2)
+      out
+  in
+  write t.trace_out Ccs_obs.Recorder.write_chrome_trace (Printf.eprintf "wrote trace to %s\n");
+  write t.record_out Ccs_obs.Recorder.write_jsonl (fun path ->
       Printf.eprintf "wrote recording (%d events, %d dropped) to %s\n"
         (List.length (Ccs_obs.Recorder.events ()))
         (Ccs_obs.Recorder.dropped ())
-        path
-  | None -> ());
+        path);
   if t.metrics || t.metrics_out <> None then
     (* the cancellation layer batches its check count locally; fold the
        tail into the registry so no report under-reports it *)
     Ccs_resil.Deadline.flush_stats ();
-  (match t.metrics_out with
-  | Some path -> Ccs_obs.Metrics.write_openmetrics path
-  | None -> ());
-  if t.metrics then print_endline (Ccs_obs.Metrics.dump_table ())
+  write t.metrics_out Ccs_obs.Metrics.write_openmetrics ignore;
+  if t.metrics then print_endline (Ccs_obs.Metrics.dump_table ());
+  !code
 
 let with_reporting t f =
   match f () with
-  | code ->
-      report t;
-      code
+  | code -> max code (report t)
   | exception e ->
-      report t;
+      ignore (report t);
       raise e

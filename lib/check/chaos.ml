@@ -162,9 +162,10 @@ let run config =
             if over > !max_over then max_over := over
         | None -> ());
         List.iter (fail index regime) result;
-        if Ccs_obs.Span.open_depth () <> 0 then
+        if Ccs_obs.Recorder.open_depth () <> 0 then
           fail index regime
-            (Printf.sprintf "span stack unbalanced: %d open" (Ccs_obs.Span.open_depth ())))
+            (Printf.sprintf "recorder phases unbalanced: %d open"
+               (Ccs_obs.Recorder.open_depth ())))
       regimes
   done;
   {

@@ -8,8 +8,9 @@
     to the solvers, every run must end in a [Complete] result or a clean
     [Degraded] value whose incumbent passes the regime validator and whose
     certified lower bound does not exceed the incumbent's makespan — and
-    must leave the observability span stack balanced. Anything else is a
-    failure, printed as a replayable (seed, index, regime) coordinate.
+    must leave the recorder's phases balanced ({!Ccs_obs.Recorder.open_depth},
+    tracked while the recorder is on). Anything else is a failure, printed
+    as a replayable (seed, index, regime) coordinate.
 
     Runs are sequential by design: fault ordinals are claimed from one
     global counter, so a fixed seed replays the same fault at the same

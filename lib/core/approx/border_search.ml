@@ -30,10 +30,8 @@ let slot_cap ~machines ~slots =
 
 let search ~loads ~machines ~slots ~lb =
   if Q.sign lb <= 0 then invalid_arg "Border_search.search: lb must be positive";
-  Ccs_obs.Span.with_ "border_search"
-    ~fields:
-      [ Ccs_obs.Log.int "classes" (Array.length loads);
-        Ccs_obs.Log.int "machines" machines ]
+  Ccs_obs.Recorder.phase "border_search"
+    ~fields:Ccs_obs.Jsonx.[ ("classes", Int (Array.length loads)); ("machines", Int machines) ]
   @@ fun () ->
   let cap = slot_cap ~machines ~slots in
   let feasible probes t =

@@ -136,10 +136,8 @@ let solve_int_feasibility ?(max_nodes = 50_000) ?warm ?basis_out ~nvars ~upper r
   in
   Ccs_obs.Metrics.incr m_ilp_calls;
   Ccs_obs.Metrics.observe h_ilp_vars (float_of_int nvars);
-  Ccs_obs.Span.with_ "ptas.ilp"
-    ~fields:
-      [ Ccs_obs.Log.int "nvars" nvars;
-        Ccs_obs.Log.int "rows" (List.length constraints) ]
+  Ccs_obs.Recorder.phase "ptas.ilp"
+    ~fields:Ccs_obs.Jsonx.[ ("nvars", Int nvars); ("rows", Int (List.length constraints)) ]
   @@ fun () ->
   match Ilp.solve ~max_nodes ~feasibility:true ?warm ?basis_out (Ilp.all_integer lp) with
   | Ilp.Optimal { solution; _ } ->
@@ -163,9 +161,8 @@ type 'a anytime = {
 
 let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
   if Q.(ub < lb) then invalid_arg "geometric_search: ub < lb";
-  Ccs_obs.Span.with_ "ptas.binary_search"
-    ~fields:
-      [ Ccs_obs.Log.str "lb" (Q.to_string lb); Ccs_obs.Log.str "ub" (Q.to_string ub) ]
+  Ccs_obs.Recorder.phase "ptas.binary_search"
+    ~fields:Ccs_obs.Jsonx.[ ("lb", Str (Q.to_string lb)); ("ub", Str (Q.to_string ub)) ]
   @@ fun () ->
   let oracle t =
     Ccs_resil.Deadline.check chk_guess;

@@ -363,11 +363,11 @@ let construct inst rounded layout sol =
 let oracle ?warm ?basis_out (p : Common.param) inst t =
   if Q.(Q.of_int (Instance.pmax inst) > t) then None
   else
-    Ccs_obs.Span.with_ "nonpreemptive.oracle"
-      ~fields:[ Ccs_obs.Log.str "t" (Q.to_string t) ]
+    Ccs_obs.Recorder.phase "nonpreemptive.oracle"
+      ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
     @@ fun () ->
-    let rounded = Ccs_obs.Span.with_ "ptas.round" (fun () -> round_instance p inst t) in
-    let layout = Ccs_obs.Span.with_ "ptas.layout" (fun () -> build_layout rounded) in
+    let rounded = Ccs_obs.Recorder.phase "ptas.round" (fun () -> round_instance p inst t) in
+    let layout = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded) in
     Common.observe_rounding
       ~large:(List.length rounded.large)
       ~small_groups:(List.length rounded.smalls_by_size)
@@ -378,7 +378,7 @@ let oracle ?warm ?basis_out (p : Common.param) inst t =
     | None -> None
     | Some sol ->
         let assignment =
-          Ccs_obs.Span.with_ "ptas.construct" (fun () -> construct inst rounded layout sol)
+          Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct inst rounded layout sol)
         in
         (match Schedule.validate_nonpreemptive inst assignment with
         | Ok _ -> Some assignment
@@ -394,13 +394,10 @@ let solve ?progress p inst =
       { t_accepted = Q.of_int (Instance.pmax inst); oracle_calls = 0; ilp_vars = 0 } )
   else
     Ccs_obs.Recorder.phase "ptas"
-    @@ fun () ->
-    Ccs_obs.Span.with_ "nonpreemptive.solve"
       ~fields:
-        [ Ccs_obs.Log.int "n" n;
-          Ccs_obs.Log.int "m" (Instance.m inst);
-          Ccs_obs.Log.int "c" (Instance.c inst);
-          Ccs_obs.Log.int "d" p.Common.d ]
+        Ccs_obs.Jsonx.
+          [ ("variant", Str "nonpreemptive"); ("n", Int n); ("m", Int (Instance.m inst));
+            ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
     @@ fun () ->
     (* probes run on pool domains, so the call counter must be atomic *)
     let calls = Atomic.make 0 in

@@ -383,15 +383,16 @@ let construct inst rounded layout sol ~explicit_limit =
 (* ---------------------------------------------------------------- *)
 
 let oracle ?(explicit_limit = 4096) ?warm ?basis_out (p : Common.param) inst t =
-  Ccs_obs.Span.with_ "splittable.oracle"
-    ~fields:[ Ccs_obs.Log.str "t" (Q.to_string t) ]
+  Ccs_obs.Recorder.phase "splittable.oracle" ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
   @@ fun () ->
   let rounded, configs =
-    Ccs_obs.Span.with_ "ptas.round" (fun () ->
+    Ccs_obs.Recorder.phase "ptas.round" (fun () ->
         let rounded = round_instance p inst t in
         (rounded, configurations p inst rounded))
   in
-  let layout = Ccs_obs.Span.with_ "ptas.layout" (fun () -> build_layout rounded configs) in
+  let layout =
+    Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded configs)
+  in
   Common.observe_rounding
     ~large:(List.length rounded.large)
     ~small_groups:(List.length rounded.smalls_by_size)
@@ -407,7 +408,7 @@ let oracle ?(explicit_limit = 4096) ?warm ?basis_out (p : Common.param) inst t =
   | None -> None
   | Some sol ->
       let sched =
-        Ccs_obs.Span.with_ "ptas.construct" (fun () ->
+        Ccs_obs.Recorder.phase "ptas.construct" (fun () ->
             construct inst rounded layout sol ~explicit_limit)
       in
       (match Schedule.validate_splittable inst sched with
@@ -418,13 +419,10 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
   if not (Instance.schedulable inst) then
     invalid_arg "Splittable_ptas.solve: C > c*m, no schedule exists";
   Ccs_obs.Recorder.phase "ptas"
-  @@ fun () ->
-  Ccs_obs.Span.with_ "splittable.solve"
     ~fields:
-      [ Ccs_obs.Log.int "n" (Instance.n inst);
-        Ccs_obs.Log.int "m" (Instance.m inst);
-        Ccs_obs.Log.int "c" (Instance.c inst);
-        Ccs_obs.Log.int "d" p.Common.d ]
+      Ccs_obs.Jsonx.
+        [ ("variant", Str "splittable"); ("n", Int (Instance.n inst));
+          ("m", Int (Instance.m inst)); ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
   @@ fun () ->
   (* probes run on pool domains, so the call counter must be atomic *)
   let calls = Atomic.make 0 in

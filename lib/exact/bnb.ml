@@ -508,21 +508,19 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
         }
     in
     Ccs_obs.Recorder.phase "exact"
+      ~fields:Ccs_obs.Jsonx.[ ("op", Str "bnb"); ("n", Int n); ("m", Int m) ]
     @@ fun () ->
-    Ccs_obs.Span.with_ "bnb.solve"
-      ~fields:[ Ccs_obs.Log.int "n" n; Ccs_obs.Log.int "m" m ]
-      (fun () ->
-        if !best <= lb0 then finish Complete
-        else begin
+    if !best <= lb0 then finish Complete
+    else begin
+      compute_suffix ();
+      match probe () with
+      | true -> finish Complete
+      | false ->
           compute_suffix ();
-          match probe () with
-          | true -> finish Complete
-          | false ->
-              compute_suffix ();
-              compute_depth_ids ();
-              finish (run_search ())
-          | exception (Ccs_resil.Deadline.Cancelled _ as e) -> finish (Interrupted e)
-        end)
+          compute_depth_ids ();
+          finish (run_search ())
+      | exception (Ccs_resil.Deadline.Cancelled _ as e) -> finish (Interrupted e)
+    end
   end
 
 let solve_status ?node_limit inst =

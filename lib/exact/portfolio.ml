@@ -314,8 +314,8 @@ let solve ?(node_limit = 50_000_000) ?(max_configs = 4_000) ?(ilp_nodes = 200_00
           Some (i, mk, asg)
       | None -> None
     in
-    Ccs_obs.Span.with_ "portfolio.solve"
-      ~fields:[ Ccs_obs.Log.int "n" (Ccs.Instance.n inst) ]
+    Ccs_obs.Recorder.phase "portfolio.solve"
+      ~fields:[ ("n", Ccs_obs.Jsonx.Int (Ccs.Instance.n inst)) ]
       (fun () ->
         match Ccs_par.parallel_find_firsti (fun i () -> run i) [| (); (); () |] with
         | Some (i, mk, asg) ->

@@ -154,9 +154,7 @@ let solve_ilp ?max_nodes ?(feasibility = false) p =
   let lp = Lp.problem ~lower ~upper ~nvars:nv ~objective:obj_coeffs (List.rev !rows) in
   Ccs_obs.Metrics.incr m_ilp_solves;
   Ccs_obs.Recorder.phase "nfold"
-  @@ fun () ->
-  Ccs_obs.Span.with_ "nfold.solve_ilp"
-    ~fields:[ Ccs_obs.Log.int "nvars" nv; Ccs_obs.Log.int "bricks" p.n ]
+    ~fields:Ccs_obs.Jsonx.[ ("op", Str "solve_ilp"); ("nvars", Int nv); ("bricks", Int p.n) ]
   @@ fun () ->
   match Ilp.solve ?max_nodes ~feasibility (Ilp.all_integer lp) with
   | Ilp.Infeasible -> `Infeasible
@@ -299,9 +297,7 @@ let optimize ?(max_norm = 2) p x0 =
     done
   done;
   Ccs_obs.Recorder.phase "nfold"
-  @@ fun () ->
-  Ccs_obs.Span.with_ "nfold.optimize"
-    ~fields:[ Ccs_obs.Log.int "bricks" p.n; Ccs_obs.Log.int "t" p.t ]
+    ~fields:Ccs_obs.Jsonx.[ ("op", Str "optimize"); ("bricks", Int p.n); ("t", Int p.t) ]
   @@ fun () ->
   let improved = ref true in
   while !improved do
@@ -347,9 +343,7 @@ let optimize ?(max_norm = 2) p x0 =
 let find_feasible ?(max_norm = 2) p =
   validate p;
   Ccs_obs.Recorder.phase "nfold"
-  @@ fun () ->
-  Ccs_obs.Span.with_ "nfold.find_feasible"
-    ~fields:[ Ccs_obs.Log.int "bricks" p.n ]
+    ~fields:Ccs_obs.Jsonx.[ ("op", Str "find_feasible"); ("bricks", Int p.n) ]
   @@ fun () ->
   let t' = p.t + p.r + p.s in
   (* residuals at x = lower *)

@@ -51,10 +51,3 @@ val warn : ((?fields:field list -> string -> unit) -> unit) -> unit
 val info : ((?fields:field list -> string -> unit) -> unit) -> unit
 val debug : ((?fields:field list -> string -> unit) -> unit) -> unit
 val trace : ((?fields:field list -> string -> unit) -> unit) -> unit
-
-(** Seconds since the logger was initialized (process start, effectively);
-    the [ts] of every emitted line. Exposed for the span layer so both
-    clocks agree. *)
-val elapsed : unit -> float
-
-val value_to_json : value -> Jsonx.t

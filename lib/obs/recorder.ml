@@ -1,9 +1,10 @@
 (* Flight recorder: a process-wide, ring-buffered event stream every solver
    emits into. Disabled by default — each emitter checks one bool, so the
-   solvers pay nothing unless a CLI run asked for [--record]. When enabled,
-   events carry seconds-since-start timestamps from the monotonic clock
-   ([Ccs_util.Mono]), and the ring bounds memory: a runaway solve can drop
-   old events (counted in [dropped ()]) but can never OOM the process.
+   solvers pay nothing unless a CLI run asked for [--record] or
+   [--trace-out]. When enabled, events carry seconds-since-start
+   timestamps from the monotonic clock ([Ccs_util.Mono]), and the ring
+   bounds memory: a runaway solve can drop old events (counted in
+   [dropped ()]) but can never OOM the process.
 
    The recorder observes, it never steers: it reads metric counters and
    [Gc.quick_stat], and writes only to its own buffer (and stderr for the
@@ -166,7 +167,13 @@ let counter_fields pre post =
       if v1 <> v0 then [ (n, Jsonx.Int (v1 - v0)) ] else [])
     (List.combine post pre)
 
-let phase name f =
+(* Open phases on each domain. Only phases entered while recording touch
+   it, so the off path stays a single bool check. *)
+let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let open_depth () = !(Domain.DLS.get depth_key)
+
+let phase ?(fields = []) name f =
   if not !enabled then f ()
   else begin
     let id = Atomic.fetch_and_add phase_ids 1 in
@@ -180,10 +187,14 @@ let phase name f =
          prev_phase := s.cur_phase;
          s.cur_phase <- name;
          push_locked s "phase_start"
-           [ ("phase", Jsonx.Str name); ("id", Jsonx.Int id); ("dom", Jsonx.Int dom) ]);
+           (("phase", Jsonx.Str name) :: ("id", Jsonx.Int id) :: ("dom", Jsonx.Int dom)
+          :: fields));
+    let depth = Domain.DLS.get depth_key in
+    incr depth;
     let pre_gc = Gc.quick_stat () in
     let pre_counters = counter_values () in
     let finish ok =
+      decr depth;
       let post_counters = counter_values () in
       let post_gc = Gc.quick_stat () in
       let dur_s = float_of_int (Ccs_util.Mono.now_ns () - t0) /. 1e9 in
@@ -279,6 +290,37 @@ let to_jsonl () =
   List.iter (fun e -> line (event_json e)) evs;
   Buffer.contents buf
 
-let write_jsonl path =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_jsonl ()))
+(* Chrome trace-event rendering: one complete ("X") event per
+   phase_start/phase_end pair, in start order, with the start's fields as
+   [args]. A pair whose start the ring evicted is skipped, and so is a
+   phase still open. *)
+let to_chrome_json () =
+  let evs = events () in
+  let durs = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      if e.kind = "phase_end" then
+        match (List.assoc_opt "id" e.fields, List.assoc_opt "dur_s" e.fields) with
+        | Some (Jsonx.Int id), Some (Jsonx.Float d) -> Hashtbl.replace durs id d
+        | _ -> ())
+    evs;
+  let micros s = Jsonx.Int (int_of_float (Float.round (s *. 1e6))) in
+  Jsonx.List
+    (List.filter_map
+       (fun e ->
+         match (e.kind, e.fields) with
+         | "phase_start", ("phase", name) :: ("id", Jsonx.Int id) :: ("dom", tid) :: args ->
+             Hashtbl.find_opt durs id
+             |> Option.map (fun d ->
+                    Jsonx.Obj
+                      ([ ("name", name); ("ph", Jsonx.Str "X"); ("ts", micros e.t_s);
+                         ("dur", micros d); ("pid", Jsonx.Int 0); ("tid", tid) ]
+                      @ if args = [] then [] else [ ("args", Jsonx.Obj args) ]))
+         | _ -> None)
+       evs)
+
+let write path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
+
+let write_jsonl path = write path (to_jsonl ())
+let write_chrome_trace path = write path (Jsonx.to_string (to_chrome_json ()) ^ "\n")

@@ -2,9 +2,10 @@
 
     Disabled by default; every emitter below is a single bool check when
     off, so instrumented solvers cost nothing unless a run asked for
-    [--record]. When on, events carry seconds-since-{!start} timestamps
-    from the monotonic clock and are kept in a fixed-size ring — a long
-    solve can evict old events (see {!dropped}) but never grows memory.
+    [--record] or [--trace-out]. When on, events carry
+    seconds-since-{!start} timestamps from the monotonic clock and are
+    kept in a fixed-size ring — a long solve can evict old events (see
+    {!dropped}) but never grows memory.
 
     The recorder only observes (metric counters, [Gc.quick_stat]); it
     cannot perturb solver decisions, so output is bit-identical with and
@@ -15,7 +16,8 @@
       ("driver", "ilp", "bnb"), a per-source [solve] ordinal, and the
       bound [value]; the gap-over-time trace.
     - [phase_start] / [phase_end] — paired by [id], tagged with the
-      domain. [phase_end] adds [dur_s], [Gc.quick_stat] deltas
+      domain. [phase_start] carries the caller's fields (sizes, the
+      guess, which operation); [phase_end] adds [dur_s], [Gc.quick_stat] deltas
       ([gc_minor_words], [gc_promoted_words], [gc_major_words],
       [gc_minor_collections], [gc_major_collections]) and watched-counter
       deltas (pivots, nodes, augment steps, ...), zeros omitted.
@@ -57,11 +59,18 @@ val incumbent : src:string -> solve:int -> float -> unit
 
 val lower_bound : src:string -> solve:int -> float -> unit
 
-(** [phase name f] runs [f] between a [phase_start]/[phase_end] pair
-    carrying GC and watched-counter deltas. Exceptions propagate (the
-    [phase_end] is still emitted, flagged [raised]). When the recorder is
-    off this is exactly [f ()]. *)
-val phase : string -> (unit -> 'a) -> 'a
+(** [phase ~fields name f] runs [f] between a [phase_start] (carrying
+    [fields]) and a [phase_end] carrying GC and watched-counter deltas.
+    Nesting follows the dynamic call structure, per domain. Exceptions
+    propagate (the [phase_end] is still emitted, flagged [raised]). When
+    the recorder is off this is exactly [f ()]. *)
+val phase : ?fields:(string * Jsonx.t) list -> string -> (unit -> 'a) -> 'a
+
+(** Phases entered while recording that are still open on the calling
+    domain. Zero outside every {!phase} — including right after a
+    [Ccs_resil.Deadline.Cancelled] unwound a solver, which the resilience
+    tests and the chaos sweep assert. *)
+val open_depth : unit -> int
 
 (** Checkpoint hook (called by [Ccs_resil.Deadline.check]): amortized —
     one [sample] event per 1024 calls per domain. *)
@@ -75,3 +84,12 @@ val dropped : unit -> int
 
 val to_jsonl : unit -> string
 val write_jsonl : string -> unit
+
+(** Chrome trace-event array ([chrome://tracing], Perfetto, [jq]): one
+    complete (["ph":"X"]) event per buffered [phase_start]/[phase_end]
+    pair, in start order, with integral-microsecond [ts]/[dur], the
+    domain as [tid] and the start's fields under ["args"]. Bounded by the
+    ring: a pair whose start was evicted is skipped. *)
+val to_chrome_json : unit -> Jsonx.t
+
+val write_chrome_trace : string -> unit

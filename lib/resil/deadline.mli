@@ -6,7 +6,7 @@
     probes, pool task boundaries) and the call raises {!Cancelled} once the
     ambient token is expired, killed, or hit by an armed fault plan
     ({!Faults}). Cancellation is an ordinary exception, so it unwinds
-    through [Fun.protect]-style cleanup: spans stay balanced, pools stay
+    through [Fun.protect]-style cleanup: recorder phases stay balanced, pools stay
     drainable, and warm-start bases are either intact or unpublished —
     never corrupted (DESIGN.md, "Cancellation contract").
 

@@ -19,7 +19,8 @@ type action =
 
 (** Raised by a [Raise] injection. Deliberately not an exception any solver
     knows: it must travel through every layer untranslated, proving that an
-    arbitrary crash in a hot loop leaves spans balanced and pools alive. *)
+    arbitrary crash in a hot loop leaves recorder phases balanced and pools
+    alive. *)
 exception Injected of string
 
 type plan =

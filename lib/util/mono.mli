@@ -1,6 +1,6 @@
 (** Monotonic clock.
 
-    All deadline arithmetic and span/bench timing in the repo goes through
+    All deadline arithmetic and recorder/bench timing in the repo goes through
     this module rather than [Unix.gettimeofday]: the monotonic clock never
     jumps backwards (or forwards) under NTP adjustment, so durations and
     deadlines measured with it are always non-negative and honest.

@@ -1,9 +1,9 @@
 (* Ccs_obs tests: level filtering (including the zero-cost guarantee that
-   filtered closures never run), JSONL well-formedness, span nesting and
-   timing, metrics registry semantics, and the Jsonx printer/parser pair. *)
+   filtered closures never run), JSONL well-formedness, recorder phases
+   and their Chrome rendering, metrics registry semantics, and the Jsonx
+   printer/parser pair. *)
 
 module Log = Ccs_obs.Log
-module Span = Ccs_obs.Span
 module Metrics = Ccs_obs.Metrics
 module Jsonx = Ccs_obs.Jsonx
 module Recorder = Ccs_obs.Recorder
@@ -87,82 +87,6 @@ let test_jsonl_well_formed () =
       (match Jsonx.member "level" j with
       | Some (Jsonx.Str "info") -> ()
       | _ -> Alcotest.fail "missing level")
-
-(* ---------- spans ---------- *)
-
-let test_span_disabled_passthrough () =
-  Span.set_enabled false;
-  let r = Span.with_ "x" (fun () -> 7) in
-  Alcotest.(check int) "value passes through" 7 r;
-  Alcotest.(check int) "nothing recorded" 0 (Span.count ())
-
-let test_span_nesting_and_timing () =
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Span.set_enabled false)
-    (fun () ->
-      let r =
-        Span.with_ "outer" ~fields:[ Log.int "n" 3 ] (fun () ->
-            ignore (Span.with_ "inner1" (fun () -> Unix.sleepf 0.002; 1));
-            ignore (Span.with_ "inner2" (fun () -> 2));
-            42)
-      in
-      Alcotest.(check int) "result" 42 r;
-      Alcotest.(check int) "three spans" 3 (Span.count ());
-      match Span.roots () with
-      | [ outer ] ->
-          Alcotest.(check string) "root name" "outer" (Span.name outer);
-          let kids = Span.children outer in
-          Alcotest.(check (list string)) "children in order" [ "inner1"; "inner2" ]
-            (List.map Span.name kids);
-          let i1 = List.nth kids 0 and i2 = List.nth kids 1 in
-          Alcotest.(check bool) "durations non-negative" true
-            (List.for_all (fun s -> Span.duration s >= 0.0) [ outer; i1; i2 ]);
-          Alcotest.(check bool) "inner1 took measurable time" true
-            (Span.duration i1 > 0.0);
-          Alcotest.(check bool) "children start after parent" true
-            (Span.start i1 >= Span.start outer && Span.start i2 >= Span.start i1);
-          Alcotest.(check bool) "parent spans its children" true
-            (Span.duration outer
-            >= Span.start i2 +. Span.duration i2 -. Span.start outer -. 1e-9)
-      | roots ->
-          Alcotest.fail (Printf.sprintf "expected 1 root, got %d" (List.length roots)))
-
-let test_span_records_on_raise () =
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Span.set_enabled false)
-    (fun () ->
-      (try Span.with_ "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Alcotest.(check int) "span recorded despite raise" 1 (Span.count ()))
-
-let test_chrome_trace_shape () =
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Span.set_enabled false)
-    (fun () ->
-      Span.with_ "a" ~fields:[ Log.int "k" 1 ] (fun () ->
-          Span.with_ "b" (fun () -> ()));
-      match Span.to_chrome_json () with
-      | Jsonx.List events ->
-          Alcotest.(check int) "two events" 2 (List.length events);
-          List.iter
-            (fun e ->
-              (match Jsonx.member "ph" e with
-              | Some (Jsonx.Str "X") -> ()
-              | _ -> Alcotest.fail "ph must be X");
-              let microseconds = function
-                | Some (Jsonx.Int v) -> float_of_int v
-                | Some (Jsonx.Float v) ->
-                    Alcotest.(check bool) "micros are integral" true (Float.is_integer v);
-                    v
-                | _ -> Alcotest.fail "ts/dur must be numbers"
-              in
-              let ts = microseconds (Jsonx.member "ts" e)
-              and dur = microseconds (Jsonx.member "dur" e) in
-              Alcotest.(check bool) "ts/dur sane" true (ts >= 0.0 && dur >= 0.0))
-            events
-      | _ -> Alcotest.fail "chrome trace must be a flat list")
 
 (* ---------- metrics ---------- *)
 
@@ -398,24 +322,40 @@ let test_openmetrics_lines () =
 let test_recorder_off () =
   Alcotest.(check bool) "inactive by default" false (Recorder.active ());
   Recorder.emit "noise" [];
+  Alcotest.(check int) "phase is passthrough" 9
+    (Recorder.phase ~fields:[ ("n", Jsonx.Int 3) ] "x" (fun () -> 9));
+  Alcotest.(check int) "no depth tracked when off" 0 (Recorder.phase "x" Recorder.open_depth);
   Alcotest.(check int) "nothing buffered when off" 0
     (List.length (Recorder.events ()));
-  Alcotest.(check int) "phase is passthrough" 9 (Recorder.phase "x" (fun () -> 9));
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Recorder.start: capacity must be positive") (fun () ->
       Recorder.start ~capacity:0 ())
 
+let phase_name e =
+  match List.assoc_opt "phase" e.Recorder.fields with Some (Jsonx.Str s) -> s | _ -> "?"
+
 let test_recorder_phase_pairing () =
   Recorder.start ();
   Fun.protect ~finally:Recorder.stop (fun () ->
-      let r = Recorder.phase "outer" (fun () -> Recorder.phase "inner" (fun () -> 5)) in
-      Alcotest.(check int) "value" 5 r;
+      let r =
+        Recorder.phase ~fields:[ ("n", Jsonx.Int 3) ] "outer" (fun () ->
+            Recorder.phase "inner" (fun () -> 3 + Recorder.open_depth ()))
+      in
+      Alcotest.(check int) "value, with depth 2 while nested" 5 r;
       (try Recorder.phase "boom" (fun () -> failwith "x") with Failure _ -> ());
+      Alcotest.(check int) "depth back to 0 after a raise" 0 (Recorder.open_depth ());
       let evs = Recorder.events () in
+      Alcotest.(check (list (pair string string))) "nesting is LIFO"
+        [ ("phase_start", "outer"); ("phase_start", "inner"); ("phase_end", "inner");
+          ("phase_end", "outer"); ("phase_start", "boom"); ("phase_end", "boom") ]
+        (List.map (fun e -> (e.Recorder.kind, phase_name e)) evs);
       let by_kind k = List.filter (fun e -> e.Recorder.kind = k) evs in
       let starts = by_kind "phase_start" and ends = by_kind "phase_end" in
-      Alcotest.(check int) "three starts" 3 (List.length starts);
-      Alcotest.(check int) "three ends" 3 (List.length ends);
+      let outer k = List.find (fun e -> phase_name e = "outer") (by_kind k) in
+      Alcotest.(check bool) "fields on phase_start" true
+        (List.assoc_opt "n" (outer "phase_start").Recorder.fields = Some (Jsonx.Int 3));
+      Alcotest.(check bool) "no fields on phase_end" true
+        (List.assoc_opt "n" (outer "phase_end").Recorder.fields = None);
       let id e =
         match List.assoc_opt "id" e.Recorder.fields with
         | Some (Jsonx.Int i) -> i
@@ -431,12 +371,7 @@ let test_recorder_phase_pairing () =
               Alcotest.(check bool) "duration non-negative" true (d >= 0.0)
           | _ -> Alcotest.fail "phase_end without dur_s")
         ends;
-      let boom =
-        List.find
-          (fun e ->
-            List.assoc_opt "phase" e.Recorder.fields = Some (Jsonx.Str "boom"))
-          ends
-      in
+      let boom = List.find (fun e -> phase_name e = "boom") ends in
       Alcotest.(check bool) "raise is flagged" true
         (List.assoc_opt "raised" boom.Recorder.fields = Some (Jsonx.Bool true));
       let rec mono = function
@@ -470,6 +405,36 @@ let test_recorder_ring_drop () =
           Alcotest.(check bool) "meta reports events and drops" true
             (Jsonx.member "events" j = Some (Jsonx.Int 4)
             && Jsonx.member "dropped" j = Some (Jsonx.Int 6)))
+
+let test_recorder_chrome_trace () =
+  Recorder.start ~capacity:4 ();
+  Fun.protect ~finally:Recorder.stop (fun () ->
+      let trace () =
+        match Recorder.to_chrome_json () with
+        | Jsonx.List evs -> evs
+        | _ -> Alcotest.fail "chrome trace must be a flat list"
+      in
+      let names evs = List.map (Jsonx.member "name") evs in
+      Recorder.phase ~fields:[ ("k", Jsonx.Int 1) ] "a" (fun () -> Recorder.phase "b" ignore);
+      let evs = trace () in
+      Alcotest.(check bool) "one X event per pair, in start order" true
+        (names evs = [ Some (Jsonx.Str "a"); Some (Jsonx.Str "b") ]);
+      List.iter
+        (fun e ->
+          Alcotest.(check bool) "complete event on this domain" true
+            (Jsonx.member "ph" e = Some (Jsonx.Str "X")
+            && Jsonx.member "tid" e = Some (Jsonx.Int (Domain.self () :> int)));
+          match (Jsonx.member "ts" e, Jsonx.member "dur" e) with
+          | Some (Jsonx.Int ts), Some (Jsonx.Int dur) ->
+              Alcotest.(check bool) "ts/dur non-negative" true (ts >= 0 && dur >= 0)
+          | _ -> Alcotest.fail "ts/dur must be integral microseconds")
+        evs;
+      Alcotest.(check bool) "start fields under args" true
+        (List.map (Jsonx.member "args") evs = [ Some (Jsonx.Obj [ ("k", Jsonx.Int 1) ]); None ]);
+      (* one more pair evicts the starts of a and b from the 4-event ring *)
+      Recorder.phase "c" ignore;
+      Alcotest.(check bool) "a pair whose start was dropped is skipped" true
+        (names (trace ()) = [ Some (Jsonx.Str "c") ]))
 
 (* ---------- jsonx ---------- *)
 
@@ -511,11 +476,6 @@ let () =
           Alcotest.test_case "off" `Quick test_level_off;
           Alcotest.test_case "level_of_string" `Quick test_level_of_string;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed ] );
-      ( "span",
-        [ Alcotest.test_case "disabled passthrough" `Quick test_span_disabled_passthrough;
-          Alcotest.test_case "nesting + timing" `Quick test_span_nesting_and_timing;
-          Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
-          Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape ] );
       ( "metrics",
         [ Alcotest.test_case "counters + reset" `Quick test_counters_and_reset;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
@@ -527,7 +487,8 @@ let () =
       ( "recorder",
         [ Alcotest.test_case "off by default" `Quick test_recorder_off;
           Alcotest.test_case "phase pairing" `Quick test_recorder_phase_pairing;
-          Alcotest.test_case "ring drop accounting" `Quick test_recorder_ring_drop ] );
+          Alcotest.test_case "ring drop accounting" `Quick test_recorder_ring_drop;
+          Alcotest.test_case "chrome trace shape" `Quick test_recorder_chrome_trace ] );
       ( "jsonx",
         [ Alcotest.test_case "roundtrip" `Quick test_jsonx_roundtrip;
           Alcotest.test_case "unicode escapes" `Quick test_jsonx_unicode_escape;

@@ -8,7 +8,9 @@
    - phase_start/phase_end pairs balance by id and nest LIFO per domain;
    - the lp, ilp and nfold phases carry GC-delta attribution;
    - gap traces are non-increasing in the upper bound and non-decreasing
-     in the lower bound within each (src, solve ordinal) group. *)
+     in the lower bound within each (src, solve ordinal) group;
+   - the Chrome rendering (--trace-out) of the same recording has one X
+     event per phase_end, the PTAS layers included. *)
 
 module Q = Rat
 module Jsonx = Ccs_obs.Jsonx
@@ -21,8 +23,8 @@ let inst =
   Ccs.Instance.make ~machines:3 ~slots:2
     [ (7, 0); (5, 1); (6, 2); (4, 3); (9, 0); (3, 1); (8, 2); (2, 3) ]
 
-(* One recorded run shared by every test below. *)
-let jsonl =
+(* One recorded run, and its Chrome rendering, shared by every test below. *)
+let recording =
   lazy
     (Recorder.start ();
      Fun.protect ~finally:Recorder.stop (fun () ->
@@ -31,10 +33,10 @@ let jsonl =
          ignore
            (Ccs.Ptas.Nfold_form.feasible_splittable param inst
               (Ccs.Bounds.ub_splittable inst));
-         Recorder.to_jsonl ()))
+         (Recorder.to_jsonl (), Recorder.to_chrome_json ())))
 
 let lines () =
-  match List.rev (String.split_on_char '\n' (Lazy.force jsonl)) with
+  match List.rev (String.split_on_char '\n' (fst (Lazy.force recording))) with
   | "" :: rest -> List.rev rest
   | _ -> Alcotest.fail "recording does not end in a newline"
 
@@ -225,6 +227,21 @@ let test_gap_traces () =
       | _ -> ())
     groups
 
+let test_chrome_rendering () =
+  let trace =
+    match snd (Lazy.force recording) with
+    | Jsonx.List evs -> evs
+    | _ -> Alcotest.fail "chrome trace must be a flat list"
+  in
+  let names = List.filter_map (str "name") trace in
+  List.iter
+    (fun want ->
+      Alcotest.(check bool) (Printf.sprintf "%s event present" want) true (List.mem want names))
+    [ "ptas"; "ptas.ilp"; "ilp"; "lp" ];
+  Alcotest.(check int) "one X event per phase_end"
+    (List.length (List.filter (fun j -> kind j = "phase_end") (events ())))
+    (List.length trace)
+
 let () =
   Alcotest.run "report"
     [ ( "recording",
@@ -232,4 +249,5 @@ let () =
           Alcotest.test_case "timestamps monotone" `Quick test_timestamps_monotone;
           Alcotest.test_case "phase pairs balance" `Quick test_phase_balance;
           Alcotest.test_case "gc attribution on lp/ilp/nfold" `Quick test_gc_attribution;
-          Alcotest.test_case "gap traces monotone" `Quick test_gap_traces ] ) ]
+          Alcotest.test_case "gap traces monotone" `Quick test_gap_traces;
+          Alcotest.test_case "chrome rendering" `Quick test_chrome_rendering ] ) ]

@@ -6,7 +6,8 @@
    - The At-ordinal fault sweep: interrupt the degradation ladder at every
      k-th cancellation checkpoint (Cancel and Raise actions) and demand a
      valid outcome each time — validator-clean incumbent, sound lower
-     bound vs the exact optimum, balanced span stack.
+     bound vs the exact optimum, balanced recorder phases (the sweep runs
+     under the recorder, so the phase depth is really tracked).
    - Determinism after chaos: a clean run after an interrupted one still
      produces the baseline answer (no corrupted global state).
    - The checkpoint counter is exact and deterministic for a fixed
@@ -162,6 +163,8 @@ let sweep_points total =
   List.sort compare !pts
 
 let ordinal_sweep action regime () =
+  Ccs_obs.Recorder.start ();
+  Fun.protect ~finally:Ccs_obs.Recorder.stop @@ fun () ->
   Faults.arm (Faults.At { ordinal = max_int; action = Faults.Cancel });
   Fun.protect ~finally:Faults.disarm (fun () -> solve_checked "baseline" regime);
   let total = Faults.ordinal () in
@@ -171,8 +174,8 @@ let ordinal_sweep action regime () =
       Faults.arm (Faults.At { ordinal = k; action });
       Fun.protect ~finally:Faults.disarm (fun () ->
           solve_checked (Printf.sprintf "fault@%d" k) regime);
-      Alcotest.(check int) (Printf.sprintf "spans balanced after fault@%d" k) 0
-        (Ccs_obs.Span.open_depth ()))
+      Alcotest.(check int) (Printf.sprintf "phases balanced after fault@%d" k) 0
+        (Ccs_obs.Recorder.open_depth ()))
     (sweep_points total)
 
 (* ---------- determinism after chaos ---------- *)
