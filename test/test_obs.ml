@@ -436,6 +436,63 @@ let test_recorder_chrome_trace () =
       Alcotest.(check bool) "a pair whose start was dropped is skipped" true
         (names (trace ()) = [ Some (Jsonx.Str "c") ]))
 
+(* ---------- spans: Recorder.phase as the region primitive ---------- *)
+
+let test_span_disabled_passthrough () =
+  Alcotest.(check bool) "recorder off" false (Recorder.active ());
+  let r = Recorder.phase "x" (fun () -> 7) in
+  Alcotest.(check int) "value passes through" 7 r;
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Recorder.events ()))
+
+(* (start, duration) of each closed phase, keyed by name, from the event stream *)
+let phase_spans evs =
+  let dur_s name =
+    let is_end e = e.Recorder.kind = "phase_end" && phase_name e = name in
+    List.assoc_opt "dur_s" (List.find is_end evs).Recorder.fields
+  in
+  List.filter_map
+    (fun e ->
+      if e.Recorder.kind <> "phase_start" then None
+      else
+        let name = phase_name e in
+        match dur_s name with
+        | Some (Jsonx.Float d) -> Some (name, (e.Recorder.t_s, d))
+        | _ -> Alcotest.fail ("phase_end without dur_s for " ^ name))
+    evs
+
+let test_span_nesting_and_timing () =
+  Recorder.start ();
+  Fun.protect ~finally:Recorder.stop (fun () ->
+      let r =
+        Recorder.phase "outer" ~fields:[ ("n", Jsonx.Int 3) ] (fun () ->
+            ignore (Recorder.phase "inner1" (fun () -> Unix.sleepf 0.002; 1));
+            ignore (Recorder.phase "inner2" (fun () -> 2));
+            42)
+      in
+      Alcotest.(check int) "result" 42 r;
+      let spans = phase_spans (Recorder.events ()) in
+      Alcotest.(check (list string)) "three spans, parent first, children in order"
+        [ "outer"; "inner1"; "inner2" ] (List.map fst spans);
+      let start n = fst (List.assoc n spans) and dur n = snd (List.assoc n spans) in
+      Alcotest.(check bool) "durations non-negative" true
+        (List.for_all (fun (_, (_, d)) -> d >= 0.0) spans);
+      Alcotest.(check bool) "inner1 took measurable time" true (dur "inner1" > 0.0);
+      Alcotest.(check bool) "children start after parent" true
+        (start "inner1" >= start "outer" && start "inner2" >= start "inner1");
+      (* a phase's clock starts just before its phase_start is stamped; the
+         slack absorbs that bookkeeping skew *)
+      Alcotest.(check bool) "parent spans its children" true
+        (dur "outer" >= start "inner2" +. dur "inner2" -. start "outer" -. 1e-6))
+
+let test_span_records_on_raise () =
+  Recorder.start ();
+  Fun.protect ~finally:Recorder.stop (fun () ->
+      Alcotest.check_raises "exception re-raised" (Failure "x") (fun () ->
+          Recorder.phase "boom" (fun () -> failwith "x"));
+      Alcotest.(check (list (pair string string))) "span recorded despite raise"
+        [ ("phase_start", "boom"); ("phase_end", "boom") ]
+        (List.map (fun e -> (e.Recorder.kind, phase_name e)) (Recorder.events ())))
+
 (* ---------- jsonx ---------- *)
 
 let test_jsonx_roundtrip () =
@@ -489,6 +546,10 @@ let () =
           Alcotest.test_case "phase pairing" `Quick test_recorder_phase_pairing;
           Alcotest.test_case "ring drop accounting" `Quick test_recorder_ring_drop;
           Alcotest.test_case "chrome trace shape" `Quick test_recorder_chrome_trace ] );
+      ( "span",
+        [ Alcotest.test_case "disabled passthrough" `Quick test_span_disabled_passthrough;
+          Alcotest.test_case "nesting + timing" `Quick test_span_nesting_and_timing;
+          Alcotest.test_case "records on raise" `Quick test_span_records_on_raise ] );
       ( "jsonx",
         [ Alcotest.test_case "roundtrip" `Quick test_jsonx_roundtrip;
           Alcotest.test_case "unicode escapes" `Quick test_jsonx_unicode_escape;
