@@ -6,11 +6,15 @@ let make ~machines ~slots jobs =
   if jobs = [] then invalid_arg "Instance.make: no jobs";
   if machines <= 0 then invalid_arg "Instance.make: machines must be positive";
   if slots <= 0 then invalid_arg "Instance.make: slots must be positive";
+  (* every load the solvers sum is at most the total, so it must fit *)
+  let total = ref 0 and overflow = ref false in
   List.iter
     (fun (p, cls) ->
       if p <= 0 then invalid_arg "Instance.make: processing times must be positive";
-      if cls < 0 then invalid_arg "Instance.make: classes must be non-negative")
+      if cls < 0 then invalid_arg "Instance.make: classes must be non-negative";
+      if p > max_int - !total then overflow := true else total := !total + p)
     jobs;
+  if !overflow then invalid_arg "Instance.make: total processing time exceeds max_int";
   (* Dense renumbering of the classes that actually occur, preserving order
      of first appearance of the original ids (sorted). *)
   let module IS = Set.Make (Int) in
@@ -43,10 +47,9 @@ module Flat = struct
   let job_p t i = A1.unsafe_get t.p i
   let job_cls t i = A1.unsafe_get t.cls i
 
-  (* Dense renumbering in place, with the same mapping as [make]: distinct
-     original ids sorted ascending map to 0, 1, ... Returns the class
-     count. O(n + C log C), no per-job boxing. *)
-  let renumber (cls : arr) =
+  (* [renumber] for ids too large to index an array: two [Hashtbl] passes
+     and a sort of the distinct ids, O(n + C log C). *)
+  let renumber_sparse (cls : arr) =
     let n = A1.dim cls in
     let seen = Hashtbl.create 1024 in
     for i = 0 to n - 1 do
@@ -62,6 +65,38 @@ module Flat = struct
     done;
     List.length ids
 
+  (* Dense renumbering in place, with the same mapping as [make]: distinct
+     original ids sorted ascending map to 0, 1, ... Returns the class
+     count. Ids below 2n index an array: mark the ids present, number them
+     in ascending order, rewrite — O(n), no hashing. Larger ids (sparse ids
+     are a supported input) take the [Hashtbl] path. *)
+  let renumber (cls : arr) =
+    let n = A1.dim cls in
+    let max_id = ref 0 in
+    for i = 0 to n - 1 do
+      let u = A1.unsafe_get cls i in
+      if u > !max_id then max_id := u
+    done;
+    if !max_id < 2 * n then begin
+      (* [dense.(u)] is 1 for a present id, then its dense number *)
+      let dense = Array.make (!max_id + 1) 0 in
+      for i = 0 to n - 1 do
+        Array.unsafe_set dense (A1.unsafe_get cls i) 1
+      done;
+      let next = ref 0 in
+      for u = 0 to !max_id do
+        if Array.unsafe_get dense u <> 0 then begin
+          Array.unsafe_set dense u !next;
+          incr next
+        end
+      done;
+      for i = 0 to n - 1 do
+        A1.unsafe_set cls i (Array.unsafe_get dense (A1.unsafe_get cls i))
+      done;
+      !next
+    end
+    else renumber_sparse cls
+
   (* Takes ownership of the arrays (classes are renumbered in place). *)
   let of_bigarrays ~machines ~slots ~(p : arr) ~(cls : arr) =
     let n = A1.dim p in
@@ -69,12 +104,15 @@ module Flat = struct
     if A1.dim cls <> n then invalid_arg "Instance.Flat: p/cls length mismatch";
     if machines <= 0 then invalid_arg "Instance.Flat: machines must be positive";
     if slots <= 0 then invalid_arg "Instance.Flat: slots must be positive";
+    let total = ref 0 and overflow = ref false in
     for i = 0 to n - 1 do
-      if A1.unsafe_get p i <= 0 then
-        invalid_arg "Instance.Flat: processing times must be positive";
+      let pi = A1.unsafe_get p i in
+      if pi <= 0 then invalid_arg "Instance.Flat: processing times must be positive";
       if A1.unsafe_get cls i < 0 then
-        invalid_arg "Instance.Flat: classes must be non-negative"
+        invalid_arg "Instance.Flat: classes must be non-negative";
+      if pi > max_int - !total then overflow := true else total := !total + pi
     done;
+    if !overflow then invalid_arg "Instance.Flat: total processing time exceeds max_int";
     let classes = renumber cls in
     { p; cls; machines; slots = min slots classes; classes }
 

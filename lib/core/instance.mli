@@ -20,7 +20,9 @@ type t = private {
     assumption C <= n). Slots are clamped to [min slots C] — a machine can
     never use more distinct classes than exist (the paper's observation that
     c <= C, c <= n is w.l.o.g.). Raises [Invalid_argument] on empty jobs,
-    non-positive processing times or machine/slot counts. *)
+    non-positive processing times or machine/slot counts, negative classes,
+    and a total processing time above [max_int] (every load the solvers sum
+    is at most the total, so it must not wrap). *)
 val make : machines:int -> slots:int -> (int * int) list -> t
 
 val n : t -> int
@@ -76,12 +78,19 @@ module Flat : sig
 
   (** Build from parallel arrays, validating and renumbering classes densely
       exactly as {!Instance.make} does (distinct original ids, sorted
-      ascending, map to 0, 1, ...). Raises [Invalid_argument] like [make]. *)
+      ascending, map to 0, 1, ...). Raises [Invalid_argument] like [make],
+      including on a total processing time above [max_int].
+
+      Renumbering is O(n) when the largest class id is below 2n: an array
+      indexed by id marks the ids present and numbers them in ascending
+      order (a temporary of at most 2n words). Larger ids — sparse ids
+      such as hashes are a supported input — switch to a [Hashtbl] of the
+      distinct ids and a sort, O(n + C log C). *)
   val of_arrays : machines:int -> slots:int -> p:int array -> cls:int array -> t
 
   (** Like {!of_arrays} but takes ownership of the Bigarrays — the class
-      array is renumbered in place, no copy. This is the streaming parser's
-      zero-copy entry point. *)
+      array is renumbered in place, no copy. This is the entry point of both
+      loaders (text and [ccsb1]). *)
   val of_bigarrays : machines:int -> slots:int -> p:arr -> cls:arr -> t
 
   val total_load : t -> int

@@ -42,44 +42,65 @@ let to_string_flat f =
    Windows or exported from spreadsheets parse the same as space-separated
    ones), '#' comments to end of line, at most one directive per line.
    Chunks arrive through a [read] callback; a token split across chunk
-   boundaries accumulates in [pending]. Job fields go straight into growable
-   int arrays — no whole-file string, no token list, no per-job boxing. *)
+   boundaries accumulates in [pending].
+
+   Job lines are read in place: the keyword [job] is recognised by its
+   bytes, and a field that is a plain run of at most 18 decimal digits
+   (below 10^18, so it cannot overflow) has its value summed up while the
+   scan crosses it. Only header-line tokens, tokens cut by a chunk boundary
+   and fields of any other shape become strings; those fields go through
+   [int_of_string_opt], so signs, [0x]/[0o]/[0b] prefixes, underscores and
+   out-of-range values behave exactly as that function says. Job fields go
+   straight into growable off-heap arrays — no whole-file string, no token
+   list, nothing allocated on the OCaml heap per job line. *)
 
 type parser_state = {
   mutable lineno : int;
-  tok : string array; (* first 3 tokens of the current line *)
-  mutable ntok : int; (* may exceed 3: only the count matters then *)
+  mutable ntok : int; (* tokens on the current line; may exceed 3 *)
+  mutable job_line : bool; (* the current line's first token is [job] *)
+  tok : string array; (* first 2 tokens of a header line *)
+  mutable line_p : int; (* fields 1 and 2 of a job line *)
+  mutable line_cls : int;
+  mutable fields_ok : bool; (* both job fields parsed as ints *)
   mutable in_comment : bool;
   pending : Buffer.t; (* token prefix left over from the previous chunk *)
   mutable machines : int option;
   mutable slots : int option;
-  mutable jp : int array; (* growable job arrays, [njobs] filled *)
-  mutable jcls : int array;
+  mutable jp : Instance.Flat.arr; (* growable job arrays, [njobs] filled *)
+  mutable jcls : Instance.Flat.arr;
   mutable njobs : int;
   mutable ntokens : int; (* tokens not yet added to [io.stream_tokens] *)
   mutable error : string option;
 }
 
+let new_arr n : Instance.Flat.arr = A1.create Bigarray.int Bigarray.c_layout n
+
 let new_state () =
-  { lineno = 1; tok = Array.make 3 ""; ntok = 0; in_comment = false;
-    pending = Buffer.create 32; machines = None; slots = None;
-    jp = Array.make 1024 0; jcls = Array.make 1024 0; njobs = 0; ntokens = 0; error = None }
+  { lineno = 1; ntok = 0; job_line = false; tok = Array.make 2 ""; line_p = 0;
+    line_cls = 0; fields_ok = true; in_comment = false; pending = Buffer.create 32;
+    machines = None; slots = None; jp = new_arr 1024; jcls = new_arr 1024; njobs = 0;
+    ntokens = 0; error = None }
+
+let failed st = match st.error with None -> false | Some _ -> true
 
 let fail st msg =
-  if st.error = None then
+  if not (failed st) then
     st.error <- Some (Printf.sprintf "line %d: %s" st.lineno msg)
 
+(* a copy of the first [n] entries of [a] into a new array of length [len] *)
+let resized a n len =
+  let b = new_arr len in
+  A1.blit (A1.sub a 0 n) (A1.sub b 0 n);
+  b
+
 let push_job st p cls =
-  let cap = Array.length st.jp in
+  let cap = A1.dim st.jp in
   if st.njobs = cap then begin
-    let jp = Array.make (2 * cap) 0 and jcls = Array.make (2 * cap) 0 in
-    Array.blit st.jp 0 jp 0 cap;
-    Array.blit st.jcls 0 jcls 0 cap;
-    st.jp <- jp;
-    st.jcls <- jcls
+    st.jp <- resized st.jp cap (2 * cap);
+    st.jcls <- resized st.jcls cap (2 * cap)
   end;
-  st.jp.(st.njobs) <- p;
-  st.jcls.(st.njobs) <- cls;
+  A1.unsafe_set st.jp st.njobs p;
+  A1.unsafe_set st.jcls st.njobs cls;
   st.njobs <- st.njobs + 1
 
 (* The token counter is bumped once per chunk, not once per token: a
@@ -89,90 +110,125 @@ let flush_token_count st =
   if st.ntokens > 0 then Ccs_obs.Metrics.add m_stream_tokens st.ntokens;
   st.ntokens <- 0
 
-let add_token st s =
+(* The token [buf.[s, e)]. [v] is its value when it is a plain run of at
+   most 18 decimal digits, and -1 otherwise. *)
+let add_token st buf s e v =
   st.ntokens <- st.ntokens + 1;
-  if st.ntok < 3 then st.tok.(st.ntok) <- s;
-  st.ntok <- st.ntok + 1
+  let k = st.ntok in
+  st.ntok <- k + 1;
+  if k = 0 then
+    st.job_line <-
+      e - s = 3
+      && Bytes.unsafe_get buf s = 'j'
+      && Bytes.unsafe_get buf (s + 1) = 'o'
+      && Bytes.unsafe_get buf (s + 2) = 'b';
+  if not st.job_line then begin
+    if k < 2 then st.tok.(k) <- Bytes.sub_string buf s (e - s)
+  end
+  else if k = 1 || k = 2 then begin
+    let v =
+      if v >= 0 then v
+      else
+        match int_of_string_opt (Bytes.sub_string buf s (e - s)) with
+        | Some v -> v
+        | None ->
+            st.fields_ok <- false;
+            0
+    in
+    if k = 1 then st.line_p <- v else st.line_cls <- v
+  end
+
+let flush_pending st =
+  if Buffer.length st.pending > 0 then begin
+    let b = Buffer.to_bytes st.pending in
+    Buffer.clear st.pending;
+    add_token st b 0 (Bytes.length b) (-1)
+  end
 
 (* Mirror of the per-line dispatch [of_string] historically performed on its
    token lists; the error strings are part of the CLI contract. *)
 let dispatch_line st =
-  (match st.ntok with
-  | 0 -> ()
-  | 2 -> (
-      match st.tok.(0) with
-      | "ccs" -> if st.tok.(1) <> "1" then fail st "unrecognized line"
-      | "machines" -> (
-          match int_of_string_opt st.tok.(1) with
-          | Some m when m > 0 -> st.machines <- Some m
-          | _ -> fail st "bad machine count")
-      | "slots" -> (
-          match int_of_string_opt st.tok.(1) with
-          | Some c when c > 0 -> st.slots <- Some c
-          | _ -> fail st "bad slot count")
-      | _ -> fail st "unrecognized line")
-  | 3 when st.tok.(0) = "job" -> (
-      match (int_of_string_opt st.tok.(1), int_of_string_opt st.tok.(2)) with
-      | Some p, Some cls when p > 0 && cls >= 0 -> push_job st p cls
-      | _ -> fail st "bad job line")
-  | _ -> fail st "unrecognized line");
-  st.ntok <- 0
+  (if st.ntok = 0 then ()
+   else if st.job_line then begin
+     if st.ntok <> 3 then fail st "unrecognized line"
+     else if st.fields_ok && st.line_p > 0 && st.line_cls >= 0 then
+       push_job st st.line_p st.line_cls
+     else fail st "bad job line"
+   end
+   else if st.ntok <> 2 then fail st "unrecognized line"
+   else
+     match st.tok.(0) with
+     | "ccs" -> if st.tok.(1) <> "1" then fail st "unrecognized line"
+     | "machines" -> (
+         match int_of_string_opt st.tok.(1) with
+         | Some m when m > 0 -> st.machines <- Some m
+         | _ -> fail st "bad machine count")
+     | "slots" -> (
+         match int_of_string_opt st.tok.(1) with
+         | Some c when c > 0 -> st.slots <- Some c
+         | _ -> fail st "bad slot count")
+     | _ -> fail st "unrecognized line");
+  st.ntok <- 0;
+  st.fields_ok <- true
+
+let end_line st =
+  dispatch_line st;
+  st.lineno <- st.lineno + 1
 
 let feed st buf len =
   Ccs_obs.Metrics.add m_stream_bytes len;
-  let tok_start = ref (-1) in
-  let flush i =
-    if !tok_start >= 0 then begin
-      if Buffer.length st.pending = 0 then
-        add_token st (Bytes.sub_string buf !tok_start (i - !tok_start))
-      else begin
-        Buffer.add_subbytes st.pending buf !tok_start (i - !tok_start);
-        add_token st (Buffer.contents st.pending);
-        Buffer.clear st.pending
-      end;
-      tok_start := -1
-    end
-    else if Buffer.length st.pending > 0 then begin
-      add_token st (Buffer.contents st.pending);
-      Buffer.clear st.pending
-    end
-  in
   let i = ref 0 in
-  while !i < len && st.error = None do
+  while !i < len && not (failed st) do
     let ch = Bytes.unsafe_get buf !i in
     if st.in_comment then begin
       if ch = '\n' then begin
         st.in_comment <- false;
-        dispatch_line st;
-        st.lineno <- st.lineno + 1
-      end
+        end_line st
+      end;
+      incr i
     end
-    else begin
+    else
       match ch with
-      | ' ' | '\t' | '\r' | '\012' -> flush !i
+      | ' ' | '\t' | '\r' | '\012' ->
+          flush_pending st;
+          incr i
       | '\n' ->
-          flush !i;
-          dispatch_line st;
-          st.lineno <- st.lineno + 1
+          flush_pending st;
+          end_line st;
+          incr i
       | '#' ->
-          flush !i;
-          st.in_comment <- true
-      | _ -> if !tok_start < 0 then tok_start := !i
-    end;
-    incr i
+          flush_pending st;
+          st.in_comment <- true;
+          incr i
+      | _ ->
+          (* scan to the token's end, summing its digits on the way *)
+          let s = !i and v = ref 0 and plain = ref true in
+          let j = ref s and at_end = ref false in
+          while (not !at_end) && !j < len do
+            match Bytes.unsafe_get buf !j with
+            | '0' .. '9' as d ->
+                v := (10 * !v) + (Char.code d - 48);
+                incr j
+            | ' ' | '\t' | '\r' | '\012' | '\n' | '#' -> at_end := true
+            | _ ->
+                plain := false;
+                incr j
+          done;
+          let e = !j in
+          if e = len || Buffer.length st.pending > 0 then begin
+            (* cut by a chunk boundary on either side: build it in [pending] *)
+            Buffer.add_subbytes st.pending buf s (e - s);
+            if e < len then flush_pending st
+          end
+          else add_token st buf s e (if !plain && e - s <= 18 then !v else -1);
+          i := e
   done;
-  (* a token cut by the chunk boundary waits in [pending] *)
-  if !tok_start >= 0 then
-    Buffer.add_subbytes st.pending buf !tok_start (len - !tok_start);
   flush_token_count st
 
 let finish st =
   (* final line without a trailing newline *)
-  if st.error = None then begin
-    if Buffer.length st.pending > 0 then begin
-      add_token st (Buffer.contents st.pending);
-      Buffer.clear st.pending
-    end;
+  if not (failed st) then begin
+    flush_pending st;
     dispatch_line st
   end;
   flush_token_count st;
@@ -182,12 +238,8 @@ let finish st =
   | None, _, None, _ -> Error "missing 'slots' line"
   | None, _, _, 0 -> Error "no jobs"
   | None, Some machines, Some slots, n -> (
-      let p = A1.create Bigarray.int Bigarray.c_layout n in
-      let cls = A1.create Bigarray.int Bigarray.c_layout n in
-      for i = 0 to n - 1 do
-        A1.unsafe_set p i st.jp.(i);
-        A1.unsafe_set cls i st.jcls.(i)
-      done;
+      (* exact-length copies: the instance keeps 16 bytes per job *)
+      let p = resized st.jp n n and cls = resized st.jcls n n in
       try Ok (Instance.Flat.of_bigarrays ~machines ~slots ~p ~cls)
       with Invalid_argument msg -> Error msg)
 
@@ -202,7 +254,7 @@ let parse_stream ~chunk read =
     | 0 -> finish st
     | k ->
         feed st buf k;
-        if st.error <> None then finish st else loop ()
+        if failed st then finish st else loop ()
   in
   loop ()
 
@@ -278,7 +330,7 @@ let read_flat_body ic =
           else begin
             let buf = Bytes.create (8 * io_chunk_words) in
             let read_arr name =
-              let a = A1.create Bigarray.int Bigarray.c_layout n in
+              let a = new_arr n in
               let i = ref 0 in
               let err = ref None in
               while !err = None && !i < n do

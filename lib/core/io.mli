@@ -12,8 +12,12 @@
     Both text front-ends — {!of_string} and the channel loaders — run the
     same incremental tokenizer, so they accept exactly the same inputs and
     report exactly the same errors. The streaming path never materializes
-    the whole file: bytes are consumed in fixed-size chunks and job fields
-    land directly in the flat arrays.
+    the whole file: bytes are consumed in fixed-size chunks, and a job line
+    is read in place — plain decimal fields are summed up byte by byte and
+    land directly in the job arrays, with no string or option allocated.
+    Fields of any other shape (signs, [0x] prefixes, underscores, more than
+    18 digits) are parsed by [int_of_string_opt]. A total processing time
+    above [max_int] is rejected with an error, like any malformed input.
 
     There is also a binary flat format (magic ["ccsb1\n"], int64
     little-endian header [n, machines, slots] followed by the [p] and [cls]

@@ -24,6 +24,37 @@ let test_instance_validation () =
     (Invalid_argument "Instance.make: processing times must be positive") (fun () ->
       ignore (mk [ (0, 1) ]))
 
+let test_total_overflow () =
+  (* a total of exactly max_int is accepted; one more unit is rejected by
+     both constructors instead of wrapping *)
+  let half = (max_int / 2) + 1 in
+  let inst = mk [ (max_int - 1, 0); (1, 1) ] in
+  Alcotest.(check int) "total max_int" max_int (I.total_load inst);
+  let flat p cls = I.Flat.of_arrays ~machines:3 ~slots:2 ~p ~cls in
+  let fl = flat [| max_int - 1; 1 |] [| 0; 1 |] in
+  Alcotest.(check int) "flat total max_int" max_int (I.Flat.total_load fl);
+  Alcotest.check_raises "make"
+    (Invalid_argument "Instance.make: total processing time exceeds max_int") (fun () ->
+      ignore (mk [ (half, 0); (half, 1) ]));
+  Alcotest.check_raises "make, overflow after the first job"
+    (Invalid_argument "Instance.make: total processing time exceeds max_int") (fun () ->
+      ignore (mk [ (1, 0); (max_int, 1) ]));
+  Alcotest.check_raises "flat"
+    (Invalid_argument "Instance.Flat: total processing time exceeds max_int") (fun () ->
+      ignore (flat [| half; 7; half |] [| 0; 1; 0 |]));
+  (* a per-job error still wins over the total *)
+  Alcotest.check_raises "flat, bad job first"
+    (Invalid_argument "Instance.Flat: classes must be non-negative") (fun () ->
+      ignore (flat [| half; half; 1 |] [| 0; 1; -1 |]));
+  match
+    Ccs.Io.of_string
+      "ccs 1\nmachines 1\nslots 2\njob 3000000000000000000 0\njob 3000000000000000000 1\n"
+  with
+  | Error e ->
+      Alcotest.(check string)
+        "parse" "Instance.Flat: total processing time exceeds max_int" e
+  | Ok _ -> Alcotest.fail "overflowing total accepted"
+
 let test_slots_clamped () =
   let inst = mk ~slots:100 [ (1, 0); (1, 1) ] in
   Alcotest.(check int) "c clamped to C" 2 (I.c inst)
@@ -476,10 +507,11 @@ let test_bounds () =
   Alcotest.check q "ub integral" (Q.of_int 24) (Ccs.Bounds.ub_integral inst)
 
 let test_ub_integral_no_overflow () =
-  (* three jobs near max_int: n * pmax wraps in native arithmetic but must
-     come back exact (and in particular positive and > max_int) *)
+  (* one job near max_int and a total that still fits: n * pmax wraps in
+     native arithmetic but must come back exact (and in particular positive
+     and > max_int) *)
   let big = max_int - 7 in
-  let inst = mk ~machines:2 ~slots:2 [ (big, 0); (big, 1); (big, 0) ] in
+  let inst = mk ~machines:2 ~slots:2 [ (big, 0); (1, 1); (1, 0) ] in
   let ub = Ccs.Bounds.ub_integral inst in
   Alcotest.(check bool) "positive" true (Q.sign ub > 0);
   Alcotest.(check bool) "exceeds max_int" true Q.(ub > Q.of_int max_int);
@@ -622,6 +654,7 @@ let () =
     [ ( "instance",
         [ Alcotest.test_case "basics" `Quick test_instance_basics;
           Alcotest.test_case "validation" `Quick test_instance_validation;
+          Alcotest.test_case "total overflow" `Quick test_total_overflow;
           Alcotest.test_case "slots clamped" `Quick test_slots_clamped;
           Alcotest.test_case "unschedulable detection" `Quick test_unschedulable ] );
       ( "schedule",

@@ -90,6 +90,63 @@ let test_huge_processing_times () =
       Alcotest.(check int) "pmax" p12 (F.pmax f)
   | Error e -> Alcotest.fail e
 
+(* Numeric token shapes in both job fields: the in-place digit path and
+   its [int_of_string_opt] fallback must agree with that function on every
+   shape, whole or cut by a chunk boundary. *)
+let numeric_tokens =
+  [ "007"; "+5"; "-0"; "-3"; "0x1f"; "0o17"; "0b101"; "1_000"; "12a";
+    "123456789012345678"; "4611686018427387903"; "4611686018427387904";
+    (* 19 nines: summed in native ints it would wrap to a positive value *)
+    String.make 19 '9'; String.make 24 '0' ^ "1" ]
+
+let test_numeric_token_shapes () =
+  let header = "ccs 1\nmachines 3\nslots 2\n" in
+  let check_parse label text expect =
+    List.iter
+      (fun chunk ->
+        let label = Printf.sprintf "%s, chunk %s" label
+            (match chunk with Some c -> string_of_int c | None -> "default") in
+        match (Io.of_string_flat ?chunk text, expect) with
+        | Ok f, Ok check -> check label f
+        | Error e, Error want -> Alcotest.(check string) label want e
+        | Ok _, Error want -> Alcotest.fail (label ^ ": accepted, want " ^ want)
+        | Error e, Ok _ -> Alcotest.fail (label ^ ": rejected: " ^ e))
+      [ Some 1; Some 2; Some 3; Some 5; None ]
+  in
+  let bad = Error "line 4: bad job line" in
+  List.iter
+    (fun tok ->
+      let v = int_of_string_opt tok in
+      (* p field: the parsed value is the processing time *)
+      check_parse (Printf.sprintf "p %S" tok)
+        (Printf.sprintf "%sjob %s 0\n" header tok)
+        (match v with
+        | Some v when v > 0 ->
+            Ok (fun label f -> Alcotest.(check int) label v (F.job_p f 0))
+        | _ -> bad);
+      (* class field: a second job names the expected value in plain
+         decimal, so one class means the two ids parsed equal *)
+      check_parse (Printf.sprintf "class %S" tok)
+        (Printf.sprintf "%sjob 5 %s\njob 7 %d\n" header tok (Option.value v ~default:0))
+        (match v with
+        | Some v when v >= 0 ->
+            Ok (fun label f -> Alcotest.(check int) label 1 (F.num_classes f))
+        | _ -> bad))
+    numeric_tokens
+
+(* [job] is matched byte for byte; near misses are not job lines *)
+let test_job_keyword () =
+  List.iter
+    (fun kw ->
+      List.iter
+        (fun chunk ->
+          let text = Printf.sprintf "ccs 1\nmachines 3\nslots 2\n%s 5 0\n" kw in
+          match Io.of_string_flat ?chunk text with
+          | Error e -> Alcotest.(check string) kw "line 4: unrecognized line" e
+          | Ok _ -> Alcotest.fail (kw ^ " accepted as a job line"))
+        [ Some 1; Some 2; Some 3; None ])
+    [ "jo"; "jox"; "joc"; "Job"; "jobs"; "ajob" ]
+
 let test_chunk_validation () =
   match Io.of_string_flat ~chunk:0 canonical with
   | exception Invalid_argument _ -> ()
@@ -134,7 +191,11 @@ let grammar_gen =
          (oneofl
             [ "ccs 1\n"; "ccs"; "machines "; "machines 3\n"; "slots 2\n"; "slots ";
               "job "; "job 5 0\n"; "job 5\n"; "12 3"; "#c\n"; "\r\n"; "\t"; " ";
-              "\n"; "9"; "0 "; "1000000000000 "; "x"; "job 1000000000000 1\n" ])))
+              "\n"; "9"; "0 "; "1000000000000 "; "x"; "job 1000000000000 1\n";
+              "job 007 +5\n"; "job 1_000 0x1f\n"; "job 5 -0\n"; "job -3 1\n";
+              "0o17 "; "0b101 "; "12a "; "123456789012345678 ";
+              "4611686018427387903 "; "4611686018427387904 "; "9999999999999999999 ";
+              "0000000000000000000000001 " ])))
 
 let prop_chunking_invariant =
   QCheck.Test.make ~name:"chunked parses agree with default (incl. errors)"
@@ -190,6 +251,40 @@ let prop_generate_flat_matches =
     (QCheck.int_range 0 1_000_000) (fun seed ->
       let spec = spec_of_seed seed in
       flat_equal (G.generate_flat ~seed spec) (I.to_flat (G.generate ~seed spec)))
+
+(* Class ids drawn dense (below n), on the array/[Hashtbl] boundary
+   (largest id 2n-1 or 2n) and sparse (up to max_int): the flat
+   constructor must number them exactly as [Instance.make] does. *)
+let class_ids_gen =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun n ->
+    int_range 0 3 >>= fun shape ->
+    let bound, top =
+      match shape with
+      | 0 -> (n - 1, None)
+      | 1 -> ((2 * n) - 1, Some ((2 * n) - 1))
+      | 2 -> (2 * n, Some (2 * n))
+      | _ -> (max_int, None)
+    in
+    array_size (return n) (int_range 0 bound) >>= fun ids ->
+    int_range 0 (n - 1) >|= fun at ->
+    Option.iter (fun top -> ids.(at) <- top) top;
+    ids)
+
+let prop_renumber_matches_make =
+  QCheck.Test.make ~name:"Flat.of_arrays numbers classes like Instance.make" ~count:500
+    (QCheck.make class_ids_gen ~print:QCheck.Print.(array int))
+    (fun ids ->
+      let n = Array.length ids in
+      let fl =
+        F.of_arrays ~machines:2 ~slots:2 ~p:(Array.make n 1) ~cls:(Array.copy ids)
+      in
+      let jobs = List.map (fun u -> (1, u)) (Array.to_list ids) in
+      let inst = I.make ~machines:2 ~slots:2 jobs in
+      F.num_classes fl = I.num_classes inst
+      && List.for_all
+           (fun i -> F.job_cls fl i = (I.job inst i).I.cls)
+           (List.init n Fun.id))
 
 let prop_text_roundtrip_flat =
   QCheck.Test.make ~name:"to_string_flat streams back identically" ~count:200
@@ -269,6 +364,8 @@ let () =
           Alcotest.test_case "CRLF / tab runs" `Quick test_crlf_tab_runs;
           Alcotest.test_case "truncated final record" `Quick test_truncated_final_record;
           Alcotest.test_case "10^12 processing times" `Quick test_huge_processing_times;
+          Alcotest.test_case "numeric token shapes" `Quick test_numeric_token_shapes;
+          Alcotest.test_case "job keyword" `Quick test_job_keyword;
           Alcotest.test_case "chunk validation" `Quick test_chunk_validation ] );
       ( "binary",
         [ Alcotest.test_case "roundtrip" `Quick test_binary_roundtrip;
@@ -277,5 +374,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_chunking_invariant; prop_record_parser_agrees;
             prop_flat_record_roundtrip; prop_generate_flat_matches;
-            prop_text_roundtrip_flat; prop_solve_flat_bit_identical;
+            prop_renumber_matches_make; prop_text_roundtrip_flat;
+            prop_solve_flat_bit_identical;
             prop_binary_roundtrip_random ] ) ]
