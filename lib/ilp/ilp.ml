@@ -11,7 +11,7 @@ type result =
 let all_integer lp = { lp; integer = Array.make lp.Lp.nvars true }
 
 (* Checked once per B&B node, before the node's LP relaxation is solved;
-   each node also runs many lp.pivot checkpoints inside [Lp.solve]. *)
+   each node also runs many lp.pivot checkpoints inside [Lp.solve_model]. *)
 let chk_node = Ccs_resil.Deadline.site "ilp.node"
 
 let m_solves = Ccs_obs.Metrics.counter "ilp.solves"
@@ -54,6 +54,11 @@ let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
   let incumbent = ref None in
   let limit_hit = ref false in
   let exception Found_first of Q.t * Q.t array in
+  (* cover the root relaxation too — it is as expensive as any node's *)
+  Ccs_resil.Deadline.check chk_node;
+  (* One LP model serves the whole tree: its nodes differ only in bound
+     values, so each node builds just its rhs, bounds and simplex state. *)
+  let model = Lp.model p.lp in
   (* Depth-first search over bound tightenings. Each node hands its
      optimal basis to its children: sibling LPs differ from the parent
      only in one variable bound, so the warm start usually holds (and
@@ -65,8 +70,7 @@ let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
       incr nodes;
       if !nodes > max_nodes then limit_hit := true
       else begin
-        let lp = { p.lp with Lp.lower; upper } in
-        match Lp.solve ?warm lp with
+        match Lp.solve_model ?warm model ~lower ~upper with
         | Lp.Infeasible _ -> ()
         | Lp.Unbounded _ ->
             (* With integer variables an unbounded relaxation does not decide
@@ -115,9 +119,7 @@ let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
     end
   in
   let result =
-    (* cover the root relaxation too — it is as expensive as any node's *)
-    Ccs_resil.Deadline.check chk_node;
-    match Lp.solve ?warm p.lp with
+    match Lp.solve_model ?warm model ~lower:p.lp.Lp.lower ~upper:p.lp.Lp.upper with
     | Lp.Unbounded _ -> Unbounded
     | Lp.Infeasible _ -> Infeasible
     | Lp.Optimal { basis = root_basis; _ } -> (

@@ -133,8 +133,9 @@ type core = {
   n_slack : int;
   n_total : int;
   n_enter : int;  (* columns allowed to price; artificials are beyond *)
-  cols : (int * Q.t) array array;  (* sparse columns, rows ascending *)
-  crash : int option array;  (* per row: slack usable as initial basic *)
+  mutable cols : (int * Q.t) array array;
+      (* sparse columns, rows ascending; natural row signs until a cold
+         start normalises them (see [normalise_signs]) *)
   b : Q.t array;
   ub : Q.t option array;
   cost : Q.t array;  (* phase-dependent, length n_total *)
@@ -478,32 +479,42 @@ let run_phase core ~stop_at_feasible =
   (status, core.iters - iters0)
 
 (* ------------------------------------------------------------------ *)
-(* Translation from the user-facing form.
+(* Translation from the user-facing form, in two parts.
 
    Variable j becomes non-negative internal columns:
    - finite lower bound l: x = l + x', upper carried implicitly as ub
    - no lower bound:       x = x+ - x- (two columns); a finite upper with
      no lower is the one combination that still needs an explicit row.
    Finite upper bounds on shifted variables become implicit column bounds,
-   so bound tightenings (e.g. branch & bound) never change the LP shape. *)
+   so bound tightenings (e.g. branch & bound) never change the LP shape.
+
+   The [model] is everything that bound values do not touch: the merged,
+   column-sorted rows, the variable layout and the sparse columns in their
+   natural row signs. It is built once and serves every solve whose bounds
+   have the same layout — a whole branch-and-bound tree. Each solve then
+   builds only its shifted rhs, its column upper bounds and fresh simplex
+   state ([node_core]). *)
 
 type model = {
-  c_core : core;
+  prob : problem;  (* constraints and objective; its bounds fix the layout *)
   col_of : (int * int option) array;  (* var -> (pos column, neg column) *)
-  shift : Q.t array;
+  m_rows : int;
+  m_struct : int;
+  m_slack : int;
+  m_cols : (int * Q.t) array array;  (* natural signs; artificial i is +e_i *)
+  rhs : Q.t array;  (* user rhs; 0 on the upper-bound rows *)
+  upper_rows : (int * int) list;  (* (row, var) of each explicit upper row *)
 }
 
 exception Empty_box
 
-let build_model ~bland_after p =
+let model p =
   let nv = p.nvars in
   let col_of = Array.make nv (0, None) in
   let next = ref 0 in
-  let shift = Array.make nv Q.zero in
   for j = 0 to nv - 1 do
     match p.lower.(j) with
-    | Some l ->
-        shift.(j) <- l;
+    | Some _ ->
         col_of.(j) <- (!next, None);
         incr next
     | None ->
@@ -511,15 +522,12 @@ let build_model ~bland_after p =
         next := !next + 2
   done;
   let n_struct = !next in
-  (* rows: user constraints with shifted rhs, plus the rare upper-bound
-     row for variables unbounded below *)
+  (* rows: user constraints, plus the rare upper-bound row for variables
+     unbounded below *)
   let rows = ref [] in
   let add_row coeffs cmp rhs = rows := (coeffs, cmp, rhs) :: !rows in
   List.iter
     (fun c ->
-      let rhs =
-        List.fold_left (fun acc (j, a) -> Q.sub acc (Q.mul a shift.(j))) c.rhs c.coeffs
-      in
       let coeffs =
         List.concat_map
           (fun (j, a) ->
@@ -531,19 +539,18 @@ let build_model ~bland_after p =
               | Some ncol -> [ (pos, a); (ncol, Q.neg a) ])
           c.coeffs
       in
-      add_row coeffs c.cmp rhs)
+      add_row coeffs c.cmp c.rhs)
     p.constraints;
-  let ub_struct = Array.make n_struct None in
+  let next_row = ref (List.length p.constraints) in
+  let upper_rows = ref [] in
   for j = 0 to nv - 1 do
     match (p.lower.(j), p.upper.(j)) with
-    | Some l, Some u ->
-        let w = Q.sub u l in
-        if Q.sign w < 0 then raise Empty_box;
-        ub_struct.(fst col_of.(j)) <- Some w
-    | None, Some u ->
+    | None, Some _ ->
         let pos, negc = col_of.(j) in
-        add_row [ (pos, Q.one); (Option.get negc, Q.minus_one) ] Le u
-    | _, None -> ()
+        upper_rows := (!next_row, j) :: !upper_rows;
+        incr next_row;
+        add_row [ (pos, Q.one); (Option.get negc, Q.minus_one) ] Le Q.zero
+    | _ -> ()
   done;
   let rows = List.rev !rows in
   let m = List.length rows in
@@ -551,12 +558,12 @@ let build_model ~bland_after p =
     List.fold_left (fun acc (_, cmp, _) -> if cmp = Eq then acc else acc + 1) 0 rows
   in
   let n_total = n_struct + n_slack + m in
-  let b = Array.make m Q.zero in
-  let crash = Array.make m None in
+  let rhs = Array.make m Q.zero in
   let col_acc = Array.make n_total [] in
   let slack_cursor = ref n_struct in
   List.iteri
-    (fun i (coeffs, cmp, rhs) ->
+    (fun i (coeffs, cmp, r) ->
+      rhs.(i) <- r;
       (* merge duplicate variable indices in the row *)
       let tbl = Hashtbl.create 8 in
       List.iter
@@ -564,81 +571,129 @@ let build_model ~bland_after p =
           Hashtbl.replace tbl j
             (Q.add a (Option.value ~default:Q.zero (Hashtbl.find_opt tbl j))))
         coeffs;
-      let slack =
-        match cmp with
-        | Le ->
-            let s = !slack_cursor in
-            incr slack_cursor;
-            Some (s, Q.one)
-        | Ge ->
-            let s = !slack_cursor in
-            incr slack_cursor;
-            Some (s, Q.minus_one)
-        | Eq -> None
+      Hashtbl.iter
+        (fun j a -> if not (Q.is_zero a) then col_acc.(j) <- (i, a) :: col_acc.(j))
+        tbl;
+      let slack a =
+        let s = !slack_cursor in
+        incr slack_cursor;
+        col_acc.(s) <- [ (i, a) ]
       in
-      (* normalize rhs >= 0 so the artificial start is primal feasible *)
-      let flip = Q.sign rhs < 0 in
-      let fix a = if flip then Q.neg a else a in
-      b.(i) <- fix rhs;
-      Hashtbl.fold (fun j a acc -> (j, a) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun (j, a) ->
-             if not (Q.is_zero a) then col_acc.(j) <- (i, fix a) :: col_acc.(j));
-      (match slack with
-      | Some (s, a) ->
-          let a = fix a in
-          col_acc.(s) <- (i, a) :: col_acc.(s);
-          (* a +1 slack is a ready-made basic column: the crash start uses
-             it instead of an artificial, shortening phase 1 *)
-          if Q.(a = Q.one) then crash.(i) <- Some s
-      | None -> ());
-      let art = n_struct + n_slack + i in
-      col_acc.(art) <- [ (i, Q.one) ])
+      (match cmp with Le -> slack Q.one | Ge -> slack Q.minus_one | Eq -> ());
+      col_acc.(n_struct + n_slack + i) <- [ (i, Q.one) ])
     rows;
-  let cols = Array.map (fun l -> Array.of_list (List.rev l)) col_acc in
-  let ub = Array.make n_total None in
-  Array.blit ub_struct 0 ub 0 n_struct;
+  let m_cols = Array.map (fun l -> Array.of_list (List.rev l)) col_acc in
+  {
+    prob = p;
+    col_of;
+    m_rows = m;
+    m_struct = n_struct;
+    m_slack = n_slack;
+    m_cols;
+    rhs;
+    upper_rows = !upper_rows;
+  }
+
+(* The bounds a model was built for fix which variables have a finite lower
+   bound and which of the others carry an explicit upper row. *)
+let same_layout md ~lower ~upper =
+  let p = md.prob in
+  let ok = ref true in
+  for j = 0 to p.nvars - 1 do
+    match (p.lower.(j), lower.(j)) with
+    | Some _, Some _ -> ()
+    | None, None ->
+        if Option.is_some p.upper.(j) <> Option.is_some upper.(j) then ok := false
+    | _ -> ok := false
+  done;
+  !ok
+
+(* Per-solve state over a shared model: the rhs shifted by the lower
+   bounds, the column upper bounds, and fresh mutable simplex state.
+   Raises [Empty_box] if some variable's bounds cross. *)
+let node_core ~bland_after md ~lower ~upper =
+  let m = md.m_rows and n_struct = md.m_struct and n_slack = md.m_slack in
   let n_enter = n_struct + n_slack in
-  let core =
-    {
-      m;
-      n_struct;
-      n_slack;
-      n_total;
-      n_enter;
-      cols;
-      crash;
-      b;
-      ub;
-      cost = Array.make n_total Q.zero;
-      status = Array.make n_total At_lower;
-      basis = Array.init m (fun i -> n_enter + i);
-      xb = Array.make m Q.zero;
-      etas = Array.make (m + refactor_every + 1) None;
-      neta = 0;
-      d = Array.make n_enter Q.zero;
-      w = Array.make n_enter 1.0;
-      iters = 0;
-      pivots = 0;
-      degen_streak = 0;
-      bland_mode = false;
-      bland_switched = false;
-      pricing_switches = 0;
-      refactorizations = 0;
-      bland_after;
-    }
-  in
-  { c_core = core; col_of; shift }
+  let n_total = n_enter + m in
+  let b = Array.copy md.rhs in
+  List.iter (fun (i, j) -> b.(i) <- Option.get upper.(j)) md.upper_rows;
+  let ub = Array.make n_total None in
+  for j = 0 to md.prob.nvars - 1 do
+    match lower.(j) with
+    | None -> ()
+    | Some l ->
+        let pos = fst md.col_of.(j) in
+        (match upper.(j) with
+        | Some u ->
+            let w = Q.sub u l in
+            if Q.sign w < 0 then raise Empty_box;
+            ub.(pos) <- Some w
+        | None -> ());
+        if not (Q.is_zero l) then
+          Array.iter (fun (i, a) -> b.(i) <- Q.sub b.(i) (Q.mul a l)) md.m_cols.(pos)
+  done;
+  {
+    m;
+    n_struct;
+    n_slack;
+    n_total;
+    n_enter;
+    cols = md.m_cols;
+    b;
+    ub;
+    cost = Array.make n_total Q.zero;
+    status = Array.make n_total At_lower;
+    basis = Array.init m (fun i -> n_enter + i);
+    xb = Array.make m Q.zero;
+    etas = Array.make (m + refactor_every + 1) None;
+    neta = 0;
+    d = Array.make n_enter Q.zero;
+    w = Array.make n_enter 1.0;
+    iters = 0;
+    pivots = 0;
+    degen_streak = 0;
+    bland_mode = false;
+    bland_switched = false;
+    pricing_switches = 0;
+    refactorizations = 0;
+    bland_after;
+  }
+
+(* Negate every row whose rhs is negative, so that the cold start's
+   identity basis is primal feasible. Only the cold start needs this:
+   negating a row together with its rhs leaves x_B, every alpha_j and every
+   ratio unchanged, so the warm path runs on the natural signs. Artificial
+   columns stay +e_i. Idempotent. *)
+let normalise_signs core =
+  if Array.exists (fun v -> Q.sign v < 0) core.b then begin
+    let flip = Array.map (fun v -> Q.sign v < 0) core.b in
+    Array.iteri (fun i v -> if flip.(i) then core.b.(i) <- Q.neg v) core.b;
+    core.cols <-
+      Array.mapi
+        (fun j col ->
+          if j >= core.n_enter || not (Array.exists (fun (i, _) -> flip.(i)) col) then col
+          else Array.map (fun (i, a) -> if flip.(i) then (i, Q.neg a) else (i, a)) col)
+        core.cols
+  end
 
 (* Cold start: +1 slacks where available (crash), artificials elsewhere,
    everything else at its lower bound. Either way the initial basis is the
    identity, so the start is primal feasible for phase 1 with no etas. *)
 let init_cold core =
+  normalise_signs core;
   Array.fill core.status 0 core.n_total At_lower;
   for i = 0 to core.m - 1 do
-    let j = match core.crash.(i) with Some s -> s | None -> core.n_enter + i in
-    core.basis.(i) <- j;
-    core.status.(j) <- Basic i;
+    core.basis.(i) <- core.n_enter + i
+  done;
+  (* a +1 slack is a ready-made basic column: the crash start uses it
+     instead of an artificial, shortening phase 1 *)
+  for s = core.n_struct to core.n_enter - 1 do
+    match core.cols.(s) with
+    | [| (i, a) |] when Q.equal a Q.one -> core.basis.(i) <- s
+    | _ -> ()
+  done;
+  for i = 0 to core.m - 1 do
+    core.status.(core.basis.(i)) <- Basic i;
     core.xb.(i) <- core.b.(i)
   done;
   core.neta <- 0;
@@ -757,27 +812,42 @@ let dual_repair core =
         let alpha = Array.make core.n_enter Q.zero in
         let q = ref (-1) in
         let best = ref Q.zero in
-        for j = 0 to core.n_enter - 1 do
-          match core.status.(j) with
+        (* Dual feasibility makes every eligible ratio >= 0, and ties go to
+           the lowest index, so the first eligible column with d_j = 0 is
+           the one the full scan would pick: the scan stops there. Its
+           theta_d is 0, so the dual update never reads the skipped alphas.
+           Feasibility-mode solves (zero objective) stop at the first
+           eligible column. *)
+        let j = ref 0 in
+        while !j < core.n_enter do
+          let jj = !j in
+          incr j;
+          match core.status.(jj) with
           | Basic _ -> ()
           | At_lower | At_upper ->
-              if not (fixed_col core j) then begin
-                let a = col_dot rho core.cols.(j) in
-                alpha.(j) <- a;
+              if not (fixed_col core jj) then begin
+                let a = col_dot rho core.cols.(jj) in
+                alpha.(jj) <- a;
                 let sa = Q.mul srq a in
                 let eligible =
-                  match core.status.(j) with
+                  match core.status.(jj) with
                   | At_lower -> Q.sign sa > 0
                   | At_upper -> Q.sign sa < 0
                   | Basic _ -> false
                 in
-                if eligible then begin
-                  let ratio = Q.div core.d.(j) sa in
-                  if !q < 0 || Q.(ratio < !best) then begin
-                    q := j;
-                    best := ratio
+                if eligible then
+                  if Q.is_zero core.d.(jj) then begin
+                    q := jj;
+                    best := Q.zero;
+                    j := core.n_enter
                   end
-                end
+                  else begin
+                    let ratio = Q.div core.d.(jj) sa in
+                    if !q < 0 || Q.(ratio < !best) then begin
+                      q := jj;
+                      best := ratio
+                    end
+                  end
               end
         done;
         if !q < 0 then `Infeasible (iters + 1)
@@ -859,8 +929,7 @@ let export_basis core =
     b_upper = Array.of_list !uppers;
   }
 
-let extract_solution p model =
-  let core = model.c_core in
+let extract_solution md core ~lower =
   let internal = Array.make core.n_total Q.zero in
   for j = 0 to core.n_total - 1 do
     match core.status.(j) with
@@ -868,23 +937,23 @@ let extract_solution p model =
     | At_upper -> internal.(j) <- (match core.ub.(j) with Some u -> u | None -> Q.zero)
     | At_lower -> ()
   done;
-  let x = Array.make p.nvars Q.zero in
-  for jv = 0 to p.nvars - 1 do
-    let pos, negc = model.col_of.(jv) in
-    let v =
-      match negc with
-      | None -> internal.(pos)
-      | Some ncol -> Q.sub internal.(pos) internal.(ncol)
-    in
-    x.(jv) <- Q.add v model.shift.(jv)
-  done;
-  x
+  Array.init md.prob.nvars (fun jv ->
+      let pos, negc = md.col_of.(jv) in
+      let v =
+        match negc with
+        | None -> internal.(pos)
+        | Some ncol -> Q.sub internal.(pos) internal.(ncol)
+      in
+      Q.add v (Option.value ~default:Q.zero lower.(jv)))
 
 let default_bland_after = 32
 
-let solve ?warm ?(bland_after = default_bland_after) p =
-  Ccs_obs.Recorder.phase "lp" @@ fun () ->
-  match build_model ~bland_after p with
+let run ?warm ~bland_after md ~lower ~upper =
+  let md =
+    if same_layout md ~lower ~upper then md else model { md.prob with lower; upper }
+  in
+  let p = md.prob in
+  match node_core ~bland_after md ~lower ~upper with
   | exception Empty_box ->
       let stats =
         {
@@ -901,8 +970,7 @@ let solve ?warm ?(bland_after = default_bland_after) p =
       Ccs_obs.Metrics.incr m_infeasible;
       sync_rat_counters ();
       Infeasible stats
-  | model ->
-      let core = model.c_core in
+  | core ->
       let pin_artificials () =
         for i = 0 to core.m - 1 do
           core.ub.(core.n_enter + i) <- Some Q.zero
@@ -918,7 +986,7 @@ let solve ?warm ?(bland_after = default_bland_after) p =
         for jv = 0 to p.nvars - 1 do
           let c = p.objective.(jv) in
           if not (Q.is_zero c) then begin
-            let pos, negc = model.col_of.(jv) in
+            let pos, negc = md.col_of.(jv) in
             core.cost.(pos) <- Q.add core.cost.(pos) c;
             match negc with
             | Some ncol -> core.cost.(ncol) <- Q.sub core.cost.(ncol) c
@@ -1037,7 +1105,7 @@ let solve ?warm ?(bland_after = default_bland_after) p =
           | `Unbounded, p2_iters ->
               Unbounded (record ~p1_iters ~p2_iters ~outcome:`Unbounded)
           | `Optimal, p2_iters ->
-              let x = extract_solution p model in
+              let x = extract_solution md core ~lower in
               let value =
                 Array.to_list x
                 |> List.mapi (fun j v -> Q.mul p.objective.(j) v)
@@ -1045,3 +1113,10 @@ let solve ?warm ?(bland_after = default_bland_after) p =
               in
               let stats = record ~p1_iters ~p2_iters ~outcome:`Optimal in
               Optimal { objective = value; solution = x; stats; basis = export_basis core }))
+
+let solve_model ?warm ?(bland_after = default_bland_after) md ~lower ~upper =
+  Ccs_obs.Recorder.phase "lp" @@ fun () -> run ?warm ~bland_after md ~lower ~upper
+
+let solve ?warm ?(bland_after = default_bland_after) p =
+  Ccs_obs.Recorder.phase "lp" @@ fun () ->
+  run ?warm ~bland_after (model p) ~lower:p.lower ~upper:p.upper

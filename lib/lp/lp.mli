@@ -85,8 +85,39 @@ val constr : (int * Rat.t) list -> cmp -> Rat.t -> constr
     basis from a previous same-shape solve (see {!basis}). [bland_after]
     is the number of consecutive degenerate pivots tolerated before
     pricing hands over to Bland's rule (default 32; 0 forces Bland from
-    the first degenerate pivot, which the cycling tests use). *)
+    the first degenerate pivot, which the cycling tests use). It is
+    [solve_model (model p) ~lower:p.lower ~upper:p.upper]. *)
 val solve : ?warm:basis -> ?bland_after:int -> problem -> result
+
+(** The part of an LP that bound values do not touch: the merged,
+    column-sorted rows, the internal variable layout, and the sparse
+    columns in their natural row signs. Immutable; one model serves every
+    solve of the same constraints whose bounds have the same layout, such
+    as all the nodes of one branch-and-bound tree.
+
+    The layout is which variables have a finite lower bound and, among the
+    rest, which have a finite upper bound. Row signs are normalised (rhs
+    >= 0) only when a solve takes the cold path; a warm start runs on the
+    natural signs, since its pivot choices do not depend on them. *)
+type model
+
+(** [model p] builds the model of [p]'s constraints and objective, with
+    the layout of [p]'s bounds; the bound values themselves are ignored. *)
+val model : problem -> model
+
+(** [solve_model ?warm ?bland_after md ~lower ~upper] solves [md]'s
+    problem under the bounds [lower] and [upper], building only the
+    shifted right-hand side, the column bounds and fresh simplex state.
+    The result is the one {!solve} gives on the same problem. If the
+    bounds' layout differs from [md]'s, a fresh model is built for this
+    solve. *)
+val solve_model :
+  ?warm:basis ->
+  ?bland_after:int ->
+  model ->
+  lower:Rat.t option array ->
+  upper:Rat.t option array ->
+  result
 
 (** Checks that [solution] satisfies every constraint and bound exactly.
     Used by the test-suite and as a post-solve assertion. *)
