@@ -398,12 +398,13 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
       | Invalid_argument msg ->
           Printf.bprintf err "error: %s\n" msg;
           1
+      (* a valid instance on which the algorithm gave up: exit 4 *)
       | Ccs.Ptas.Common.Too_many ->
           Printf.bprintf err "error: configuration space too large for this epsilon\n";
-          1
+          4
       | Ccs.Ptas.Common.Budget_exceeded ->
-          Printf.bprintf err "error: N-fold node budget exhausted\n";
-          1)
+          Printf.bprintf err "error: ILP node budget exhausted\n";
+          4)
 
 let run files variant algo epsilon quiet jobs deadline_ms anytime format compress portfolio
     node_limit obs =
@@ -509,6 +510,10 @@ let cmd =
     :: Cmd.Exit.info 3
          ~doc:"when a computed schedule fails validation (a solver bug; the validator's \
                reason is printed)."
+    :: Cmd.Exit.info 4
+         ~doc:"when the algorithm gives up on a valid instance: the PTAS configuration \
+               space is too large for the chosen $(b,--epsilon), or an ILP exhausts its \
+               node budget."
     :: Cmd.Exit.defaults
   in
   let info =

@@ -108,27 +108,13 @@ let row_ge coeffs rhs = { coeffs; cmp = Lp.Ge; rhs }
 
 let solve_int_feasibility ?(max_nodes = 50_000) ?warm ?basis_out ~nvars ~upper rows =
   let to_q = Q.of_int in
-  (* Row conversion (duplicate merging, int -> rational lifting) is flat and
-     independent per row; wide configuration IPs ride the pool, small ones
-     stay sequential — per-row work is microseconds, so a narrow batch
-     costs more in wakeups than it saves. *)
-  let convert r =
-    let coeffs =
-      (* merge duplicate variable indices *)
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun (j, v) ->
-          Hashtbl.replace tbl j (v + Option.value ~default:0 (Hashtbl.find_opt tbl j)))
-        r.coeffs;
-      Hashtbl.fold (fun j v acc -> if v = 0 then acc else (j, to_q v) :: acc) tbl []
-    in
-    Lp.constr coeffs r.cmp (to_q r.rhs)
-  in
-  let rows_arr = Array.of_list rows in
+  (* Rows go over unmerged: the LP model merges duplicate variable indices
+     itself, with exact sums, once per ILP. *)
   let constraints =
-    if Array.length rows_arr >= 64 then
-      Array.to_list (Ccs_par.parallel_map convert rows_arr)
-    else Array.to_list (Array.map convert rows_arr)
+    List.map
+      (fun r ->
+        Lp.constr (List.map (fun (j, v) -> (j, to_q v)) r.coeffs) r.cmp (to_q r.rhs))
+      rows
   in
   let upper_q = Array.map (Option.map to_q) upper in
   let lp =

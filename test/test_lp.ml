@@ -91,6 +91,27 @@ let test_free_variable () =
   Alcotest.check q "objective" (qi (-7)) obj;
   Alcotest.check q "x" (qi (-7)) x.(0)
 
+let test_model_layout_change () =
+  (* A model built with x free, then solved with bounds of another layout:
+     a finite lower bound (x >= -3), and a finite upper bound on the free
+     variable (one more row). Each must match a cold solve of the
+     problem built with those bounds. *)
+  let p =
+    Lp.problem ~lower:[| None |] ~upper:[| None |] ~nvars:1 ~objective:[| Q.one |]
+      [ Lp.constr [ (0, Q.one) ] Lp.Ge (qi (-7)) ]
+  in
+  let md = Lp.model p in
+  List.iter
+    (fun (lower, upper, expect) ->
+      match (Lp.solve_model md ~lower ~upper, Lp.solve { p with Lp.lower; upper }) with
+      | Lp.Optimal { objective; _ }, Lp.Optimal { objective = cold; _ } ->
+          Alcotest.check q "matches cold solve" cold objective;
+          Alcotest.check q "objective" (qi expect) objective
+      | _ -> Alcotest.fail "expected optimal")
+    [ ([| None |], [| None |], -7);
+      ([| Some (qi (-3)) |], [| None |], -3);
+      ([| None |], [| Some (qi (-5)) |], -7) ]
+
 (* Classic degenerate LP that cycles under naive pivoting (Beale). *)
 let beale () =
   Lp.problem ~nvars:4
@@ -153,6 +174,38 @@ let test_warm_dual_repair () =
           Alcotest.(check bool) "repair pivoted" true (stats.Lp.phase1_iterations >= 1);
           Alcotest.(check bool) "feasible" true (Lp.feasible p' solution);
           Alcotest.check q "matches cold solve" cold objective
+      | _ -> Alcotest.fail "expected optimal on both paths")
+  | _ -> Alcotest.fail "expected optimal"
+
+let test_dual_repair_zero_cost_tie () =
+  (* min x0 + 2 x1 s.t. x0 + x1 + x2 + y = 5, y <= 10: the optimum takes
+     x2 = 5 basic, with reduced costs 1, 2 and 0 on x0, x1 and y. Cutting
+     x2 to <= 2 leaves one dual-repair pivot on x2's row, where x0, x1 and
+     y are all eligible with ratios 1, 2 and 0. The zero-cost column y
+     comes last yet must enter: any other choice leaves the basis dual
+     infeasible and costs phase-2 pivots. *)
+  let p =
+    Lp.problem ~upper:[| None; None; None; Some (qi 10) |] ~nvars:4
+      ~objective:[| Q.one; qi 2; Q.zero; Q.zero |]
+      [ Lp.constr [ (0, Q.one); (1, Q.one); (2, Q.one); (3, Q.one) ] Lp.Eq (qi 5) ]
+  in
+  let md = Lp.model p in
+  match Lp.solve_model md ~lower:p.Lp.lower ~upper:p.Lp.upper with
+  | Lp.Optimal { basis; solution; _ } -> (
+      Alcotest.check q "parent x2" (qi 5) solution.(2);
+      let upper = [| None; None; Some (qi 2); Some (qi 10) |] in
+      match
+        ( Lp.solve_model ~warm:basis md ~lower:p.Lp.lower ~upper,
+          Lp.solve { p with Lp.upper } )
+      with
+      | Lp.Optimal { objective; solution; stats; _ }, Lp.Optimal { objective = cold; _ }
+        ->
+          Alcotest.check q "matches cold solve" cold objective;
+          Alcotest.(check bool) "warm adopted" true stats.Lp.warm_started;
+          Alcotest.(check int) "one repair pivot" 1 stats.Lp.pivots;
+          Alcotest.(check int) "optimal on repair" 1 stats.Lp.phase2_iterations;
+          Alcotest.check q "y entered" (qi 3) solution.(3);
+          Alcotest.check q "x2 at its new bound" (qi 2) solution.(2)
       | _ -> Alcotest.fail "expected optimal on both paths")
   | _ -> Alcotest.fail "expected optimal"
 
@@ -219,6 +272,58 @@ let prop_random_lps =
           in
           walk [] 0;
           not !beats)
+
+(* Branch & bound on one shared model: a random bounded LP, then a chain of
+   bound tightenings, each solved from its parent's basis on the model the
+   root was built with. Every solve must give the verdict and optimum of a
+   cold [Lp.solve] of a freshly built problem. Lower-bound raises shift
+   the rhs, often below zero, so the warm path runs on rows that a cold
+   start would negate. *)
+let prop_shared_model_warm_chain =
+  QCheck.Test.make ~name:"shared model: warm tightening chain = fresh cold solves"
+    ~count:300 (QCheck.int_range 0 100_000) (fun seed ->
+      let rng = Ccs_util.Prng.create seed in
+      let int_in = Ccs_util.Prng.int_in rng in
+      let nvars = int_in 2 4 in
+      let objective = Array.init nvars (fun _ -> qi (int_in (-5) 5)) in
+      let rows =
+        List.init (int_in 1 4) (fun _ ->
+            let coeffs = List.init nvars (fun j -> (j, qi (int_in (-3) 4))) in
+            let cmp = match int_in 0 3 with 0 -> Lp.Eq | 1 -> Lp.Ge | _ -> Lp.Le in
+            Lp.constr coeffs cmp (qi (int_in (-4) 12)))
+      in
+      let lo = Array.make nvars 0 and hi = Array.init nvars (fun _ -> int_in 2 8) in
+      let bounds lo hi =
+        (Array.map (fun v -> Some (qi v)) lo, Array.map (fun v -> Some (qi v)) hi)
+      in
+      let lower, upper = bounds lo hi in
+      let p = Lp.problem ~lower ~upper ~nvars ~objective rows in
+      let md = Lp.model p in
+      (* solve on the shared model; returns agreement and the basis to pass on *)
+      let step warm lo hi =
+        let lower, upper = bounds lo hi in
+        let fresh = { p with Lp.lower; upper } in
+        match (Lp.solve_model ?warm md ~lower ~upper, Lp.solve fresh) with
+        | Lp.Optimal { objective = a; solution; basis; _ }, Lp.Optimal { objective = b; _ } ->
+            (Q.equal a b && Lp.feasible fresh solution, Some basis)
+        | Lp.Infeasible _, Lp.Infeasible _ -> (true, warm)
+        | _ -> (false, warm)
+      in
+      let rec chain k warm lo hi =
+        k = 0
+        ||
+        let j = int_in 0 (nvars - 1) in
+        if lo.(j) >= hi.(j) then chain (k - 1) warm lo hi
+        else begin
+          let lo = Array.copy lo and hi = Array.copy hi in
+          if int_in 0 1 = 0 then lo.(j) <- int_in (lo.(j) + 1) hi.(j)
+          else hi.(j) <- int_in lo.(j) (hi.(j) - 1);
+          let ok, warm = step warm lo hi in
+          ok && chain (k - 1) warm lo hi
+        end
+      in
+      let ok, warm = step None lo hi in
+      ok && chain (int_in 1 8) warm lo hi)
 
 (* ---------- LST rounding (Lemmas 8/12/15's rounding step) ---------- *)
 
@@ -293,15 +398,19 @@ let () =
           Alcotest.test_case "unbounded" `Quick test_unbounded;
           Alcotest.test_case "variable bounds" `Quick test_bounds;
           Alcotest.test_case "free variable" `Quick test_free_variable;
+          Alcotest.test_case "model, other bound layout" `Quick test_model_layout_change;
           Alcotest.test_case "degenerate (Beale)" `Quick test_degenerate;
           Alcotest.test_case "anti-cycling (Bland forced)" `Quick test_anticycling;
           Alcotest.test_case "warm restart skips phase 1" `Quick test_warm_restart;
           Alcotest.test_case "warm dual repair after bound cut" `Quick
             test_warm_dual_repair;
+          Alcotest.test_case "dual repair takes the zero-cost tie" `Quick
+            test_dual_repair_zero_cost_tie;
           Alcotest.test_case "fractional data" `Quick test_fractional_data ] );
       ( "lst-rounding",
         [ Alcotest.test_case "simple" `Quick test_lst_simple;
           Alcotest.test_case "infeasible" `Quick test_lst_infeasible;
           Alcotest.test_case "allowed respected" `Quick test_lst_respects_allowed ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_random_lps; prop_lst_rounding ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_lps; prop_shared_model_warm_chain; prop_lst_rounding ] ) ]

@@ -222,11 +222,34 @@ let test_geometric_search () =
   Alcotest.(check bool) "within one grid step" true
     Q.(accepted >= Q.of_int 10 && accepted <= Q.of_int 15)
 
+(* x0 + x1 = 1 and x0 = x1 meet only at (1/2, 1/2): the root relaxation is
+   fractional, so deciding the ILP takes branching. One node is not enough
+   and must not be mistaken for "infeasible". *)
+let test_int_feasibility_budget () =
+  let rows = [ C.row_eq [ (0, 1); (1, 1) ] 1; C.row_eq [ (0, 1); (1, -1) ] 0 ] in
+  let upper = [| Some 1; Some 1 |] in
+  Alcotest.check_raises "budget of one node" C.Budget_exceeded (fun () ->
+      ignore (C.solve_int_feasibility ~max_nodes:1 ~nvars:2 ~upper rows));
+  Alcotest.(check bool) "default budget proves infeasible" true
+    (C.solve_int_feasibility ~nvars:2 ~upper rows = None)
+
+(* Rows may repeat a variable; its coefficients are summed. *)
+let test_int_feasibility_duplicates () =
+  let upper = [| Some 3 |] in
+  Alcotest.(check bool) "x + x = 1 has no integral point" true
+    (C.solve_int_feasibility ~nvars:1 ~upper [ C.row_eq [ (0, 1); (0, 1) ] 1 ] = None);
+  Alcotest.(check bool) "3x - x = 2 gives x = 1" true
+    (C.solve_int_feasibility ~nvars:1 ~upper [ C.row_eq [ (0, 3); (0, -1) ] 2 ]
+    = Some [| 1 |])
+
 let () =
   Alcotest.run "ptas"
     [ ( "common",
         [ Alcotest.test_case "multiset enumeration" `Quick test_common_multisets;
-          Alcotest.test_case "geometric search" `Quick test_geometric_search ] );
+          Alcotest.test_case "geometric search" `Quick test_geometric_search;
+          Alcotest.test_case "ILP node budget" `Quick test_int_feasibility_budget;
+          Alcotest.test_case "ILP rows sum duplicates" `Quick
+            test_int_feasibility_duplicates ] );
       ( "unit",
         [ Alcotest.test_case "splittable huge m (Thm 11)" `Quick test_splittable_ptas_huge_m;
           Alcotest.test_case "N-fold block shape" `Quick test_nfold_form_shape;
