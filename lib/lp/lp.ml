@@ -133,9 +133,13 @@ type core = {
   n_slack : int;
   n_total : int;
   n_enter : int;  (* columns allowed to price; artificials are beyond *)
-  mutable cols : (int * Q.t) array array;
-      (* sparse columns, rows ascending; natural row signs until a cold
-         start normalises them (see [normalise_signs]) *)
+  (* Sparse columns, compressed: column j's entries sit at positions
+     [col_start.(j)] to [col_start.(j + 1) - 1] of [row_of] and [value],
+     rows ascending. Natural row signs until a cold start normalises them
+     (see [normalise_signs]). *)
+  col_start : int array;
+  row_of : int array;
+  mutable value : Q.t array;
   b : Q.t array;
   ub : Q.t option array;
   cost : Q.t array;  (* phase-dependent, length n_total *)
@@ -180,12 +184,25 @@ let btran core y =
         y.(e.er) <- Q.div !s e.epiv
   done
 
-let col_dot y col =
-  Array.fold_left (fun acc (i, a) -> Q.add acc (Q.mul a y.(i))) Q.zero col
+let col_dot core y j =
+  let acc = ref Q.zero in
+  for k = core.col_start.(j) to core.col_start.(j + 1) - 1 do
+    acc := Q.add !acc (Q.mul core.value.(k) y.(core.row_of.(k)))
+  done;
+  !acc
+
+(* v -= s * a_j *)
+let sub_col core v j s =
+  for k = core.col_start.(j) to core.col_start.(j + 1) - 1 do
+    let i = core.row_of.(k) in
+    v.(i) <- Q.sub v.(i) (Q.mul core.value.(k) s)
+  done
 
 let dense_col core j =
   let v = Array.make core.m Q.zero in
-  Array.iter (fun (i, a) -> v.(i) <- a) core.cols.(j);
+  for k = core.col_start.(j) to core.col_start.(j + 1) - 1 do
+    v.(core.row_of.(k)) <- core.value.(k)
+  done;
   v
 
 (* x_B = B^{-1} (b - sum over at-upper columns of ub_j * a_j). *)
@@ -194,8 +211,7 @@ let recompute_xb core =
   for j = 0 to core.n_total - 1 do
     if core.status.(j) = At_upper then begin
       let u = match core.ub.(j) with Some u -> u | None -> assert false in
-      if not (Q.is_zero u) then
-        Array.iter (fun (i, a) -> v.(i) <- Q.sub v.(i) (Q.mul a u)) core.cols.(j)
+      if not (Q.is_zero u) then sub_col core v j u
     end
   done;
   ftran core v;
@@ -241,7 +257,7 @@ let compute_duals core =
   for j = 0 to core.n_enter - 1 do
     (match core.status.(j) with
     | Basic _ -> core.d.(j) <- Q.zero
-    | At_lower | At_upper -> core.d.(j) <- Q.sub core.cost.(j) (col_dot y core.cols.(j)));
+    | At_lower | At_upper -> core.d.(j) <- Q.sub core.cost.(j) (col_dot core y j));
     core.w.(j) <- 1.0
   done
 
@@ -368,7 +384,7 @@ let do_pivot core q sigma v r theta =
       match core.status.(j) with
       | Basic _ -> ()
       | At_lower | At_upper ->
-          let alpha = col_dot rho core.cols.(j) in
+          let alpha = col_dot core rho j in
           if not (Q.is_zero alpha) then begin
             core.d.(j) <- Q.sub core.d.(j) (Q.mul dq_over alpha);
             let af = Q.to_float alpha in
@@ -488,12 +504,12 @@ let run_phase core ~stop_at_feasible =
    Finite upper bounds on shifted variables become implicit column bounds,
    so bound tightenings (e.g. branch & bound) never change the LP shape.
 
-   The [model] is everything that bound values do not touch: the merged,
-   column-sorted rows, the variable layout and the sparse columns in their
-   natural row signs. It is built once and serves every solve whose bounds
-   have the same layout — a whole branch-and-bound tree. Each solve then
-   builds only its shifted rhs, its column upper bounds and fresh simplex
-   state ([node_core]). *)
+   The [model] is everything that bound values do not touch: the variable
+   layout and the constraint matrix as compressed sparse columns, with
+   duplicate indices merged and rows in their natural signs. It is built
+   once and serves every solve whose bounds have the same layout — a whole
+   branch-and-bound tree. Each solve then builds only its shifted rhs, its
+   column upper bounds and fresh simplex state ([node_core]). *)
 
 type model = {
   prob : problem;  (* constraints and objective; its bounds fix the layout *)
@@ -501,7 +517,10 @@ type model = {
   m_rows : int;
   m_struct : int;
   m_slack : int;
-  m_cols : (int * Q.t) array array;  (* natural signs; artificial i is +e_i *)
+  (* the columns, compressed as in [core]; artificial i is +e_i *)
+  m_col_start : int array;
+  m_row_of : int array;
+  m_value : Q.t array;
   rhs : Q.t array;  (* user rhs; 0 on the upper-bound rows *)
   upper_rows : (int * int) list;  (* (row, var) of each explicit upper row *)
 }
@@ -582,14 +601,29 @@ let model p =
       (match cmp with Le -> slack Q.one | Ge -> slack Q.minus_one | Eq -> ());
       col_acc.(n_struct + n_slack + i) <- [ (i, Q.one) ])
     rows;
-  let m_cols = Array.map (fun l -> Array.of_list (List.rev l)) col_acc in
+  let col_start = Array.make (n_total + 1) 0 in
+  Array.iteri (fun j l -> col_start.(j + 1) <- col_start.(j) + List.length l) col_acc;
+  let nnz = col_start.(n_total) in
+  let row_of = Array.make nnz 0 and value = Array.make nnz Q.zero in
+  Array.iteri
+    (fun j l ->
+      (* entries were pushed in descending row order *)
+      List.iteri
+        (fun k (i, a) ->
+          let pos = col_start.(j + 1) - 1 - k in
+          row_of.(pos) <- i;
+          value.(pos) <- a)
+        l)
+    col_acc;
   {
     prob = p;
     col_of;
     m_rows = m;
     m_struct = n_struct;
     m_slack = n_slack;
-    m_cols;
+    m_col_start = col_start;
+    m_row_of = row_of;
+    m_value = value;
     rhs;
     upper_rows = !upper_rows;
   }
@@ -630,7 +664,10 @@ let node_core ~bland_after md ~lower ~upper =
             ub.(pos) <- Some w
         | None -> ());
         if not (Q.is_zero l) then
-          Array.iter (fun (i, a) -> b.(i) <- Q.sub b.(i) (Q.mul a l)) md.m_cols.(pos)
+          for k = md.m_col_start.(pos) to md.m_col_start.(pos + 1) - 1 do
+            let i = md.m_row_of.(k) in
+            b.(i) <- Q.sub b.(i) (Q.mul md.m_value.(k) l)
+          done
   done;
   {
     m;
@@ -638,7 +675,9 @@ let node_core ~bland_after md ~lower ~upper =
     n_slack;
     n_total;
     n_enter;
-    cols = md.m_cols;
+    col_start = md.m_col_start;
+    row_of = md.m_row_of;
+    value = md.m_value;
     b;
     ub;
     cost = Array.make n_total Q.zero;
@@ -668,12 +707,11 @@ let normalise_signs core =
   if Array.exists (fun v -> Q.sign v < 0) core.b then begin
     let flip = Array.map (fun v -> Q.sign v < 0) core.b in
     Array.iteri (fun i v -> if flip.(i) then core.b.(i) <- Q.neg v) core.b;
-    core.cols <-
+    let art_start = core.col_start.(core.n_enter) in
+    core.value <-
       Array.mapi
-        (fun j col ->
-          if j >= core.n_enter || not (Array.exists (fun (i, _) -> flip.(i)) col) then col
-          else Array.map (fun (i, a) -> if flip.(i) then (i, Q.neg a) else (i, a)) col)
-        core.cols
+        (fun k a -> if k < art_start && flip.(core.row_of.(k)) then Q.neg a else a)
+        core.value
   end
 
 (* Cold start: +1 slacks where available (crash), artificials elsewhere,
@@ -688,9 +726,8 @@ let init_cold core =
   (* a +1 slack is a ready-made basic column: the crash start uses it
      instead of an artificial, shortening phase 1 *)
   for s = core.n_struct to core.n_enter - 1 do
-    match core.cols.(s) with
-    | [| (i, a) |] when Q.equal a Q.one -> core.basis.(i) <- s
-    | _ -> ()
+    let k = core.col_start.(s) in
+    if Q.equal core.value.(k) Q.one then core.basis.(core.row_of.(k)) <- s
   done;
   for i = 0 to core.m - 1 do
     core.status.(core.basis.(i)) <- Basic i;
@@ -779,6 +816,10 @@ let dual_feasible core =
    caller re-derives them before phase 2. *)
 let dual_repair core =
   let max_iters = 100 + (20 * core.m) in
+  (* alpha_j of the pricing row, reused across pivots: each scan writes
+     every nonbasic column it visits, and the dual update reads alphas only
+     after a full scan *)
+  let alpha = Array.make core.n_enter Q.zero in
   let rec loop iters =
     Ccs_resil.Deadline.check chk_pivot;
     if iters > max_iters then `Stalled
@@ -809,7 +850,6 @@ let dual_repair core =
         let rho = Array.make core.m Q.zero in
         rho.(r) <- Q.one;
         btran core rho;
-        let alpha = Array.make core.n_enter Q.zero in
         let q = ref (-1) in
         let best = ref Q.zero in
         (* Dual feasibility makes every eligible ratio >= 0, and ties go to
@@ -825,8 +865,9 @@ let dual_repair core =
           match core.status.(jj) with
           | Basic _ -> ()
           | At_lower | At_upper ->
-              if not (fixed_col core jj) then begin
-                let a = col_dot rho core.cols.(jj) in
+              if fixed_col core jj then alpha.(jj) <- Q.zero
+              else begin
+                let a = col_dot core rho jj in
                 alpha.(jj) <- a;
                 let sa = Q.mul srq a in
                 let eligible =
