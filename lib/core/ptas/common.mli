@@ -34,8 +34,9 @@ val bounded_multisets :
     completeness guarantee, so the failure is loud. *)
 exception Budget_exceeded
 
-(** Integer-feasibility wrapper around {!Ilp}: rows over int coefficients,
-    all variables integral in [0, upper_j] ([None] = unbounded above).
+(** Integer-feasibility wrapper around {!Ilp}: rows over int coefficients
+    (a row may repeat a variable; its coefficients are summed), all
+    variables integral in [0, upper_j] ([None] = unbounded above).
     Returns a witness assignment or [None] iff provably infeasible; raises
     {!Budget_exceeded} after [max_nodes] B&B nodes. *)
 type row = { coeffs : (int * int) list; cmp : Lp.cmp; rhs : int }

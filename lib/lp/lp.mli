@@ -89,11 +89,12 @@ val constr : (int * Rat.t) list -> cmp -> Rat.t -> constr
     [solve_model (model p) ~lower:p.lower ~upper:p.upper]. *)
 val solve : ?warm:basis -> ?bland_after:int -> problem -> result
 
-(** The part of an LP that bound values do not touch: the merged,
-    column-sorted rows, the internal variable layout, and the sparse
-    columns in their natural row signs. Immutable; one model serves every
-    solve of the same constraints whose bounds have the same layout, such
-    as all the nodes of one branch-and-bound tree.
+(** The part of an LP that bound values do not touch: the internal
+    variable layout and the constraint matrix as sparse columns, with
+    duplicate variable indices merged and rows in their natural signs.
+    Immutable; one model serves every solve of the same constraints whose
+    bounds have the same layout, such as all the nodes of one
+    branch-and-bound tree.
 
     The layout is which variables have a finite lower bound and, among the
     rest, which have a finite upper bound. Row signs are normalised (rhs
