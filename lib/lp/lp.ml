@@ -649,54 +649,54 @@ let node_core ~bland_after md ~lower ~upper =
   let m = md.m_rows and n_struct = md.m_struct and n_slack = md.m_slack in
   let n_enter = n_struct + n_slack in
   let n_total = n_enter + m in
-  let b = Array.copy md.rhs in
-  List.iter (fun (i, j) -> b.(i) <- Option.get upper.(j)) md.upper_rows;
   let ub = Array.make n_total None in
   for j = 0 to md.prob.nvars - 1 do
-    match lower.(j) with
-    | None -> ()
-    | Some l ->
-        let pos = fst md.col_of.(j) in
-        (match upper.(j) with
-        | Some u ->
-            let w = Q.sub u l in
-            if Q.sign w < 0 then raise Empty_box;
-            ub.(pos) <- Some w
-        | None -> ());
-        if not (Q.is_zero l) then
-          for k = md.m_col_start.(pos) to md.m_col_start.(pos + 1) - 1 do
-            let i = md.m_row_of.(k) in
-            b.(i) <- Q.sub b.(i) (Q.mul md.m_value.(k) l)
-          done
+    match (lower.(j), upper.(j)) with
+    | Some l, Some u ->
+        let w = Q.sub u l in
+        if Q.sign w < 0 then raise Empty_box;
+        ub.(fst md.col_of.(j)) <- Some w
+    | _ -> ()
   done;
-  {
-    m;
-    n_struct;
-    n_slack;
-    n_total;
-    n_enter;
-    col_start = md.m_col_start;
-    row_of = md.m_row_of;
-    value = md.m_value;
-    b;
-    ub;
-    cost = Array.make n_total Q.zero;
-    status = Array.make n_total At_lower;
-    basis = Array.init m (fun i -> n_enter + i);
-    xb = Array.make m Q.zero;
-    etas = Array.make (m + refactor_every + 1) None;
-    neta = 0;
-    d = Array.make n_enter Q.zero;
-    w = Array.make n_enter 1.0;
-    iters = 0;
-    pivots = 0;
-    degen_streak = 0;
-    bland_mode = false;
-    bland_switched = false;
-    pricing_switches = 0;
-    refactorizations = 0;
-    bland_after;
-  }
+  let core =
+    {
+      m;
+      n_struct;
+      n_slack;
+      n_total;
+      n_enter;
+      col_start = md.m_col_start;
+      row_of = md.m_row_of;
+      value = md.m_value;
+      b = Array.copy md.rhs;
+      ub;
+      cost = Array.make n_total Q.zero;
+      status = Array.make n_total At_lower;
+      basis = Array.init m (fun i -> n_enter + i);
+      xb = Array.make m Q.zero;
+      etas = Array.make (m + refactor_every + 1) None;
+      neta = 0;
+      d = Array.make n_enter Q.zero;
+      w = Array.make n_enter 1.0;
+      iters = 0;
+      pivots = 0;
+      degen_streak = 0;
+      bland_mode = false;
+      bland_switched = false;
+      pricing_switches = 0;
+      refactorizations = 0;
+      bland_after;
+    }
+  in
+  List.iter (fun (i, j) -> core.b.(i) <- Option.get upper.(j)) md.upper_rows;
+  (* shift the rhs by the lower bounds: b -= l_j a_j *)
+  Array.iteri
+    (fun j lo ->
+      match lo with
+      | Some l when not (Q.is_zero l) -> sub_col core core.b (fst md.col_of.(j)) l
+      | _ -> ())
+    lower;
+  core
 
 (* Negate every row whose rhs is negative, so that the cold start's
    identity basis is primal feasible. Only the cold start needs this:

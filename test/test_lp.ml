@@ -304,7 +304,8 @@ let prop_shared_model_warm_chain =
         let lower, upper = bounds lo hi in
         let fresh = { p with Lp.lower; upper } in
         match (Lp.solve_model ?warm md ~lower ~upper, Lp.solve fresh) with
-        | Lp.Optimal { objective = a; solution; basis; _ }, Lp.Optimal { objective = b; _ } ->
+        | Lp.Optimal { objective = a; solution; basis; _ }, Lp.Optimal { objective = b; _ }
+          ->
             (Q.equal a b && Lp.feasible fresh solution, Some basis)
         | Lp.Infeasible _, Lp.Infeasible _ -> (true, warm)
         | _ -> (false, warm)
