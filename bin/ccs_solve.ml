@@ -429,11 +429,13 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime format compres
         (Array.of_list files)
     in
     Ccs_obs.Recorder.phase "emit" @@ fun () ->
+    (* a batch exits with its highest code, except that a failed
+       validation (3, a solver bug) is never hidden behind a 4 *)
     Array.fold_left
       (fun acc (out, err, code) ->
         Buffer.output_buffer stdout out;
         Buffer.output_buffer stderr err;
-        max acc code)
+        if acc = 3 || code = 3 then 3 else max acc code)
       0 results
   end
 
@@ -513,7 +515,8 @@ let cmd =
     :: Cmd.Exit.info 4
          ~doc:"when the algorithm gives up on a valid instance: the PTAS configuration \
                space is too large for the chosen $(b,--epsilon), or an ILP exhausts its \
-               node budget."
+               node budget. A batch exits with the highest code of its instances, \
+               except that 3 outranks 4."
     :: Cmd.Exit.defaults
   in
   let info =

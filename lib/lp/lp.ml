@@ -1155,8 +1155,9 @@ let run ?warm ~bland_after md ~lower ~upper =
               let stats = record ~p1_iters ~p2_iters ~outcome:`Optimal in
               Optimal { objective = value; solution = x; stats; basis = export_basis core }))
 
-let solve_model ?warm ?(bland_after = default_bland_after) md ~lower ~upper =
-  Ccs_obs.Recorder.phase "lp" @@ fun () -> run ?warm ~bland_after md ~lower ~upper
+let solve_model ?warm md ~lower ~upper =
+  Ccs_obs.Recorder.phase "lp" @@ fun () ->
+  run ?warm ~bland_after:default_bland_after md ~lower ~upper
 
 let solve ?warm ?(bland_after = default_bland_after) p =
   Ccs_obs.Recorder.phase "lp" @@ fun () ->

@@ -85,7 +85,8 @@ val constr : (int * Rat.t) list -> cmp -> Rat.t -> constr
     basis from a previous same-shape solve (see {!basis}). [bland_after]
     is the number of consecutive degenerate pivots tolerated before
     pricing hands over to Bland's rule (default 32; 0 forces Bland from
-    the first degenerate pivot, which the cycling tests use). It is
+    the first degenerate pivot, which the cycling tests use). With the
+    default [bland_after] it is
     [solve_model (model p) ~lower:p.lower ~upper:p.upper]. *)
 val solve : ?warm:basis -> ?bland_after:int -> problem -> result
 
@@ -106,15 +107,13 @@ type model
     the layout of [p]'s bounds; the bound values themselves are ignored. *)
 val model : problem -> model
 
-(** [solve_model ?warm ?bland_after md ~lower ~upper] solves [md]'s
-    problem under the bounds [lower] and [upper], building only the
-    shifted right-hand side, the column bounds and fresh simplex state.
-    The result is the one {!solve} gives on the same problem. If the
-    bounds' layout differs from [md]'s, a fresh model is built for this
-    solve. *)
+(** [solve_model ?warm md ~lower ~upper] solves [md]'s problem under the
+    bounds [lower] and [upper], building only the shifted right-hand side,
+    the column bounds and fresh simplex state. The result is the one
+    {!solve} gives on the same problem. If the bounds' layout differs from
+    [md]'s, a fresh model is built for this solve. *)
 val solve_model :
   ?warm:basis ->
-  ?bland_after:int ->
   model ->
   lower:Rat.t option array ->
   upper:Rat.t option array ->
