@@ -816,9 +816,10 @@ let dual_feasible core =
    caller re-derives them before phase 2. *)
 let dual_repair core =
   let max_iters = 100 + (20 * core.m) in
-  (* alpha_j of the pricing row, reused across pivots: each scan writes
-     every nonbasic column it visits, and the dual update reads alphas only
-     after a full scan *)
+  (* alpha_j of the pricing row, allocated once per call rather than per
+     pivot (a row wider than 256 words goes straight to the major heap).
+     Stale entries are never read: each scan writes every nonbasic column
+     it visits, and the dual update reads alphas only after a full scan. *)
   let alpha = Array.make core.n_enter Q.zero in
   let rec loop iters =
     Ccs_resil.Deadline.check chk_pivot;
