@@ -118,38 +118,6 @@ and write_timing_json () =
               ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param inst)) ])
       [ 20; 40 ]
   in
-  (* PTAS jobs sweep: the same batch of PTAS solves on a 1-domain and a
-     4-domain pool (batch-level fan-out plus the in-solver probe loops).
-     The results are discarded — identical by the determinism contract —
-     and only the wall clocks are kept. *)
-  let sweep_tasks =
-    List.concat_map
-      (fun n ->
-        let inst = make_instance n in
-        [ (fun () -> ignore (Ccs.Ptas.Splittable_ptas.solve param inst));
-          (fun () -> ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param inst)) ])
-      [ 16; 20; 24; 28; 32; 36 ]
-    |> Array.of_list
-  in
-  let run_at jobs =
-    Ccs_par.set_jobs jobs;
-    let (), wall = U.time (fun () -> ignore (Ccs_par.parallel_map (fun f -> f ()) sweep_tasks)) in
-    wall
-  in
-  let saved_jobs = Ccs_par.jobs () in
-  let wall_j1 = run_at 1 in
-  let wall_j4 = run_at 4 in
-  Ccs_par.set_jobs saved_jobs;
-  let speedup = wall_j1 /. wall_j4 in
-  let cores = max 1 (Domain.recommended_domain_count ()) in
-  let sweep =
-    J.Obj
-      [ ("tasks", J.Int (Array.length sweep_tasks));
-        ("cores", J.Int cores);
-        ("wall_s_jobs1", J.Float (U.round9 wall_j1));
-        ("wall_s_jobs4", J.Float (U.round9 wall_j4));
-        ("speedup_jobs4", J.Float (U.round9 speedup)) ]
-  in
   (* Resilience sweep: the degradation ladder on E5-style instances under a
      deadline far below the exact rung's runtime. Every run must come back
      Degraded with a validator-clean incumbent and a sound ratio bound; the
@@ -220,11 +188,6 @@ and write_timing_json () =
   U.write_json path
     (J.Obj
        [ ("rows", J.List (approx_rows @ ptas_rows));
-         ("ptas_sweep", sweep);
          ("resil_sweep", resil) ]);
   U.footnote
-    (Printf.sprintf "wrote %s (%d rows; PTAS sweep at -j 4: %.2fx on %d core%s%s)" path
-       (List.length approx_rows + List.length ptas_rows)
-       speedup cores
-       (if cores = 1 then "" else "s")
-       (if cores = 1 then " — single-core host, no parallel speedup is possible here" else ""))
+    (Printf.sprintf "wrote %s (%d rows)" path (List.length approx_rows + List.length ptas_rows))

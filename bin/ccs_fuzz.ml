@@ -92,7 +92,8 @@ let run seed count epsilon jobs max_n family no_metamorphic no_shrink verbose de
     run_chaos seed count epsilon max_n family deadline_ms faults cancel_ppm raise_ppm delay_ppm
       portfolio verbose
   else begin
-    Ccs_par.set_jobs jobs;
+    (* no idle domains: each one still joins every minor GC *)
+    Ccs_par.set_jobs (min jobs count);
     let d = max 1 (int_of_float (ceil (1.0 /. epsilon))) in
     let param = Ccs.Ptas.Common.param d in
     let config =

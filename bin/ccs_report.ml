@@ -54,13 +54,6 @@ let render_timing path =
                 (counter "ptas.guesses"))
             rows
       | _ -> out "no `rows` array found.");
-      (match J.member "ptas_sweep" json with
-      | Some sweep ->
-          let f k = match J.member k sweep with Some (J.Float x) -> x | Some (J.Int i) -> float_of_int i | _ -> nan in
-          out "";
-          out "PTAS batch sweep: %.0f tasks, %.2fx speedup at `-j 4` (%.3fs → %.3fs)."
-            (f "tasks") (f "speedup_jobs4") (f "wall_s_jobs1") (f "wall_s_jobs4")
-      | None -> ());
       (match J.member "resil_sweep" json with
       | Some r ->
           let f k = match J.member k r with Some (J.Float x) -> x | Some (J.Int i) -> float_of_int i | _ -> nan in

@@ -1,8 +1,8 @@
 (* Solver CLI: read one or more instances, run a chosen algorithm, print and
    validate the schedules. Every algorithm of the paper is reachable from
    here. With --jobs N the instances are solved as a parallel batch on a
-   Ccs_par pool (which the in-solver probe loops share); each instance's
-   output is buffered and flushed in input order, so the bytes printed are
+   Ccs_par pool (each solve itself is sequential); each instance's output
+   is buffered and flushed in input order, so the bytes printed are
    identical at any job count. Load, instance build, validation and emit
    run as flight-recorder phases (io, instance, schedule, emit), so
    --trace-out and --record cover the CLI's own time. *)
@@ -414,7 +414,9 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime format compres
     2
   end
   else begin
-    Ccs_par.set_jobs jobs;
+    (* An idle worker domain still joins every stop-the-world minor GC, so
+       the pool never outnumbers the files it can work on. *)
+    Ccs_par.set_jobs (min jobs (List.length files));
     let many = List.length files > 1 in
     let results =
       Ccs_par.parallel_map
@@ -455,8 +457,9 @@ let cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Do not print the schedule.") in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the batch and the in-solver probe loops. \
-                 Output is deterministic: seeded runs are bit-identical at any $(docv).")
+           ~doc:"Worker domains for a batch of several instances (each solve runs \
+                 on one domain). Output is deterministic: seeded runs are \
+                 bit-identical at any $(docv).")
   in
   let deadline_ms =
     Arg.(value & opt (some int) None
@@ -490,11 +493,10 @@ let cmd =
   let portfolio =
     Arg.(value & flag
            & info [ "portfolio" ]
-               ~doc:"With $(b,--algo exact) (non-preemptive, plain or anytime): race \
-                     the conflict-driven branch & bound against an exact \
-                     configuration-ILP and an exact N-fold program on the $(b,--jobs) \
-                     pool. The first proof in fixed member order wins, so the answer \
-                     is bit-identical at any job count.")
+               ~doc:"With $(b,--algo exact) (non-preemptive, plain or anytime): try \
+                     the conflict-driven branch & bound, then an exact \
+                     configuration-ILP, then an exact N-fold program, each under its \
+                     own budget. The first proof wins.")
   in
   let node_limit =
     Arg.(value & opt (some int) None

@@ -34,7 +34,8 @@ let search ~loads ~machines ~slots ~lb =
     ~fields:Ccs_obs.Jsonx.[ ("classes", Int (Array.length loads)); ("machines", Int machines) ]
   @@ fun () ->
   let cap = slot_cap ~machines ~slots in
-  let feasible probes t =
+  let probes = ref 0 in
+  let feasible t =
     Ccs_resil.Deadline.check chk_probe;
     incr probes;
     count_classes ~loads ~cap t <= cap
@@ -50,59 +51,33 @@ let search ~loads ~machines ~slots ~lb =
           "border_search.done");
     r
   in
-  let lb_probes = ref 0 in
-  if feasible lb_probes lb then finish { t_star = lb; probes = !lb_probes }
+  if feasible lb then finish { t_star = lb; probes = !probes }
   else begin
-    (* Each class's candidate border is a pure function of the shared load
-       vector, so the classes fan out on the pool (when there are enough of
-       them for the batch to pay for itself — each task is only a handful
-       of O(C) probes); probes are counted per task and summed by index,
-       and the final minimum is order-independent — the result is the
-       sequential one bit for bit. *)
-    let map =
-      if Array.length loads >= 64 then fun f a -> Ccs_par.parallel_map f a
-      else Array.map
-    in
-    let per_class =
-      map
-        (fun pu ->
-          let probes = ref 0 in
-          let border =
-            let pu_q = Q.of_int pu in
-            if Q.(pu_q >= lb) then begin
-              (* Borders of this class: P_u / k for k in [1, k_max], k_max
-                 chosen so the border stays >= lb (and k <= m automatically,
-                 see Lemma 2: P_u / lb <= m). *)
-              let k_max = Bigint.to_int_exn (Q.floor (Q.div pu_q lb)) in
-              let k_max = min k_max machines in
-              if k_max >= 1 && feasible probes pu_q then begin
-                (* Largest k with feasible (P_u / k): prefix property in k. *)
-                let lo = ref 1 and hi = ref k_max in
-                while !lo < !hi do
-                  let mid = (!lo + !hi + 1) / 2 in
-                  if feasible probes (Q.div pu_q (Q.of_int mid)) then lo := mid
-                  else hi := mid - 1
-                done;
-                Some (Q.div pu_q (Q.of_int !lo))
-              end
-              else None
-            end
-            else None
-          in
-          (border, !probes))
-        loads
-    in
-    let best = ref None and probes = ref !lb_probes in
+    let best = ref None in
     Array.iter
-      (fun (border, p) ->
-        probes := !probes + p;
-        match border with
-        | None -> ()
-        | Some border -> (
+      (fun pu ->
+        let pu_q = Q.of_int pu in
+        if Q.(pu_q >= lb) then begin
+          (* Borders of this class: P_u / k for k in [1, k_max], k_max
+             chosen so the border stays >= lb (and k <= m automatically,
+             see Lemma 2: P_u / lb <= m). *)
+          let k_max = Bigint.to_int_exn (Q.floor (Q.div pu_q lb)) in
+          let k_max = min k_max machines in
+          if k_max >= 1 && feasible pu_q then begin
+            (* Largest k with feasible (P_u / k): prefix property in k. *)
+            let lo = ref 1 and hi = ref k_max in
+            while !lo < !hi do
+              let mid = (!lo + !hi + 1) / 2 in
+              if feasible (Q.div pu_q (Q.of_int mid)) then lo := mid
+              else hi := mid - 1
+            done;
+            let border = Q.div pu_q (Q.of_int !lo) in
             match !best with
             | Some b when Q.(b <= border) -> ()
-            | _ -> best := Some border))
-      per_class;
+            | _ -> best := Some border
+          end
+        end)
+      loads;
     match !best with
     | Some t -> finish { t_star = t; probes = !probes }
     | None ->

@@ -17,55 +17,24 @@ exception Too_many
 
 let multisets ?(limit = 200_000) ~parts ~max_sum ~max_count () =
   let parts = List.sort_uniq (fun a b -> compare b a) parts in
-  (* The node budget is shared across parallel branches through one atomic
-     counter: the DFS visits exactly the same node set at any pool size, so
-     Too_many fires under exactly the same inputs. *)
-  let count = Atomic.make 0 in
+  let out = ref [] in
+  let count = ref 0 in
   (* DFS over parts in descending order; [current] is built descending. *)
-  let explore parts0 current0 sum0 cnt0 =
-    let out = ref [] in
-    let rec go parts current sum cnt =
-      Ccs_resil.Deadline.check chk_enum;
-      if Atomic.fetch_and_add count 1 >= limit then raise Too_many;
-      out := List.rev current :: !out;
-      match parts with
-      | [] -> ()
-      | v :: rest ->
-          if cnt < max_count && sum + v <= max_sum then
-            go parts (v :: current) (sum + v) (cnt + 1);
-          go rest current sum cnt
-    in
-    go parts0 current0 sum0 cnt0;
-    !out
-  in
-  (* Per-guess enumeration is the widest flat fan-out the PTASs have: split
-     on the multiplicity of the largest part (branch j fixes j copies, then
-     enumerates over the remaining part values), which reproduces the
-     sequential spine of the DFS one branch per node. *)
-  let pieces =
+  let rec go parts current sum cnt =
+    Ccs_resil.Deadline.check chk_enum;
+    incr count;
+    if !count > limit then raise Too_many;
+    out := List.rev current :: !out;
     match parts with
-    (* Only fan out on part lists wide enough that each branch subtree
-       amortizes the batch overhead (narrow spaces, i.e. coarse delta, run
-       the plain DFS), and only when cores are present to absorb the
-       duplicated spine emissions the decomposition costs. Both gates
-       depend on the input and the machine, never on timing, and either
-       path yields the same sorted deduplicated list — so the enumeration
-       stays deterministic. *)
-    | v0 :: rest when Ccs_par.effective_jobs () > 1 && v0 > 0 && List.length rest >= 6 ->
-        let jmax = min max_count (max_sum / v0) in
-        (* The sequential DFS also counts the jmax+1 spine nodes the branch
-           decomposition skips; charge them up front so the total node count
-           — and hence whether Too_many fires — is identical at any pool
-           size (their emissions are duplicates of the branch roots). *)
-        if Atomic.fetch_and_add count (jmax + 1) + jmax + 1 > limit then raise Too_many;
-        Ccs_par.parallel_map
-          (fun j -> explore rest (List.init j (fun _ -> v0)) (j * v0) j)
-          (Array.init (jmax + 1) (fun j -> j))
-        |> Array.to_list |> List.concat
-    | _ -> explore parts [] 0 0
+    | [] -> ()
+    | v :: rest ->
+        if cnt < max_count && sum + v <= max_sum then
+          go parts (v :: current) (sum + v) (cnt + 1);
+        go rest current sum cnt
   in
-  (* dedupe: the DFS above emits each prefix once per branch; collect unique *)
-  List.sort_uniq compare pieces
+  go parts [] 0 0;
+  (* dedupe: the DFS emits each prefix once per skipped part *)
+  List.sort_uniq compare !out
 
 let bounded_multisets ?(limit = 200_000) ~parts ~max_sum ~max_count () =
   let parts = List.sort (fun (a, _) (b, _) -> compare b a) parts in
@@ -132,6 +101,17 @@ let solve_int_feasibility ?(max_nodes = 50_000) ?warm ?basis_out ~nvars ~upper r
   | Ilp.Node_limit -> raise Budget_exceeded
   | Ilp.Unbounded -> None
 
+let warm_oracle oracle =
+  let calls = ref 0 and warm = ref None in
+  let orc t =
+    incr calls;
+    let basis_out = ref None in
+    let r = oracle ~warm:!warm ~basis_out t in
+    if Option.is_none !warm then warm := !basis_out;
+    r
+  in
+  (orc, calls)
+
 type 'a progress = {
   mutable accepted : ('a * Q.t) option;
   mutable rejected : Q.t option;
@@ -170,13 +150,6 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
     let rec go acc k = if k = 0 then acc else go (Q.mul acc step) (k - 1) in
     Q.min ub (go lb i)
   in
-  (* Search the smallest accepted index by k-section: each round probes the
-     current interval at [min jobs width] interior points concurrently, then
-     narrows exactly as the sequential scan of those answers would. With one
-     job the probe point is [(lo + hi) / 2] — classic bisection, unchanged
-     from the sequential implementation — and because the oracle is monotone
-     (see the interface), every pool size converges to the same smallest
-     accepted grid index, making seeded runs bit-identical at any --jobs. *)
   let record_accept w t =
     match prog with None -> () | Some p -> p.accepted <- Some (w, t)
   in
@@ -193,45 +166,18 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
   | Some witness_ub ->
       record_accept witness_ub (point imax);
       let best = ref (witness_ub, point imax) in
+      (* bisection for the smallest accepted grid index in [lo, hi] *)
       let lo = ref 0 and hi = ref imax in
       while !lo < !hi do
-        let width = !hi - !lo in
-        (* k-section does ~k/log2(k+1) times the probe work of bisection, so
-           cap the fan-out by the cores actually present: on a single-core
-           host a 4-domain pool degenerates to plain bisection instead of
-           burning 1.7x the oracle calls. Any k lands on the same smallest
-           accepted index (the oracle is monotone and deterministic), so
-           this cap never changes the result, only the wall clock. *)
-        let k = min width (Ccs_par.effective_jobs ()) in
-        let probes =
-          Array.init k (fun i -> !lo + (width * (i + 1) / (k + 1)))
-          |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-        in
-        let answers = Ccs_par.parallel_map (fun i -> oracle (point i)) probes in
-        (* lowest accepted probe bounds from above; by monotonicity every
-           rejected probe below it bounds from below *)
-        let accepted = ref None in
-        Array.iteri
-          (fun j a ->
-            match (a, !accepted) with
-            | Some w, None -> accepted := Some (probes.(j), w)
-            | _ -> ())
-          answers;
-        match !accepted with
-        | Some (i, w) ->
-            best := (w, point i);
-            record_accept w (point i);
-            hi := i;
-            Array.iteri
-              (fun j a ->
-                if a = None && probes.(j) < i then begin
-                  record_reject (point probes.(j));
-                  lo := max !lo (probes.(j) + 1)
-                end)
-              answers
+        let mid = (!lo + !hi) / 2 in
+        let t = point mid in
+        match oracle t with
+        | Some w ->
+            best := (w, t);
+            record_accept w t;
+            hi := mid
         | None ->
-            let last = probes.(Array.length probes - 1) in
-            record_reject (point last);
-            lo := last + 1
+            record_reject t;
+            lo := mid + 1
       done;
       !best

@@ -59,13 +59,21 @@ val solve_int_feasibility :
     [ptas.configs]); every PTAS variant calls this once per guess. *)
 val observe_rounding : large:int -> small_groups:int -> configs:int -> unit
 
+(** [warm_oracle oracle] wraps a PTAS oracle for {!geometric_search}: it
+    counts the calls (the returned ref), and starts every later ILP from
+    the root basis of the first call that produced one — normally the
+    search's upper-bound probe. A basis of another shape is safe: the LP
+    checks it and falls back to a cold start. *)
+val warm_oracle :
+  (warm:Lp.basis option -> basis_out:Lp.basis option ref -> Rat.t -> 'a option) ->
+  (Rat.t -> 'a option) * int ref
+
 (** Live progress of a {!geometric_search}, for recovering a certified
     partial answer when the search is cancelled mid-flight: [accepted] is
     the best (lowest-guess) witness produced so far, [rejected] the highest
     guess the oracle has refuted — by the dual-approximation argument a
     certificate that no schedule of makespan [rejected] exists for the
-    rounded relaxation, hence a lower-bound witness for the search. Updated
-    by the coordinating domain only (between probe rounds). *)
+    rounded relaxation, hence a lower-bound witness for the search. *)
 type 'a progress = {
   mutable accepted : ('a * Rat.t) option;
   mutable rejected : Rat.t option;

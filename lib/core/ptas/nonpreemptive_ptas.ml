@@ -399,18 +399,8 @@ let solve ?progress p inst =
           [ ("variant", Str "nonpreemptive"); ("n", Int n); ("m", Int (Instance.m inst));
             ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
     @@ fun () ->
-    (* probes run on pool domains, so the call counter must be atomic *)
-    let calls = Atomic.make 0 in
-    (* set-once warm reference basis; see Splittable_ptas.solve *)
-    let warm_ref = Atomic.make None in
-    let orc t =
-      Atomic.incr calls;
-      let bout = ref None in
-      let r = oracle ?warm:(Atomic.get warm_ref) ~basis_out:bout p inst t in
-      (match (Atomic.get warm_ref, !bout) with
-      | None, Some b -> ignore (Atomic.compare_and_set warm_ref None (Some b))
-      | _ -> ());
-      r
+    let orc, calls =
+      Common.warm_oracle (fun ~warm ~basis_out t -> oracle ?warm ~basis_out p inst t)
     in
     let total = Instance.total_load inst in
     let m = Instance.m inst in
@@ -427,10 +417,10 @@ let solve ?progress p inst =
         log
           ~fields:
             [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-              Ccs_obs.Log.int "oracle_calls" (Atomic.get calls);
+              Ccs_obs.Log.int "oracle_calls" !calls;
               Ccs_obs.Log.int "ilp_vars" layout.nvars ]
           "nonpreemptive.solve: accepted");
-    (sched, { t_accepted; oracle_calls = (Atomic.get calls); ilp_vars = layout.nvars })
+    (sched, { t_accepted; oracle_calls = !calls; ilp_vars = layout.nvars })
 
 type abstract = {
   a_tbar : int;

@@ -424,22 +424,10 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
         [ ("variant", Str "splittable"); ("n", Int (Instance.n inst));
           ("m", Int (Instance.m inst)); ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
   @@ fun () ->
-  (* probes run on pool domains, so the call counter must be atomic *)
-  let calls = Atomic.make 0 in
   let last_vars = ref 0 in
-  (* Warm-start reference basis, set exactly once by the sequential upper
-     bound probe that [geometric_search] makes before fanning out: every
-     later probe (at any --jobs) then reads the same basis, so the oracle
-     stays a pure function of the guess and runs stay bit-identical. *)
-  let warm_ref = Atomic.make None in
-  let orc t =
-    Atomic.incr calls;
-    let bout = ref None in
-    let r = oracle ~explicit_limit ?warm:(Atomic.get warm_ref) ~basis_out:bout p inst t in
-    (match (Atomic.get warm_ref, !bout) with
-    | None, Some b -> ignore (Atomic.compare_and_set warm_ref None (Some b))
-    | _ -> ());
-    r
+  let orc, calls =
+    Common.warm_oracle (fun ~warm ~basis_out t ->
+        oracle ~explicit_limit ?warm ~basis_out p inst t)
   in
   let lb = Bounds.lb_splittable inst in
   let ub = Q.max lb (Bounds.ub_splittable inst) in
@@ -453,13 +441,13 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
       log
         ~fields:
           [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-            Ccs_obs.Log.int "oracle_calls" (Atomic.get calls);
+            Ccs_obs.Log.int "oracle_calls" !calls;
             Ccs_obs.Log.int "ilp_vars" !last_vars ]
         "splittable.solve: accepted");
   ( sched,
     {
       t_accepted;
-      oracle_calls = (Atomic.get calls);
+      oracle_calls = !calls;
       compressed = Instance.m inst > explicit_limit;
       ilp_vars = !last_vars;
     } )

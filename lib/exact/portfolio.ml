@@ -1,14 +1,13 @@
-(* A portfolio of exact non-preemptive solvers raced on the ambient pool.
+(* A portfolio of exact non-preemptive solvers, tried in turn.
 
    Three members, in fixed priority order: the conflict-driven B&B, an
    exact configuration-ILP (binary search on the integral makespan, each
    probe decided by the exact MILP solver), and an exact N-fold program
    with one brick per machine. Each member either returns a *proof* — an
    optimal assignment — or abstains ([None]) when its budget is exhausted;
-   [Ccs_par.parallel_find_first] then yields the lowest-index proof, so the
-   winner and its assignment are bit-identical at any [--jobs] by the
-   pool's sequential-equivalence contract. Incumbent-quality (unproven)
-   answers never race: they would make the result depend on timing. *)
+   the first proof in member order wins and later members never run.
+   Incumbent-quality (unproven) answers never win: only the fallback
+   reports them, when every member abstained. *)
 
 module Q = Rat
 
@@ -282,7 +281,7 @@ let nfold_member ~ilp_nodes inst =
     end
   end
 
-(* ---------------- the race ---------------- *)
+(* ---------------- the portfolio ---------------- *)
 
 let solve ?(node_limit = 50_000_000) ?(max_configs = 4_000) ?(ilp_nodes = 200_000) inst =
   if not (Ccs.Instance.schedulable inst) then None
@@ -290,7 +289,7 @@ let solve ?(node_limit = 50_000_000) ?(max_configs = 4_000) ?(ilp_nodes = 200_00
     let ord = Atomic.fetch_and_add solve_ids 1 in
     Ccs_obs.Metrics.incr m_races;
     (* The fallback when every member abstains: the 7/3 warm start plus the
-       root lower bound — the race only ever trades it up for a proof. *)
+       root lower bound — the portfolio only ever trades it up for a proof. *)
     let warm, _ = Ccs.Approx.Nonpreemptive.solve inst in
     let ub0 = Ccs.Schedule.nonpreemptive_makespan inst warm in
     let lb0 = int_lower_bound inst in
@@ -317,7 +316,7 @@ let solve ?(node_limit = 50_000_000) ?(max_configs = 4_000) ?(ilp_nodes = 200_00
     Ccs_obs.Recorder.phase "portfolio.solve"
       ~fields:[ ("n", Ccs_obs.Jsonx.Int (Ccs.Instance.n inst)) ]
       (fun () ->
-        match Ccs_par.parallel_find_firsti (fun i () -> run i) [| (); (); () |] with
+        match List.find_map run [ 0; 1; 2 ] with
         | Some (i, mk, asg) ->
             Ccs_obs.Metrics.incr m_winner.(i);
             Some

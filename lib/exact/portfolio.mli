@@ -1,14 +1,12 @@
-(** A racing portfolio of exact non-preemptive solvers.
+(** A portfolio of exact non-preemptive solvers.
 
-    Three members run on the ambient {!Ccs_par} pool in fixed priority
-    order — the conflict-driven {!Bnb}, an exact configuration-ILP (binary
-    search on the integral makespan, each probe decided by {!Ilp}), and an
-    exact N-fold program with one brick per machine ({!Nfold.solve_ilp}).
-    A member returns only a {e proof} (an optimal assignment) or abstains
-    when its budget runs out, and {!Ccs_par.parallel_find_first} picks the
-    lowest-index proof — so the winner, makespan and assignment are
-    bit-identical at any [--jobs], and always agree with a sequential run
-    of the members in order. The members are complementary: the B&B wins
+    Three members run one after another in fixed priority order — the
+    conflict-driven {!Bnb}, an exact configuration-ILP (binary search on
+    the integral makespan, each probe decided by {!Ilp}), and an exact
+    N-fold program with one brick per machine ({!Nfold.solve_ilp}). A
+    member returns only a {e proof} (an optimal assignment) or abstains
+    when its budget runs out; the first proof wins and the later members
+    do not run. The members are complementary: the B&B wins
     on instances with many distinct job sizes, the ILP members on
     palette-style instances (few types, many interchangeable jobs) whose
     combinatorial search space is deep but whose configuration space is
@@ -28,7 +26,7 @@ type outcome = {
     member; [max_configs] and [ilp_nodes] budget the configuration
     enumeration and the exact MILP probes of the other two. Re-raises
     {!Ccs_resil.Deadline.Cancelled} if the ambient deadline expires
-    mid-race (members are cancelled through their pool child tokens). *)
+    mid-solve. *)
 val solve :
   ?node_limit:int ->
   ?max_configs:int ->

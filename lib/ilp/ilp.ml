@@ -20,13 +20,6 @@ let m_prunes = Ccs_obs.Metrics.counter "ilp.prunes_bound"
 let m_limit_hits = Ccs_obs.Metrics.counter "ilp.node_limit_hits"
 let h_nodes = Ccs_obs.Metrics.histogram "ilp.nodes_per_solve"
 
-(* Node counting is domain-local: makespan-guess probes run concurrent
-   [solve] calls on Ccs_par workers, and a shared ref would tear their
-   counts. [last_node_count] reports the last solve on the calling domain. *)
-let nodes_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-let last_node_count () = !(Domain.DLS.get nodes_key)
-
 (* First (lowest-index) fractional integer-constrained variable, or None
    if integral. Lexicographic branching fixes variables block by block,
    which doubles as symmetry breaking: the configuration ILPs (and
@@ -49,8 +42,7 @@ let solve_ids = Atomic.make 0
 let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
   Ccs_obs.Recorder.phase "ilp" @@ fun () ->
   let ord = Atomic.fetch_and_add solve_ids 1 in
-  let nodes = Domain.DLS.get nodes_key in
-  nodes := 0;
+  let nodes = ref 0 in
   let incumbent = ref None in
   let limit_hit = ref false in
   let exception Found_first of Q.t * Q.t array in
@@ -158,10 +150,3 @@ let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
           ]
         "ilp.solve");
   result
-
-(* The dual-approximation framework generates many independent per-guess
-   subproblems; solving them as one batch keeps every domain busy while the
-   result array stays index-ordered (identical to [Array.map (solve ...)]).
-   If several solves raise, the lowest-index exception propagates. *)
-let solve_batch ?max_nodes ?feasibility ps =
-  Ccs_par.parallel_map (fun p -> solve ?max_nodes ?feasibility p) ps

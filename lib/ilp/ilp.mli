@@ -33,17 +33,5 @@ val solve :
   problem ->
   result
 
-(** [solve_batch ps] solves independent subproblems — e.g. the per-guess
-    configuration ILPs of the dual-approximation search — in parallel on
-    the ambient {!Ccs_par} pool. Index-ordered, sequential-equivalent:
-    the result is identical to [Array.map (solve ...) ps] at any pool
-    size, and if several solves raise, the lowest-index exception
-    propagates. *)
-val solve_batch : ?max_nodes:int -> ?feasibility:bool -> problem array -> result array
-
-(** Statistics of the last [solve] call on the calling domain (B&B nodes,
-    LP solves); concurrent solves on other domains do not disturb it. *)
-val last_node_count : unit -> int
-
 (** All-integer convenience wrapper. *)
 val all_integer : Lp.problem -> problem

@@ -6,9 +6,8 @@
    [size - 1] helper tasks, so a batch never *depends* on pool workers
    being free — nested fan-out cannot deadlock, it only loses parallelism.
    Determinism comes from keeping all merge steps index-ordered: results
-   land in slot [i], the surviving exception is the lowest-index one, and
-   find_first reports the lowest-index event (Some or raise), which is
-   precisely what the sequential left-to-right loop observes. *)
+   land in slot [i] and the surviving exception is the lowest-index one,
+   which is precisely what the sequential left-to-right loop observes. *)
 
 let m_batches = Ccs_obs.Metrics.counter "par.batches"
 let m_tasks = Ccs_obs.Metrics.counter "par.tasks"
@@ -102,9 +101,6 @@ let ambient_pool : Pool.t option ref = ref None
 let ambient () =
   match !ambient_pool with Some p -> p | None -> Lazy.force sequential
 
-let jobs () = match !ambient_pool with Some p -> Pool.size p | None -> 1
-let effective_jobs () = min (jobs ()) available_cores
-
 let set_jobs n =
   if n < 1 then invalid_arg "Ccs_par.set_jobs: jobs must be >= 1";
   (match !ambient_pool with Some p -> Pool.shutdown p | None -> ());
@@ -172,68 +168,3 @@ let parallel_mapi ?pool f arr =
   end
 
 let parallel_map ?pool f arr = parallel_mapi ?pool (fun _ x -> f x) arr
-
-let parallel_find_firsti ?pool f arr =
-  let pool = resolve_pool pool in
-  let n = Array.length arr in
-  if n <= 1 || Pool.size pool = 1 then begin
-    (* plain left-to-right scan *)
-    let rec go i =
-      if i >= n then None
-      else match f i arr.(i) with Some v -> Some v | None -> go (i + 1)
-    in
-    go 0
-  end
-  else begin
-    (* [cut] is the lowest index known to carry an event (a [Some] or a
-       raise); indices above it are skipped, indices below it are always
-       evaluated, which is what makes the final answer the sequential
-       one. *)
-    let cut = Atomic.make n in
-    let outcome = Array.make n `None in
-    let rec lower i =
-      let c = Atomic.get cut in
-      if i < c && not (Atomic.compare_and_set cut c i) then lower i
-    in
-    (* Prompt shutdown: every task runs under its own child token, and an
-       event at index i kills the tokens of in-flight tasks above the cut,
-       whose next checkpoint then unwinds them. [cut] only ever decreases,
-       so a killed index is strictly above the final winner and its outcome
-       could never reach the sequential answer — the kill changes wall
-       clock, not results. A [Killed] cancellation is therefore swallowed
-       (no event) unless the parent token itself is cancelled, in which
-       case it is the real deadline and propagates like any exception. *)
-    let parent = Deadline.ambient () in
-    let tokens = Array.init n (fun _ -> Deadline.child parent) in
-    let kill_above c =
-      for j = c + 1 to n - 1 do
-        Deadline.kill tokens.(j)
-      done
-    in
-    let event i ev =
-      outcome.(i) <- ev;
-      lower i;
-      kill_above (Atomic.get cut)
-    in
-    run_batch pool n (fun i ->
-        if i < Atomic.get cut then
-          match
-            Deadline.with_token tokens.(i) (fun () ->
-                Deadline.check chk_task;
-                f i arr.(i))
-          with
-          | Some v -> event i (`Found v)
-          | None -> ()
-          | exception (Deadline.Cancelled { reason = Deadline.Killed; _ } as e) ->
-              if Deadline.cancelled parent then event i (`Exn e)
-          | exception e -> event i (`Exn e));
-    let w = Atomic.get cut in
-    if w >= n then None
-    else
-      match outcome.(w) with
-      | `Found v -> Some v
-      | `Exn e -> raise e
-      | `None -> assert false
-  end
-
-let parallel_find_first ?pool f arr = parallel_find_firsti ?pool (fun _ x -> f x) arr

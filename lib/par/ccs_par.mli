@@ -1,12 +1,16 @@
 (** Multicore execution layer: a fixed-size domain pool with deterministic
-    parallel combinators.
+    parallel maps.
+
+    Parallelism lives only across independent instances — a [ccs_solve]
+    batch, a [ccs_fuzz] sweep, repeated bench instances. The paper's
+    searches inside one solve run sequentially.
 
     Every combinator is sequential-equivalent: results are gathered by input
-    index, first-success means lowest index, and the exception that escapes
-    a batch is the one the sequential loop would have hit first. A seeded
-    run therefore produces bit-identical output at any pool size, provided
-    the mapped functions are pure (draw randomness only via
-    [Ccs_util.Prng.stream] keyed by index, never from shared streams).
+    index, and the exception that escapes a batch is the one the sequential
+    loop would have hit first. A seeded run therefore produces bit-identical
+    output at any pool size, provided the mapped functions are pure (draw
+    randomness only via [Ccs_util.Prng.stream] keyed by index, never from
+    shared streams).
 
     Nesting is safe: the calling domain always works through its own batch,
     so a task that itself fans out makes progress even when every pool
@@ -31,11 +35,6 @@ module Pool : sig
       machines. Raises [Invalid_argument] if [jobs < 1]. *)
   val create : ?force:bool -> jobs:int -> unit -> t
 
-  val size : t -> int
-
-  (** Worker domains actually spawned (<= [size] - 1). *)
-  val workers : t -> int
-
   (** Joins the worker domains. Idempotent; combinators must not be
       called on a pool after shutdown. *)
   val shutdown : t -> unit
@@ -43,28 +42,13 @@ end
 
 (** {1 Ambient pool}
 
-    Library hot paths (PTAS guess probes, border search, configuration
-    enumeration) draw their parallelism from a process-wide ambient pool so
-    that a single [--jobs N] flag reaches every layer. The default is 1:
-    nothing runs in parallel unless explicitly requested. *)
+    The batch entry points ([--jobs N] of the CLIs and the bench harness)
+    set a process-wide ambient pool. The default is 1: nothing runs in parallel
+    unless explicitly requested. *)
 
 (** [set_jobs n] replaces the ambient pool with one of size [n] (shutting
     down the previous one). *)
 val set_jobs : int -> unit
-
-(** Size of the ambient pool. *)
-val jobs : unit -> int
-
-(** Ambient pool size capped by [Domain.recommended_domain_count] — the
-    parallelism a batch can actually realize. Call sites that restructure
-    work for the pool (branch decompositions, k-section searches) should
-    gate on [effective_jobs () > 1]: when the cap bites, the restructuring
-    costs extra work that no core is there to absorb. Any such gate must
-    leave the computed result unchanged (only the schedule of work), or
-    determinism across machines is lost. *)
-val effective_jobs : unit -> int
-
-val ambient : unit -> Pool.t
 
 (** {1 Combinators}
 
@@ -79,16 +63,3 @@ val parallel_map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_mapi] passes the element index, e.g. to seed a
     [Prng.stream]. *)
 val parallel_mapi : ?pool:Pool.t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
-(** [parallel_find_first f arr] is the lowest-index [Some] that [f]
-    produces, [None] if every element maps to [None] — exactly the answer
-    of the sequential left-to-right scan, including which exception (if
-    any) escapes: an element's outcome is only reported once every earlier
-    element has evaluated to [None]. Elements beyond the winner are
-    skipped opportunistically, and in-flight elements above the winning
-    index are cancelled through their {!Ccs_resil.Deadline} child tokens —
-    a poisoned (raising or cancelled) task never serializes the batch by
-    letting its siblings run to completion. *)
-val parallel_find_first : ?pool:Pool.t -> ('a -> 'b option) -> 'a array -> 'b option
-
-val parallel_find_firsti : ?pool:Pool.t -> (int -> 'a -> 'b option) -> 'a array -> 'b option

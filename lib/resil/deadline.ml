@@ -2,19 +2,16 @@ module Mono = Ccs_util.Mono
 
 type t = {
   dlimit_ns : int;  (* max_int = no deadline *)
-  killed : bool Atomic.t;
   (* cached "this token is cancelled" so that after the first slow-path
      detection every subsequent check raises without reading the clock *)
   tripped : bool Atomic.t;
-  parent : t option;
 }
 
-type reason = Expired | Killed | Fault
+type reason = Expired | Fault
 
 exception Cancelled of { site : string; reason : reason }
 
-let make ?parent dlimit_ns =
-  { dlimit_ns; killed = Atomic.make false; tripped = Atomic.make false; parent }
+let make dlimit_ns = { dlimit_ns; tripped = Atomic.make false }
 
 let never = make max_int
 let of_budget_ms ms = make (Mono.now_ns () + Mono.ns_of_ms ms)
@@ -25,18 +22,8 @@ let remaining_ns t =
   if t.dlimit_ns = max_int then None else Some (t.dlimit_ns - Mono.now_ns ())
 
 let expired t = t.dlimit_ns <> max_int && Mono.now_ns () >= t.dlimit_ns
-let kill t = if t != never then Atomic.set t.killed true
-
-let child t =
-  { dlimit_ns = t.dlimit_ns;
-    killed = Atomic.make false;
-    tripped = Atomic.make false;
-    parent = (if t == never then None else Some t) }
-
-let rec is_killed t =
-  Atomic.get t.killed || match t.parent with Some p -> is_killed p | None -> false
-
-let cancelled t = Atomic.get t.tripped || is_killed t || expired t
+let child t = make t.dlimit_ns
+let cancelled t = Atomic.get t.tripped || expired t
 
 (* ---------------- ambient token ---------------- *)
 
@@ -99,7 +86,6 @@ let check site =
      | `Cancel -> trip tok Fault site);
   if tok != never then begin
     if Atomic.get tok.tripped then raise (Cancelled { site = site.sname; reason = Expired });
-    if is_killed tok then trip tok Killed site;
     let read_clock =
       (not site.hot)
       ||

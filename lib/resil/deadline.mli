@@ -1,14 +1,14 @@
 (** Cooperative cancellation and deadline tokens.
 
-    A token carries an optional monotonic-clock deadline plus an explicit
-    kill flag; solvers call {!check} from their hot loops (B&B node
-    expansion, simplex pivots, N-fold augmentation steps, PTAS guess
-    probes, pool task boundaries) and the call raises {!Cancelled} once the
-    ambient token is expired, killed, or hit by an armed fault plan
-    ({!Faults}). Cancellation is an ordinary exception, so it unwinds
-    through [Fun.protect]-style cleanup: recorder phases stay balanced, pools stay
-    drainable, and warm-start bases are either intact or unpublished —
-    never corrupted (DESIGN.md, "Cancellation contract").
+    A token carries an optional monotonic-clock deadline; solvers call
+    {!check} from their hot loops (B&B node expansion, simplex pivots,
+    N-fold augmentation steps, PTAS guess probes, pool task boundaries) and
+    the call raises {!Cancelled} once the ambient token is expired or hit
+    by an armed fault plan ({!Faults}). Cancellation is an ordinary
+    exception, so it unwinds through [Fun.protect]-style cleanup: recorder
+    phases stay balanced, pools stay drainable, and warm-start bases are
+    either intact or unpublished — never corrupted (DESIGN.md,
+    "Cancellation contract").
 
     The fast path is allocation-free: one atomic counter bump and a couple
     of atomic loads. Sites registered [~hot] additionally amortize the
@@ -20,13 +20,12 @@ type t
 
 type reason =
   | Expired  (** the token's deadline passed *)
-  | Killed  (** {!kill} was called (e.g. by a pool sibling's failure) *)
   | Fault  (** an armed {!Faults} plan injected a cancel *)
 
 exception Cancelled of { site : string; reason : reason }
 
 val never : t
-(** The default ambient token: no deadline, cannot be killed. *)
+(** The default ambient token: no deadline. *)
 
 val of_budget_ms : int -> t
 (** A token expiring [ms] milliseconds from now. *)
@@ -44,17 +43,13 @@ val remaining_ns : t -> int option
 val expired : t -> bool
 
 val cancelled : t -> bool
-(** True once the token is expired, killed, or has already tripped a
-    checkpoint — i.e. a fresh {!check} under it would raise. *)
-
-val kill : t -> unit
-(** Cancel the token explicitly. Killing {!never} is a no-op. *)
+(** True once the token is expired or has already tripped a checkpoint —
+    i.e. a fresh {!check} under it would raise. *)
 
 val child : t -> t
-(** A token with the same deadline whose {!kill} does not touch the
-    parent, while a kill of the parent still reaches the child — one per
-    pool task, so one task can be cancelled without poisoning its
-    siblings. *)
+(** A fresh token with the same deadline: a checkpoint tripped under the
+    child does not mark the parent (the anytime driver gives each rung
+    one). *)
 
 (** {1 Ambient token}
 
@@ -77,8 +72,8 @@ val site : ?hot:bool -> string -> site
     should be used for loops that iterate faster than ~10kHz. *)
 
 val check : site -> unit
-(** The checkpoint: raises {!Cancelled} if the ambient token is expired or
-    killed, or an armed fault plan says so. *)
+(** The checkpoint: raises {!Cancelled} if the ambient token is expired,
+    or an armed fault plan says so. *)
 
 val checks_total : unit -> int
 (** Exact number of checkpoints executed since start (or {!reset_stats}).

@@ -1,8 +1,7 @@
 (* Ccs_par tests: the sequential-equivalence contract of the combinators
-   (qcheck, across pool sizes 1-8), exception ordering, the per-index Prng
-   streams, thread-safety of the metrics registry under a parallel batch,
-   and an end-to-end check that a seeded PTAS run produces the identical
-   schedule on a 1-domain and a 4-domain ambient pool. *)
+   (qcheck, across pool sizes 1-8), exception ordering, nesting, the
+   per-index Prng streams, and thread-safety of the metrics registry under
+   a parallel batch. *)
 
 module Par = Ccs_par
 module Prng = Ccs_util.Prng
@@ -10,10 +9,6 @@ module Prng = Ccs_util.Prng
 let with_pool jobs f =
   let pool = Par.Pool.create ~jobs () in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
-
-let with_ambient jobs f =
-  Par.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Par.set_jobs 1) f
 
 (* ---------- combinators vs the sequential loop ---------- *)
 
@@ -32,17 +27,6 @@ let prop_mapi_matches_sequential =
       let f i x = (i * 31) + x in
       with_pool jobs (fun pool -> Par.parallel_mapi ~pool f arr = Array.mapi f arr))
 
-let prop_find_first_matches_sequential =
-  QCheck.Test.make ~name:"parallel_find_first = sequential scan (pool sizes 1-8)"
-    ~count:120 arb_input (fun (jobs, arr) ->
-      let f x = if x mod 7 = 0 then Some (x * 2) else None in
-      let expected =
-        Array.fold_left
-          (fun acc x -> match acc with Some _ -> acc | None -> f x)
-          None arr
-      in
-      with_pool jobs (fun pool -> Par.parallel_find_first ~pool f arr = expected))
-
 let test_map_exception_order () =
   (* Several elements raise; the escaping exception must be the one the
      sequential loop hits first (index 3), at every pool size. *)
@@ -60,32 +44,6 @@ let test_map_exception_order () =
               Alcotest.(check string)
                 (Printf.sprintf "lowest-index exception at jobs=%d" jobs)
                 "3" msg))
-    [ 1; 2; 4; 8 ]
-
-let test_find_first_skips_nothing_before_winner () =
-  (* The winner is index 20; every earlier element must have been evaluated
-     (the contract says the answer is only reported once they all said
-     None). Elements after the winner may or may not run. *)
-  let n = 40 in
-  let seen = Array.make n false in
-  List.iter
-    (fun jobs ->
-      Array.fill seen 0 n false;
-      with_pool jobs (fun pool ->
-          let r =
-            Par.parallel_find_firsti ~pool
-              (fun i () ->
-                seen.(i) <- true;
-                if i >= 20 then Some i else None)
-              (Array.make n ())
-          in
-          Alcotest.(check (option int))
-            (Printf.sprintf "winner at jobs=%d" jobs)
-            (Some 20) r;
-          for i = 0 to 19 do
-            if not seen.(i) then
-              Alcotest.failf "element %d not evaluated before reporting (jobs=%d)" i jobs
-          done))
     [ 1; 2; 4; 8 ]
 
 let test_nested_batches () =
@@ -152,39 +110,6 @@ let test_metrics_parallel_incr () =
   Alcotest.(check int) "no lost counter increments" 16_000 (Ccs_obs.Metrics.counter_value c);
   Alcotest.(check int) "no lost observations" 16_000 (Ccs_obs.Metrics.histogram_count h)
 
-(* ---------- end-to-end: seeded PTAS runs are jobs-invariant ---------- *)
-
-let gen_instance seed =
-  Ccs.Generator.generate ~seed
-    { Ccs.Generator.n = 20; classes = 5; machines = 4; slots = 2; p_lo = 1; p_hi = 50;
-      family = Ccs.Generator.Uniform }
-
-let test_ptas_identical_across_jobs () =
-  let param = Ccs.Ptas.Common.param 1 in
-  List.iter
-    (fun seed ->
-      let inst = gen_instance seed in
-      let solve () = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
-      let sched1, stats1 = with_ambient 1 solve in
-      let sched4, stats4 = with_ambient 4 solve in
-      Alcotest.(check (array int))
-        (Printf.sprintf "assignment identical (seed %d)" seed)
-        sched1 sched4;
-      Alcotest.(check string)
-        (Printf.sprintf "accepted guess identical (seed %d)" seed)
-        (Rat.to_string stats1.Ccs.Ptas.Nonpreemptive_ptas.t_accepted)
-        (Rat.to_string stats4.Ccs.Ptas.Nonpreemptive_ptas.t_accepted))
-    [ 101; 202; 303 ]
-
-let test_multisets_identical_across_jobs () =
-  let enumerate () =
-    Ccs.Ptas.Common.multisets ~parts:[ 2; 3; 5; 7 ] ~max_sum:21 ~max_count:6 ()
-  in
-  let seq = with_ambient 1 enumerate in
-  let par = with_ambient 4 enumerate in
-  Alcotest.(check int) "same count" (List.length seq) (List.length par);
-  Alcotest.(check bool) "same configurations" true (seq = par)
-
 let () =
   QCheck_base_runner.set_seed 20260806;
   let q = QCheck_alcotest.to_alcotest in
@@ -192,18 +117,10 @@ let () =
     [ ( "combinators",
         [ q prop_map_matches_sequential;
           q prop_mapi_matches_sequential;
-          q prop_find_first_matches_sequential;
           Alcotest.test_case "exception order" `Quick test_map_exception_order;
-          Alcotest.test_case "find_first evaluates prefix" `Quick
-            test_find_first_skips_nothing_before_winner;
           Alcotest.test_case "nested batches" `Quick test_nested_batches ] );
       ( "prng",
         [ Alcotest.test_case "stream determinism" `Quick test_prng_stream_deterministic;
           Alcotest.test_case "streams jobs-invariant" `Quick test_prng_streams_jobs_invariant ] );
       ( "obs",
-        [ Alcotest.test_case "metrics under contention" `Quick test_metrics_parallel_incr ] );
-      ( "e2e",
-        [ Alcotest.test_case "PTAS identical at jobs 1 vs 4" `Slow
-            test_ptas_identical_across_jobs;
-          Alcotest.test_case "multisets identical at jobs 1 vs 4" `Quick
-            test_multisets_identical_across_jobs ] ) ]
+        [ Alcotest.test_case "metrics under contention" `Quick test_metrics_parallel_incr ] ) ]

@@ -167,8 +167,8 @@ let test_gc_attribution () =
                  | None -> false)
                js))
     [ "lp"; "ilp"; "nfold" ];
-  (* the exact rung's branch & bound fans out to worker domains, whose
-     allocations only reach [Gc.quick_stat] after their next minor GC — so
+  (* a solve in a --jobs batch allocates on a worker domain, whose
+     allocations only reach [Gc.quick_stat] after its next minor GC — so
      for exact/ptas/rung phases we require presence, not a GC delta *)
   List.iter
     (fun want ->
