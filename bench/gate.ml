@@ -80,6 +80,20 @@ let exact_instance =
     { Ccs.Generator.n = 18; classes = 4; machines = 4; slots = 2; p_lo = 1;
       p_hi = 100; family = Ccs.Generator.Bnb_stress }
 
+(* The instance of test/cli/ptas.t (ccs_gen -n 20 -C 4 -m 3 -c 3 --seed 3).
+   Its preemptive PTAS at delta = 1/2 stands for ptas-small's costliest
+   variant: LP-bound, a search whose size the prune before each node's LP
+   decides, and long enough (60-90 ms on a 2-core x86-64 host) to time in
+   one solve. *)
+let ptas_instance =
+  Ccs.Instance.of_flat
+    (Ccs.Generator.generate_flat ~seed:3
+       { Ccs.Generator.n = 20; classes = 4; machines = 3; slots = 3; p_lo = 1;
+         p_hi = 100; family = Ccs.Generator.Uniform })
+
+let ptas_preemptive () =
+  ignore (Ccs.Ptas.Preemptive_ptas.solve (Ccs.Ptas.Common.param 2) ptas_instance)
+
 (* The E5 shape, sized so every phase takes a few milliseconds at least —
    sub-millisecond phases would drown a 25% gate in scheduler noise — while
    the whole gate still runs in seconds. The approximation algorithms repeat
@@ -97,6 +111,7 @@ let phases =
        so these repeat enough to stay a few ms above scheduler noise *)
     ("ptas_splittable",
      times 20 (fun () -> ignore (Ccs.Ptas.Splittable_ptas.solve param small)));
+    ("ptas_preemptive", ptas_preemptive);
     ("ptas_nonpreemptive",
      times 50 (fun () -> ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param small)));
     ("exact_bnb",
@@ -166,6 +181,7 @@ let measure_counters () =
   Ccs_obs.Metrics.reset ();
   Ccs_resil.Deadline.reset_stats ();
   ignore (Ccs.Ptas.Splittable_ptas.solve param small);
+  ptas_preemptive ();
   ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param small);
   ignore (Ccs_exact.Bnb.solve_result exact_instance);
   if xl_enabled then begin

@@ -24,7 +24,13 @@ type result =
     previous same-shape solve; inside the tree each node warm-starts its
     children from its own optimal basis. [basis_out], when given, receives
     the root relaxation's optimal basis — callers reuse it to warm later
-    solves of the same configuration-LP shape. *)
+    solves of the same configuration-LP shape.
+
+    Before a node solves its LP, integer bound propagation over the rows
+    whose coefficients and rhs are native ints may show that the node's
+    box holds no integer point; the node then counts toward [max_nodes]
+    but skips its LP and subtree. The LP never sees the propagated bounds,
+    so the result is the one the search gives without them. *)
 val solve :
   ?max_nodes:int ->
   ?feasibility:bool ->

@@ -77,7 +77,8 @@ let watched =
   lazy
     (List.map
        (fun name -> (name, Metrics.counter name))
-       [ "lp.pivots"; "lp.phase1_iterations"; "ilp.nodes"; "bnb.nodes";
+       [ "lp.pivots"; "lp.phase1_iterations"; "ilp.nodes";
+         "ilp.prunes_propagation"; "bnb.nodes";
          "nfold.augmentation_steps"; "nfold.kernel_candidates";
          "ptas.guesses"; "ptas.ilp_calls"; "border_search.probes";
          "resil.cancel_checks" ])

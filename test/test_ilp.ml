@@ -132,6 +132,100 @@ let prop_assignment_problem =
       | Ilp.Optimal { objective; _ } -> Q.equal objective (qi brute)
       | _ -> false)
 
+(* Propagation must never prune a box that holds an integer point. Random
+   mixed problems (2-4 variables, Le/Ge/Eq rows with signed and repeated
+   coefficients, some continuous variables, some bounds missing) are
+   checked against enumeration: each integer assignment in a box that
+   holds every feasible one is fixed, and the continuous rest solved with
+   [Lp.solve]. A wrong prune shows up as a false [Infeasible] or a worse
+   optimum. A variable missing a bound gets it back as a row, so the box
+   stays finite while the ILP still sees an infinite bound. *)
+let box = 3
+
+let random_mixed rng =
+  let module R = Ccs_util.Prng in
+  let n = R.int_in rng 2 4 in
+  let integer = Array.init n (fun _ -> R.int rng 4 > 0) in
+  let half lo hi = Q.of_ints (R.int_in rng (2 * lo) (2 * hi)) 2 in
+  let lower = Array.init n (fun _ -> if R.int rng 5 = 0 then None else Some (half (-3) 1)) in
+  let upper = Array.init n (fun _ -> if R.int rng 5 = 0 then None else Some (half (-1) 3)) in
+  let box_rows =
+    List.concat
+      (List.init n (fun j ->
+           (if lower.(j) = None then [ Lp.constr [ (j, Q.one) ] Lp.Ge (qi (-box)) ] else [])
+           @ if upper.(j) = None then [ Lp.constr [ (j, Q.one) ] Lp.Le (qi box) ] else []))
+  in
+  let coef () = if R.int rng 6 = 0 then half (-2) 2 else qi (R.int_in rng (-4) 4) in
+  let rows =
+    List.init (R.int_in rng 1 3) (fun _ ->
+        Lp.constr
+          (List.init (R.int_in rng 1 4) (fun _ -> (R.int rng n, coef ())))
+          [| Lp.Le; Lp.Ge; Lp.Eq |].(R.int rng 3)
+          (qi (R.int_in rng (-4) 6)))
+  in
+  let objective = Array.init n (fun _ -> qi (R.int_in rng (-3) 3)) in
+  { Ilp.lp = Lp.problem ~lower ~upper ~nvars:n ~objective (rows @ box_rows); integer }
+
+let brute_mixed (p : Ilp.problem) =
+  let bound round none = function
+    | Some q -> Bigint.to_int_exn (round q)
+    | None -> none
+  in
+  let best = ref None in
+  let rec go lower upper j =
+    if j = p.lp.Lp.nvars then
+      match Lp.solve { p.lp with Lp.lower; upper } with
+      | Lp.Optimal { objective; _ } -> (
+          match !best with
+          | Some b when Q.(b <= objective) -> ()
+          | _ -> best := Some objective)
+      | Lp.Infeasible _ -> ()
+      | Lp.Unbounded _ -> Alcotest.fail "enumeration: unbounded LP"
+    else if not p.integer.(j) then go lower upper (j + 1)
+    else
+      for v = bound Q.ceil (-box) p.lp.Lp.lower.(j) to bound Q.floor box p.lp.Lp.upper.(j) do
+        let lower = Array.copy lower and upper = Array.copy upper in
+        lower.(j) <- Some (qi v);
+        upper.(j) <- Some (qi v);
+        go lower upper (j + 1)
+      done
+  in
+  go p.lp.Lp.lower p.lp.Lp.upper 0;
+  !best
+
+let prop_mixed_vs_enumeration =
+  QCheck.Test.make ~name:"mixed ILP matches enumeration (feasibility and optimum)"
+    ~count:1000 (QCheck.int_range 0 100_000) (fun seed ->
+      let p = random_mixed (Ccs_util.Prng.create seed) in
+      let valid x =
+        Lp.feasible p.lp x
+        && Array.for_all2 (fun int v -> (not int) || Q.is_integer v) p.integer x
+      in
+      match (brute_mixed p, Ilp.solve ~feasibility:true p, Ilp.solve p) with
+      | None, Ilp.Infeasible, Ilp.Infeasible -> true
+      | Some best, Ilp.Optimal { solution = x; _ }, Ilp.Optimal { objective; solution } ->
+          valid x && valid solution && Q.equal objective best
+      | _ -> false)
+
+let test_overflow_row_skipped () =
+  (* 2^61 (x0 - x1) = -2^61 with x0, x1 in [0, 4]: x1 = x0 + 1. The least
+     activity -2^61 * 4 = -2^63 wraps to 0 in native ints, above the rhs,
+     so an unchecked propagation would refute the root. *)
+  let big = 1 lsl 61 in
+  let p =
+    Lp.problem ~upper:(Array.make 2 (Some (qi 4))) ~nvars:2 ~objective:[| Q.one; Q.one |]
+      [ Lp.constr [ (0, qi big); (1, qi (-big)) ] Lp.Eq (qi (-big)) ]
+  in
+  (match Ilp.solve ~feasibility:true (Ilp.all_integer p) with
+  | Ilp.Optimal { solution; _ } ->
+      Alcotest.(check bool) "feasible point" true (Lp.feasible p solution)
+  | _ -> Alcotest.fail "expected a feasible point");
+  match Ilp.solve (Ilp.all_integer p) with
+  | Ilp.Optimal { objective; solution } ->
+      Alcotest.check q "objective" Q.one objective;
+      Alcotest.(check bool) "feasible point" true (Lp.feasible p solution)
+  | _ -> Alcotest.fail "expected optimal"
+
 let () =
   Alcotest.run "ilp"
     [ ( "unit",
@@ -139,6 +233,8 @@ let () =
           Alcotest.test_case "integrality gap infeasible" `Quick test_infeasible_parity;
           Alcotest.test_case "feasibility mode" `Quick test_feasibility_mode;
           Alcotest.test_case "mixed integer/continuous" `Quick test_mixed;
-          Alcotest.test_case "node limit" `Quick test_node_limit ] );
+          Alcotest.test_case "node limit" `Quick test_node_limit;
+          Alcotest.test_case "overflowing row skipped" `Quick test_overflow_row_skipped ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_knapsack_vs_brute; prop_assignment_problem ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_knapsack_vs_brute; prop_assignment_problem; prop_mixed_vs_enumeration ] ) ]
