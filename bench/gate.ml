@@ -37,11 +37,12 @@ let instance ~seed ~n ~classes ~machines ~slots =
 (* ---------------- XL tier (opt-in) ----------------
 
    Million-job workloads through the flat paths: streaming parse and the
-   splittable / non-preemptive 2-approximations. Gated behind CCS_BENCH_XL
-   because materializing the instance costs ~16 MB off-heap and the phases
-   take seconds, which would slow every ordinary gate run; the bench-xl CI
-   job sets the variable, everyone else sees the baseline's xl_* entries as
-   benign dropped phases. The Uniform family is mandatory here — Zipf's
+   three 2-approximations (the preemptive one, the slowest, runs its piece
+   arithmetic on [Rat]). Gated behind CCS_BENCH_XL because materializing
+   the instance costs ~16 MB off-heap and the phases take seconds, which
+   would slow every ordinary gate run; the bench-xl CI job sets the
+   variable, everyone else sees the baseline's xl_* entries as benign
+   dropped phases. The Uniform family is mandatory here — Zipf's
    weighted draw is O(classes) per job, which at C = 150k would time the
    generator, not the solver. *)
 
@@ -65,6 +66,8 @@ let xl_phases () =
          | Error e -> failwith e);
       ("xl_solve_splittable",
        fun () -> ignore (Ccs.Approx.Splittable.solve_flat (Lazy.force xl_instance)));
+      ("xl_solve_preemptive",
+       fun () -> ignore (Ccs.Approx.Preemptive.solve_flat (Lazy.force xl_instance)));
       ("xl_solve_nonpreemptive",
        fun () -> ignore (Ccs.Approx.Nonpreemptive.solve_flat (Lazy.force xl_instance)))
     ]
@@ -128,20 +131,38 @@ let time_phase f =
   done;
   !best
 
-(* A workload touching the same machinery the solvers lean on (rational
-   arithmetic, hence allocation and bigint work) but independent of any
-   code under test, used to cancel out raw machine speed. *)
+(* A private int-pair rational for [calibrate]: the same kind of work as
+   the solvers' exact arithmetic (gcds, divisions, one small allocation per
+   result) but none of the code under test. Calibrating on [Rat] itself
+   would let a slower [Rat] raise every scaled baseline with it and so
+   partly hide its own regression. *)
+module Cal_q = struct
+  type t = { n : int; d : int }
+
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+  (* the loop's operands are positive and far below any overflow *)
+  let make n d =
+    let g = gcd n d in
+    { n = n / g; d = d / g }
+
+  let add a b = make ((a.n * b.d) + (b.n * a.d)) (a.d * b.d)
+  let mul a b = make (a.n * b.n) (a.d * b.d)
+  let div a b = make (a.n * b.d) (a.d * b.n)
+end
+
+(* A fixed pure-OCaml workload, used to cancel out raw machine speed. *)
 let calibrate () =
   time_phase (fun () ->
       (* overwritten every iteration so numerators stay small — a running
          sum would grow its denominator without bound *)
-      let acc = ref Rat.zero in
+      let acc = ref (Cal_q.make 0 1) in
       for i = 1 to 200_000 do
-        let x = Rat.of_ints (1 + (i mod 97)) (1 + (i mod 89)) in
-        let y = Rat.of_ints (1 + (i mod 83)) (1 + (i mod 79)) in
-        acc := Rat.add (Rat.mul x y) (Rat.div x y)
+        let x = Cal_q.make (1 + (i mod 97)) (1 + (i mod 89)) in
+        let y = Cal_q.make (1 + (i mod 83)) (1 + (i mod 79)) in
+        acc := Cal_q.add (Cal_q.mul x y) (Cal_q.div x y)
       done;
-      ignore !acc)
+      ignore (Sys.opaque_identity !acc))
 
 let measure () = List.map (fun (name, f) -> (name, time_phase f)) phases
 
@@ -190,6 +211,7 @@ let measure_counters () =
     | Ok f -> ignore (Ccs.Instance.Flat.n f)
     | Error e -> failwith e);
     ignore (Ccs.Approx.Splittable.solve_flat fl);
+    ignore (Ccs.Approx.Preemptive.solve_flat fl);
     ignore (Ccs.Approx.Nonpreemptive.solve_flat fl);
     Ccs_obs.Metrics.add m_xl_flat_bytes (Ccs.Instance.Flat.mem_bytes fl)
   end;

@@ -157,6 +157,7 @@ type core = {
   mutable bland_switched : bool;
   mutable pricing_switches : int;
   mutable refactorizations : int;
+  mutable refactor_in : int;  (* pivots left before the next refactorization *)
   bland_after : int;
 }
 
@@ -167,27 +168,42 @@ let ftran core v =
     match core.etas.(k) with
     | None -> assert false
     | Some e ->
-        if not (Q.is_zero v.(e.er)) then begin
-          let pr = Q.div v.(e.er) e.epiv in
-          Array.iter (fun (i, u) -> v.(i) <- Q.sub v.(i) (Q.mul u pr)) e.ecol;
+        let x = v.(e.er) in
+        if not (Q.is_zero x) then begin
+          let pr = Q.div x e.epiv in
+          let ecol = e.ecol in
+          for t = 0 to Array.length ecol - 1 do
+            let i, u = ecol.(t) in
+            v.(i) <- Q.sub v.(i) (Q.mul u pr)
+          done;
           v.(e.er) <- pr
         end
   done
 
+(* The zero tests below skip only x * 0, s - 0 and 0 / p: work whose
+   result is known, which [Rat] never counted as small-path hits. *)
 let btran core y =
   for k = core.neta - 1 downto 0 do
     match core.etas.(k) with
     | None -> assert false
     | Some e ->
-        let s = ref y.(e.er) in
-        Array.iter (fun (i, u) -> s := Q.sub !s (Q.mul u y.(i))) e.ecol;
-        y.(e.er) <- Q.div !s e.epiv
+        let y_er = y.(e.er) in
+        let s = ref y_er in
+        let ecol = e.ecol in
+        for t = 0 to Array.length ecol - 1 do
+          let i, u = ecol.(t) in
+          let yi = y.(i) in
+          if not (Q.is_zero yi) then s := Q.sub !s (Q.mul u yi)
+        done;
+        if not (Q.is_zero !s) then y.(e.er) <- Q.div !s e.epiv
+        else if not (Q.is_zero y_er) then y.(e.er) <- Q.zero
   done
 
 let col_dot core y j =
   let acc = ref Q.zero in
   for k = core.col_start.(j) to core.col_start.(j + 1) - 1 do
-    acc := Q.add !acc (Q.mul core.value.(k) y.(core.row_of.(k)))
+    let yi = y.(core.row_of.(k)) in
+    if not (Q.is_zero yi) then acc := Q.add !acc (Q.mul core.value.(k) yi)
   done;
   !acc
 
@@ -240,13 +256,28 @@ let refactor core =
       for i = core.m - 1 downto 0 do
         if i <> r && not (Q.is_zero v.(i)) then others := (i, v.(i)) :: !others
       done;
-      core.etas.(core.neta) <- Some { er = r; epiv = v.(r); ecol = Array.of_list !others };
-      core.neta <- core.neta + 1)
+      (* a column that ftrans to its own unit vector with pivot 1 gives an
+         eta that is an exact no-op in ftran and btran: store none *)
+      match !others with
+      | [] when Q.equal v.(r) Q.one -> ()
+      | others ->
+          core.etas.(core.neta) <-
+            Some { er = r; epiv = v.(r); ecol = Array.of_list others };
+          core.neta <- core.neta + 1)
     (Array.copy core.basis);
   Array.blit new_basis 0 core.basis 0 core.m;
   Array.iteri (fun r j -> core.status.(j) <- Basic r) core.basis;
   core.refactorizations <- core.refactorizations + 1;
+  core.refactor_in <- refactor_every;
   recompute_xb core
+
+(* Count a basis change and refactor once its pivot budget is spent. The
+   budget counts pivots, not etas: a factorization stores no identity etas,
+   so its eta count says nothing about how many pivots followed it. *)
+let count_pivot core =
+  core.pivots <- core.pivots + 1;
+  core.refactor_in <- core.refactor_in - 1;
+  if core.refactor_in = 0 then refactor core
 
 (* Reduced costs d_j = c_j - y a_j with y = c_B B^{-1}, for enterable
    columns; Devex weights reset to the unit reference framework. *)
@@ -421,9 +452,7 @@ let do_pivot core q sigma v r theta =
   core.basis.(r) <- q;
   core.status.(q) <- Basic r;
   core.xb.(r) <- x_enter;
-  core.pivots <- core.pivots + 1;
-  (* a rebuild itself emits m etas, so the trigger sits above that floor *)
-  if core.neta >= core.m + refactor_every then refactor core
+  count_pivot core
 
 (* Weights past this magnitude stop discriminating; restart the framework. *)
 let devex_overflow = 1e12
@@ -685,6 +714,7 @@ let node_core ~bland_after md ~lower ~upper =
       bland_switched = false;
       pricing_switches = 0;
       refactorizations = 0;
+      refactor_in = 0;
       bland_after;
     }
   in
@@ -734,6 +764,9 @@ let init_cold core =
     core.xb.(i) <- core.b.(i)
   done;
   core.neta <- 0;
+  (* the identity start has no etas; the first refactorization comes after
+     m + refactor_every pivots, as it would if the start had stored m *)
+  core.refactor_in <- core.m + refactor_every;
   (* phase-1 costs: unit on artificials *)
   Array.fill core.cost 0 core.n_total Q.zero;
   for i = 0 to core.m - 1 do
@@ -948,8 +981,7 @@ let dual_repair core =
           core.basis.(r) <- q;
           core.status.(q) <- Basic r;
           core.xb.(r) <- Q.add bound_q delta;
-          core.pivots <- core.pivots + 1;
-          if core.neta >= core.m + refactor_every then refactor core;
+          count_pivot core;
           loop (iters + 1)
         end
       end

@@ -45,22 +45,41 @@ let stats () =
 (* ---- checked native-int helpers ---- *)
 
 (* All int components are normalized away from [min_int], so [abs], [neg]
-   and the division-based overflow probe below are safe. *)
+   and the division-based overflow probe below are safe. A checked helper
+   signals overflow by raising [Overflow]; the operation catches it, counts
+   a promotion and redoes itself on Bigint. An exception rather than an
+   [option] keeps a small-path operation down to one allocation: its
+   result. *)
+exception Overflow
 
 let[@inline] add_ovf a b =
   let s = a + b in
   (* overflow iff operands share a sign and the sum flipped it; a sum of
      exactly [min_int] is representable but banned from the small arm *)
-  if (a >= 0 = (b >= 0) && s >= 0 <> (a >= 0)) || s = min_int then None else Some s
+  if (a >= 0 = (b >= 0) && s >= 0 <> (a >= 0)) || s = min_int then
+    raise_notrace Overflow
+  else s
 
 let[@inline] mul_ovf a b =
-  if a = 0 || b = 0 then Some 0
+  if a = 0 || b = 0 then 0
   else
     let p = a * b in
-    if p / b = a && p <> min_int then Some p else None
+    if p / b = a && p <> min_int then p else raise_notrace Overflow
 
-let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
-let gcd_int a b = gcd_int (Stdlib.abs a) (Stdlib.abs b)
+(* True when each argument lies in [-2^30, 2^30): [x + 2^30] is then in
+   [0, 2^31), and or-ing the shifted values tests all of them at once. Two
+   such components multiply to at most 2^60 in magnitude and a sum of two
+   such products stays within 2^61 < max_int, so the product or sum needs
+   no overflow probe. *)
+let[@inline] below_2_30 a b c d =
+  let h = 1 lsl 30 in
+  ((a + h) lor (b + h) lor (c + h) lor (d + h)) lsr 31 = 0
+
+let rec gcd_pos a b = if b = 0 then a else gcd_pos b (a mod b)
+let gcd_int a b = if a = 1 || b = 1 then 1 else gcd_pos (Stdlib.abs a) (Stdlib.abs b)
+
+(* [a / g] for a divisor [g] of [a], without the division when [g] = 1 *)
+let[@inline] div_by a g = if g = 1 then a else a / g
 
 (* ---- constructors ---- *)
 
@@ -133,13 +152,17 @@ let compare a b =
         hit ();
         Stdlib.compare an bn
       end
+      else if below_2_30 an bn ad bd then begin
+        hit ();
+        Stdlib.compare (an * bd) (bn * ad)
+      end
       else
         (* cross-multiplication; denominators positive *)
-        match (mul_ovf an bd, mul_ovf bn ad) with
-        | Some x, Some y ->
+        match Stdlib.compare (mul_ovf an bd) (mul_ovf bn ad) with
+        | c ->
             hit ();
-            Stdlib.compare x y
-        | _ ->
+            c
+        | exception Overflow ->
             promoted ();
             compare_big a b)
   | _ -> compare_big a b
@@ -164,55 +187,96 @@ let add_big a b =
   if B.equal ad bd then make (B.add an bn) ad
   else make (B.add (B.mul an bd) (B.mul bn ad)) (B.mul ad bd)
 
-(* a/b + c/d with g = gcd(b, d): num = a*(d/g) + c*(b/g) over lcm = b*(d/g);
-   gcd(num, lcm) divides g, so one extra reduction by gcd(num, g) suffices. *)
+(* an/ad + bn/bd on native ints, canonical; raises [Overflow] exactly
+   when one of the general formula's products or its sum does not fit. *)
+let small_sum an ad bn bd =
+  if ad = bd then begin
+    (* one shared denominator: the sum of the numerators, reduced by its
+       gcd with the denominator (none for integers) *)
+    let n = add_ovf an bn in
+    if n = 0 then zero
+    else if ad = 1 then S (n, 1)
+    else
+      let g = gcd_int n ad in
+      S (div_by n g, div_by ad g)
+  end
+  else begin
+    (* a/b + c/d with g = gcd(b, d): num = a*(d/g) + c*(b/g) over lcm = b*(d/g);
+       gcd(num, lcm) divides g, so one extra reduction by gcd(num, g) suffices. *)
+    let g = gcd_int ad bd in
+    let ad' = div_by ad g and bd' = div_by bd g in
+    let fits = below_2_30 an bn ad bd in
+    let n =
+      if fits then (an * bd') + (bn * ad') else add_ovf (mul_ovf an bd') (mul_ovf bn ad')
+    in
+    let den = if fits then ad * bd' else mul_ovf ad bd' in
+    if n = 0 then zero
+    else
+      let g2 = gcd_int n g in
+      S (div_by n g2, div_by den g2)
+  end
+
 let add a b =
   match (a, b) with
   | S (0, _), x | x, S (0, _) -> x
   | S (an, ad), S (bn, bd) -> (
-      let g = gcd_int ad bd in
-      let ad' = ad / g and bd' = bd / g in
-      match (mul_ovf an bd', mul_ovf bn ad', mul_ovf ad bd') with
-      | Some x, Some y, Some den -> (
-          match add_ovf x y with
-          | Some n ->
-              hit ();
-              if n = 0 then zero
-              else
-                let g2 = gcd_int n g in
-                if g2 = 1 then S (n, den) else S (n / g2, den / g2)
-          | None ->
-              promoted ();
-              add_big a b)
-      | _ ->
+      match small_sum an ad bn bd with
+      | q ->
+          hit ();
+          q
+      | exception Overflow ->
           promoted ();
           add_big a b)
   | _ -> add_big a b
 
-let sub a b = add a (neg b)
+(* a - b is a + (-b) with the negation on the int component: -bn cannot
+   overflow, and no [-b] value is allocated *)
+let sub a b =
+  match (a, b) with
+  | S (0, _), _ -> neg b
+  | _, S (0, _) -> a
+  | S (an, ad), S (bn, bd) -> (
+      match small_sum an ad (-bn) bd with
+      | q ->
+          hit ();
+          q
+      | exception Overflow ->
+          promoted ();
+          add_big a (neg b))
+  | _ -> add_big a (neg b)
 
 let mul_big a b =
   let an, ad = big_parts a and bn, bd = big_parts b in
   make (B.mul an bn) (B.mul ad bd)
 
 (* (a/b)*(c/d) with cross-reduction g1 = gcd(a,d), g2 = gcd(c,b): the
-   result (a/g1)(c/g2) / ((b/g2)(d/g1)) is already in lowest terms. *)
+   result (a/g1)(c/g2) / ((b/g2)(d/g1)) is already in lowest terms. Two
+   integers below 2^30 are one multiply: no gcd, no probe. Raises
+   [Overflow] exactly when one of the two reduced products does not fit. *)
+let small_prod an ad bn bd =
+  if ad = 1 && bd = 1 && below_2_30 an bn 0 0 then S (an * bn, 1)
+  else
+    let g1 = gcd_int an bd and g2 = gcd_int bn ad in
+    let an = div_by an g1 and bd = div_by bd g1 in
+    let bn = div_by bn g2 and ad = div_by ad g2 in
+    if below_2_30 an bn ad bd then S (an * bn, ad * bd)
+    else S (mul_ovf an bn, mul_ovf ad bd)
+
 let mul a b =
   match (a, b) with
   | S (0, _), _ | _, S (0, _) -> zero
   | S (1, 1), x | x, S (1, 1) -> x
   | S (an, ad), S (bn, bd) -> (
-      let g1 = gcd_int an bd and g2 = gcd_int bn ad in
-      match (mul_ovf (an / g1) (bn / g2), mul_ovf (ad / g2) (bd / g1)) with
-      | Some n, Some d ->
+      match small_prod an ad bn bd with
+      | q ->
           hit ();
-          S (n, d)
-      | _ ->
+          q
+      | exception Overflow ->
           promoted ();
           mul_big a b)
   | _ -> mul_big a b
 
-let div a b = mul a (inv b)
+let div a b = match b with S (1, 1) -> a | _ -> mul a (inv b)
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b

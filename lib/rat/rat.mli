@@ -13,7 +13,17 @@
     ints demotes on construction — so the representation of a value is a
     function of the value alone and structural equality stays numeric.
     {!stats} reports how often the fast path was taken and how often an
-    operation had to promote. *)
+    operation had to promote.
+
+    A native-int operation allocates only its result. Overflow inside it
+    is signalled by a local exception, and operands within 2^30 in
+    magnitude skip the overflow probe altogether (no product of two, nor
+    sum of two such products, can overflow). Shared denominators take one
+    checked add, integer operands run no gcd and no division, and [div]
+    by one returns its argument. These shortcuts
+    change the cost of an operation, never its count: {!stats} still sees
+    one small-path hit per operation completed on native ints, none for
+    the zero and one short-circuits. *)
 
 type t
 

@@ -85,28 +85,63 @@ let props =
 (* ---------- promotion-boundary properties ---------- *)
 
 (* Integers clustered at the overflow frontiers of the unpacked small-int
-   representation: max_int/2 (the add/sub guards), 2^31 (where native
+   representation: max_int/2 (the add/sub guards), 2^30 (where operands
+   stop being small enough to skip the overflow probe), 2^31 (where native
    products start overflowing on 64-bit), and max_int itself (~2^62). The
    fast path must agree bit-for-bit with arithmetic done wholly in Bigint,
    and every result must be in canonical form: small iff it fits. *)
-let boundary_pair =
+let frontier =
   let open QCheck.Gen in
   let near base = map (fun d -> base + d) (int_range (-2) 2) in
-  let frontier =
-    oneof
-      [ near (max_int / 2); near (-(max_int / 2));
-        near (1 lsl 31); near (-(1 lsl 31));
-        near (max_int - 2); near (2 - max_int);
-        map (fun x -> if x = 0 then 1 else x) (int_range (-5) 5) ]
-  in
+  oneof
+    [ near (max_int / 2); near (-(max_int / 2));
+      near (1 lsl 30); near (-(1 lsl 30));
+      near (1 lsl 31); near (-(1 lsl 31));
+      near (max_int - 2); near (2 - max_int);
+      map (fun x -> if x = 0 then 1 else x) (int_range (-5) 5) ]
+
+let boundary_pair =
   QCheck.make
     ~print:(fun (a, b) -> Printf.sprintf "%d/%d" a b)
-    (pair frontier (map (fun b -> if b = 0 then 1 else b) frontier))
+    QCheck.Gen.(pair frontier (map (fun b -> if b = 0 then 1 else b) frontier))
 
 (* The small form excludes [min_int] components so that [neg]/[abs] can
    never overflow; "fits" means the open-ended range [-max_int, max_int]. *)
 let fits b = match B.to_int_opt b with Some i -> i <> min_int | None -> false
 let canonical z = Q.is_small z = (fits (Q.num z) && fits (Q.den z))
+
+let print_pair (x, y) = Q.to_string x ^ ", " ^ Q.to_string y
+
+(* Pairs over one shared denominator, 1 included, with both numerators and
+   the denominator at the frontiers. Independent draws almost never share a
+   denominator, and that is where add and sub take their own paths (one
+   checked add, one gcd with the shared denominator, none for integers).
+   Each numerator is stepped toward zero until it is coprime to the
+   denominator, so the value keeps the drawn denominator. *)
+let arb_shared =
+  let rec gcd a b = if b = 0 then Stdlib.abs a else gcd b (a mod b) in
+  let rec coprime n d =
+    if gcd n d = 1 then n else coprime (if n > 0 then n - 1 else n + 1) d
+  in
+  let den = QCheck.Gen.(oneof [ return 1; map Stdlib.abs frontier ]) in
+  QCheck.make ~print:print_pair
+    QCheck.Gen.(
+      map3
+        (fun d a b -> (Q.of_ints (coprime a d) d, Q.of_ints (coprime b d) d))
+        den frontier frontier)
+
+(* Components anywhere from 2^30 to 2^31, either sign on the numerators.
+   Below this band no product, nor any sum of two products, can overflow;
+   within it a sum of two products crosses max_int, so this is where the
+   test that lets an operation skip its overflow probe must hold. *)
+let arb_band =
+  let mag = QCheck.Gen.int_range ((1 lsl 30) - 2) ((1 lsl 31) + 2) in
+  let num = QCheck.Gen.(map2 (fun neg x -> if neg then -x else x) bool mag) in
+  QCheck.make ~print:print_pair
+    QCheck.Gen.(
+      map2
+        (fun (a, b) (c, d) -> (Q.of_ints a b, Q.of_ints c d))
+        (pair num mag) (pair num mag))
 
 let boundary_props =
   let via_bigint op x y =
@@ -125,28 +160,59 @@ let boundary_props =
     QCheck.pair boundary_pair boundary_pair
     |> QCheck.map (fun ((a, b), (c, d)) -> (Q.of_ints a b, Q.of_ints c d))
   in
-  [ QCheck.Test.make ~name:"boundary add = bigint add" ~count:400 arb2
-      (check_op `Add Q.add);
-    QCheck.Test.make ~name:"boundary sub = bigint sub" ~count:400 arb2
-      (check_op `Sub Q.sub);
-    QCheck.Test.make ~name:"boundary mul = bigint mul" ~count:400 arb2
-      (check_op `Mul Q.mul);
-    QCheck.Test.make ~name:"boundary div = bigint div" ~count:400 arb2 (fun (x, y) ->
-        Q.is_zero y || check_op `Div Q.div (x, y));
-    QCheck.Test.make ~name:"boundary add_to_buffer = to_string" ~count:400 arb2
-      (fun (x, y) ->
-        List.for_all
-          (fun z ->
-            let buf = Buffer.create 16 in
-            Q.add_to_buffer buf z;
-            Buffer.contents buf = Q.to_string z)
-          [ x; Q.neg y; Q.mul x y ]);
-    QCheck.Test.make ~name:"boundary compare = bigint compare" ~count:400 arb2
-      (fun (x, y) ->
-        let ref_cmp =
-          B.compare (B.mul (Q.num x) (Q.den y)) (B.mul (Q.num y) (Q.den x))
-        in
-        compare (Q.compare x y) 0 = compare ref_cmp 0) ]
+  let ops name arb =
+    [ QCheck.Test.make ~name:(name ^ " add = bigint add") ~count:400 arb
+        (check_op `Add Q.add);
+      QCheck.Test.make ~name:(name ^ " sub = bigint sub") ~count:400 arb
+        (check_op `Sub Q.sub);
+      QCheck.Test.make ~name:(name ^ " mul = bigint mul") ~count:400 arb
+        (check_op `Mul Q.mul);
+      QCheck.Test.make ~name:(name ^ " div = bigint div") ~count:400 arb (fun (x, y) ->
+          Q.is_zero y || check_op `Div Q.div (x, y)) ]
+  in
+  ops "boundary" arb2
+  @ [ QCheck.Test.make ~name:"boundary add_to_buffer = to_string" ~count:400 arb2
+        (fun (x, y) ->
+          List.for_all
+            (fun z ->
+              let buf = Buffer.create 16 in
+              Q.add_to_buffer buf z;
+              Buffer.contents buf = Q.to_string z)
+            [ x; Q.neg y; Q.mul x y ]);
+      QCheck.Test.make ~name:"boundary compare = bigint compare" ~count:400 arb2
+        (fun (x, y) ->
+          let ref_cmp =
+            B.compare (B.mul (Q.num x) (Q.den y)) (B.mul (Q.num y) (Q.den x))
+          in
+          compare (Q.compare x y) 0 = compare ref_cmp 0);
+      QCheck.Test.make ~name:"boundary sub = add neg" ~count:400 arb2 (fun (x, y) ->
+          Q.equal (Q.sub x y) (Q.add x (Q.neg y))) ]
+  @ ops "shared-denominator" arb_shared
+  @ ops "2^30..2^31 band" arb_band
+
+(* The counters count operations, not code paths: one small-path hit per
+   operation completed on native ints, none for the zero and one
+   short-circuits, and a promotion (with no hit) for an operation that
+   overflows. *)
+let test_counter_semantics () =
+  let counts f =
+    let s0 = Q.stats () in
+    ignore (Sys.opaque_identity (f ()));
+    let s1 = Q.stats () in
+    (s1.Q.small_hits - s0.Q.small_hits, s1.Q.promotions - s0.Q.promotions)
+  in
+  let check name expected f = Alcotest.(check (pair int int)) name expected (counts f) in
+  let half = Q.of_ints 1 2 and x = Q.of_ints 7 3 in
+  check "1/2 + 1/2: one hit" (1, 0) (fun () -> Q.add half half);
+  check "3 * 5: one hit" (1, 0) (fun () -> Q.mul (Q.of_int 3) (Q.of_int 5));
+  check "0 + x: none" (0, 0) (fun () -> Q.add Q.zero x);
+  check "x - 0: none" (0, 0) (fun () -> Q.sub x Q.zero);
+  check "x * 1: none" (0, 0) (fun () -> Q.mul x Q.one);
+  check "max_int + 1: one promotion, no hit" (0, 1) (fun () ->
+      Q.add (Q.of_int max_int) Q.one);
+  check_q "1/2 + 1/2 = 1" Q.one (Q.add half half);
+  Alcotest.(check bool) "max_int + 1 left the small form" false
+    (Q.is_small (Q.add (Q.of_int max_int) Q.one))
 
 let test_ub_integral_magnitudes () =
   (* The magnitudes Bounds.ub_integral works with — up to n = 10^5 jobs of
@@ -175,6 +241,7 @@ let () =
           Alcotest.test_case "floor/ceil" `Quick test_floor_ceil;
           Alcotest.test_case "strings" `Quick test_strings;
           Alcotest.test_case "compare" `Quick test_compare;
+          Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
           Alcotest.test_case "ub_integral magnitudes stay small" `Quick
             test_ub_integral_magnitudes ] );
       ("properties", List.map QCheck_alcotest.to_alcotest (props @ boundary_props)) ]
