@@ -112,16 +112,20 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
     let asg = Array.make n (-1) in
     let has_class k u = masks.((k * words) + (u / 63)) land (1 lsl (u mod 63)) <> 0 in
     let masks_equal k k' =
-      let rec eq w = w >= words || (masks.((k * words) + w) = masks.((k' * words) + w) && eq (w + 1)) in
-      eq 0
+      let w = ref 0 in
+      while !w < words && masks.((k * words) + !w) = masks.((k' * words) + !w) do
+        incr w
+      done;
+      !w = words
     in
     (* Full identical-machine symmetry: machines with equal load and class
        set are interchangeable — branch only on the first of each group. *)
     let duplicate k =
-      let rec scan k' =
-        k' < k && ((loads.(k') = loads.(k) && masks_equal k' k) || scan (k' + 1))
-      in
-      scan 0
+      let k' = ref 0 in
+      while !k' < k && not (loads.(!k') = loads.(k) && masks_equal !k' k) do
+        incr k'
+      done;
+      !k' < k
     in
     let is_missing u = remaining.(u) > 0 && present.(u) = 0 in
     (* occupancy.(k*nc + u): jobs of class u currently on machine k, so
@@ -165,15 +169,16 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
     let seq = Array.init n (fun i -> i) in
     let forced_len = ref 0 in
     let act = Array.make n 0.0 in
-    let var_inc = ref 1.0 in
+    (* a one-cell float array, not a [float ref]: the bump stays unboxed *)
+    let var_inc = Array.make 1 1.0 in
     let bump j =
-      act.(j) <- act.(j) +. !var_inc;
-      var_inc := !var_inc *. 1.02;
+      act.(j) <- act.(j) +. var_inc.(0);
+      var_inc.(0) <- var_inc.(0) *. 1.02;
       if act.(j) > 1e100 then begin
         for i = 0 to n - 1 do
           act.(i) <- act.(i) *. 1e-100
         done;
-        var_inc := !var_inc *. 1e-100
+        var_inc.(0) <- var_inc.(0) *. 1e-100
       end
     in
     let suffix = Array.make (n + 1) 0 in
@@ -187,9 +192,10 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
     (* A state is (canonical machine multiset, remaining job multiset). The
        remaining multiset depends only on the depth of the current order, so
        it is interned once per restart into a small id; the machine part is
-       the per-machine (load, class-bitset) tuples sorted lexicographically.
-       Keys are exact int arrays compared structurally — a collision can
-       slow the search down but can never cut the optimum. *)
+       the per-machine (load, class-bitset) pairs in canonical order, packed
+       by [Nogoods] into an exact key — equal keys mean equal states, so a
+       hash collision can slow the search down but can never cut the
+       optimum. *)
     let mult_tbl : (int array, int) Hashtbl.t = Hashtbl.create 64 in
     let mult_next = ref 0 in
     let intern canon =
@@ -224,49 +230,17 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
         depth_id.(d) <- intern canon
       done
     in
-    let stride = 1 + words in
-    let scratch = Array.make (1 + (m * stride)) 0 in
-    let morder = Array.make m 0 in
-    let mcompare a b =
-      let cl = compare loads.(a) loads.(b) in
-      if cl <> 0 then cl
-      else begin
-        let rec cw w =
-          if w >= words then 0
-          else
-            let cc = compare masks.((a * words) + w) masks.((b * words) + w) in
-            if cc <> 0 then cc else cw (w + 1)
-        in
-        cw 0
-      end
-    in
-    let build_key depth =
-      scratch.(0) <- depth_id.(depth);
-      for k = 0 to m - 1 do
-        morder.(k) <- k
-      done;
-      Array.sort mcompare morder;
-      for i = 0 to m - 1 do
-        let k = morder.(i) in
-        scratch.(1 + (i * stride)) <- loads.(k);
-        for w = 0 to words - 1 do
-          scratch.(2 + (i * stride) + w) <- masks.((k * words) + w)
-        done
-      done
-    in
-    let store : (int array, int) Hashtbl.t = Hashtbl.create 4096 in
+    (* Every search load stays below the warm-start makespan: a placement
+       needs [load + p < best] and probing forces a job only under
+       [best - 1]. So it bounds the packed load fields. *)
+    let codec = Nogoods.codec ~machines:m ~classes:nc ~bound:!best in
+    let klen = Nogoods.key_len codec in
+    (* one key buffer (and its hash) per depth: a node builds its key once,
+       looks it up, and adds the same words after its subtree *)
+    let keys = Array.make ((n + 1) * klen) 0 in
+    let key_hash = Array.make (n + 1) 0 in
+    let store = Nogoods.create ~key_len:klen in
     let ng_stored = ref 0 and ng_hits = ref 0 and ng_resets = ref 0 in
-    let record_nogood b =
-      match Hashtbl.find_opt store scratch with
-      | Some old -> if b > old then Hashtbl.replace store (Array.copy scratch) b
-      | None ->
-          if Hashtbl.length store >= nogood_limit then begin
-            Hashtbl.reset store;
-            incr ng_resets
-          end;
-          Hashtbl.add store (Array.copy scratch) b;
-          incr ng_stored
-    in
     (* ---------------- root probing ---------------- *)
     let probe_failed = ref 0 and probe_forced = ref 0 in
     let total_unforced = ref total in
@@ -367,7 +341,7 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
           (* area bound: remaining work must fit under best-1 *)
           let slack = ref 0 in
           for k = 0 to m - 1 do
-            slack := !slack + max 0 (!best - 1 - loads.(k))
+            slack := !slack + Int.max 0 (!best - 1 - loads.(k))
           done;
           if !slack < suffix.(depth) then begin
             incr prunes_area;
@@ -379,36 +353,48 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
           end
           else begin
             let deep = depth > !forced_len && n - depth >= nogood_min_height in
+            (* A hit always cuts: the store holds states whose subtree could
+               not beat the incumbent of its time, and the incumbent only
+               falls. *)
             let cut =
               deep
               && begin
-                build_key depth;
-                match Hashtbl.find_opt store scratch with
-                | Some b when b >= !best ->
-                    incr ng_hits;
-                    bump j;
-                    true
-                | _ -> false
+                let off = depth * klen in
+                Nogoods.encode codec ~depth_id:depth_id.(depth) ~loads ~masks keys off;
+                let hash = Nogoods.hash keys off klen in
+                key_hash.(depth) <- hash;
+                Nogoods.mem store keys off ~hash
               end
             in
-            if not cut then begin
+            if cut then begin
+              incr ng_hits;
+              bump j
+            end
+            else begin
               let placed = ref false in
               for k = 0 to m - 1 do
                 if not (duplicate k) then
                   if (has_class k u || class_count.(k) < c) && loads.(k) + pj < !best then begin
                     placed := true;
                     place j k;
-                    go (depth + 1) (max current_max loads.(k));
+                    go (depth + 1) (Int.max current_max loads.(k));
                     unplace j k
                   end
               done;
               if not !placed then bump j;
               (* The subtree is exhausted: no completion of this state beats
                  the current incumbent. Valid across restarts (the store
-                 outlives them) because the key abstracts job identity. *)
+                 outlives them) because the key abstracts job identity. The
+                 key is still absent: it missed above, every key added in
+                 the subtree is deeper (its depth id differs), and a reset
+                 only removes keys. *)
               if deep then begin
-                build_key depth;
-                record_nogood !best
+                if Nogoods.length store >= nogood_limit then begin
+                  Nogoods.reset store;
+                  incr ng_resets
+                end;
+                ignore (Nogoods.add store keys (depth * klen) ~hash:key_hash.(depth));
+                incr ng_stored
               end
             end
           end

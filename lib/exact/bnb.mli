@@ -4,13 +4,15 @@
     A conflict-driven depth-first search: jobs are assigned in
     activity-ordered sequence with load/area/class-slot pruning, learned
     no-goods over canonical (machine load + class-set, remaining job
-    multiset) states in a bounded store, failed-placement probing at the
-    root (jobs with a single feasible machine are forced there before the
-    search starts; a job with none proves the warm-start incumbent
-    optimal), Luby restarts that keep the learned store, and full
-    identical-machine symmetry breaking (machines with equal load and
-    class set are interchangeable, not just empty ones). Exponential,
-    intended for n up to ~20. *)
+    multiset) states, failed-placement probing at the root (jobs with a
+    single feasible machine are forced there before the search starts; a
+    job with none proves the warm-start incumbent optimal), Luby restarts
+    that keep the learned store, and full identical-machine symmetry
+    breaking (machines with equal load and class set are interchangeable,
+    not just empty ones). The store is a bounded set of bit-packed keys
+    ({!Nogoods}): the incumbent only falls, so any stored state still
+    cuts. A search node allocates nothing. Exponential, intended for n up
+    to ~20. *)
 
 (** How far a search got. The search warm-starts from the 7/3
     approximation, so a valid incumbent exists from the first node on. *)
@@ -35,7 +37,8 @@ type result = {
 (** [solve_result inst] never returns [None] for a schedulable instance and
     never raises on cancellation — the incumbent plus proven bound survive
     any interruption. [None] only for unschedulable instances.
-    [nogood_limit] caps the learned store (it is cleared on overflow);
+    [nogood_limit] caps the learned store: when it holds that many keys it
+    is cleared before the next one is added;
     [restart_unit] is the Luby base in nodes, [0] disables restarts. Both
     knobs change only the search trajectory, never the answer — the
     property suite pins the makespan against {!brute_force} under

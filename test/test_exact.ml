@@ -4,12 +4,15 @@
    is pinned against the unpruned brute-force reference across every
    generator family — including adversarial knob settings that force
    frequent restarts and no-good store overflows. Each portfolio member's
-   proof must match the brute force too. *)
+   proof must match the brute force too. The no-good store's packed keys
+   and flat set are checked against plain models of the same states. *)
 
 module I = Ccs.Instance
 module S = Ccs.Schedule
 module Bnb = Ccs_exact.Bnb
 module Portfolio = Ccs_exact.Portfolio
+module Nogoods = Ccs_exact.Nogoods
+module Prng = Ccs_util.Prng
 
 let all_families =
   [| Ccs.Generator.Uniform; Zipf; Heavy_classes; Large_jobs; Lp_stress; Bnb_stress |]
@@ -46,14 +49,15 @@ let check_optimal inst (r : Bnb.result) reference =
   | Error e -> QCheck.Test.fail_reportf "invalid assignment: %s" e);
   r.makespan = reference && r.lower_bound = reference
 
+let matches_brute ?nogood_limit ?restart_unit inst =
+  match (Bnb.solve_result ?nogood_limit ?restart_unit inst, Bnb.brute_force inst) with
+  | Some r, Some reference -> check_optimal inst r reference
+  | None, None -> true
+  | _ -> QCheck.Test.fail_reportf "solvers disagree on schedulability"
+
 let prop_cdcl_matches_brute =
   QCheck.Test.make ~name:"conflict-driven B&B = brute force (all families)" ~count:120
-    (QCheck.int_range 0 1_000_000) (fun seed ->
-      let inst = random_instance seed in
-      match (Bnb.solve_result inst, Bnb.brute_force inst) with
-      | Some r, Some reference -> check_optimal inst r reference
-      | None, None -> true
-      | _ -> QCheck.Test.fail_reportf "solvers disagree on schedulability")
+    (QCheck.int_range 0 1_000_000) (fun seed -> matches_brute (random_instance seed))
 
 let prop_cdcl_adversarial_knobs =
   (* A 16-node Luby unit restarts the search relentlessly and a 32-entry
@@ -61,11 +65,26 @@ let prop_cdcl_adversarial_knobs =
      restore, store reset) must preserve the optimum. *)
   QCheck.Test.make ~name:"B&B = brute force under tiny restart unit / no-good cap" ~count:80
     (QCheck.int_range 0 1_000_000) (fun seed ->
-      let inst = random_instance seed in
-      match (Bnb.solve_result ~restart_unit:16 ~nogood_limit:32 inst, Bnb.brute_force inst) with
-      | Some r, Some reference -> check_optimal inst r reference
-      | None, None -> true
-      | _ -> QCheck.Test.fail_reportf "solvers disagree on schedulability")
+      matches_brute ~restart_unit:16 ~nogood_limit:32 (random_instance seed))
+
+let prop_cdcl_five_machines =
+  QCheck.Test.make ~name:"B&B = brute force (up to 5 machines)" ~count:60
+    (QCheck.int_range 0 1_000_000) (fun seed -> matches_brute (random_instance ~max_m:5 seed))
+
+let prop_cdcl_huge_loads =
+  (* Processing times near 2^40: a packed load takes ~44 bits, so no-good
+     keys span several 63-bit chunks and fields cross chunk boundaries. *)
+  QCheck.Test.make ~name:"B&B = brute force (processing times near 2^40)" ~count:60
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Prng.create seed in
+      let machines = Prng.int_in rng 2 4 and slots = Prng.int_in rng 1 3 in
+      let n = Prng.int_in rng 5 9 in
+      let classes = Prng.int_in rng 1 (min n (slots * machines)) in
+      let jobs =
+        List.init n (fun j ->
+            ((1 lsl 40) + Prng.int rng 64, if j < classes then j else Prng.int rng classes))
+      in
+      matches_brute (I.make ~machines ~slots jobs))
 
 let prop_no_restarts_same_answer =
   QCheck.Test.make ~name:"B&B optimum independent of restarts" ~count:60
@@ -119,6 +138,158 @@ let prop_nfold_member_matches_brute =
           else o.winner = "none" && o.makespan >= reference
       | None, None -> true
       | _ -> QCheck.Test.fail_reportf "solvers disagree on schedulability")
+
+(* ---------- no-good keys and set ---------- *)
+
+(* A random 63-bit word: any sign, bit 62 included. *)
+let any_word rng = Int64.to_int (Prng.next_int64 rng)
+
+let prop_nogood_keys =
+  (* Random machine states, and variants of them: permuted machines, then
+     at most one change (depth id, one load bit — the top one half the
+     time —, one class bit, or one machine copied over another). Up to 130
+     classes puts class sets in 1-3 mask words; bounds up to max_int give
+     load fields of up to 62 bits, so fields cross chunk boundaries. One
+     codec serves every pair, as in a search, so its sort starts from the
+     previous key's order. *)
+  QCheck.Test.make ~name:"no-good keys equal iff depth id and machine multiset equal"
+    ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Prng.create seed in
+      let m = Prng.int_in rng 1 6 and classes = Prng.int_in rng 1 130 in
+      let words = (classes + 62) / 63 in
+      let bound =
+        match Prng.int rng 3 with
+        | 0 -> Prng.int_in rng 1 1000
+        | 1 -> Prng.int_in rng 1 (1 lsl 40)
+        | _ -> Prng.int_in rng 1 max_int
+      in
+      let codec = Nogoods.codec ~machines:m ~classes ~bound in
+      let len = Nogoods.key_len codec in
+      let load_bits = ref 0 in
+      while (bound - 1) lsr !load_bits > 0 do
+        incr load_bits
+      done;
+      let flip masks k u =
+        let w = (k * words) + (u / 63) in
+        masks.(w) <- masks.(w) lxor (1 lsl (u mod 63))
+      in
+      let random_state () =
+        let loads =
+          Array.init m (fun _ -> if Prng.int rng 4 = 0 then bound - 1 else Prng.int rng bound)
+        in
+        let masks = Array.make (m * words) 0 in
+        for k = 0 to m - 1 do
+          for u = 0 to classes - 1 do
+            if Prng.bool rng then flip masks k u
+          done
+        done;
+        (Prng.int rng 4, loads, masks)
+      in
+      let variant (d, loads, masks) =
+        let perm = Array.init m Fun.id in
+        Prng.shuffle rng perm;
+        let loads = Array.map (fun k -> loads.(k)) perm in
+        let masks =
+          Array.init (m * words) (fun i -> masks.((perm.(i / words) * words) + (i mod words)))
+        in
+        let k = Prng.int rng m in
+        let d =
+          match Prng.int rng 5 with
+          | 0 -> d
+          | 1 -> d + 1 + Prng.int rng 3
+          | 2 ->
+              if !load_bits > 0 then begin
+                let b = if Prng.bool rng then !load_bits - 1 else Prng.int rng !load_bits in
+                let l = loads.(k) lxor (1 lsl b) in
+                if l < bound then loads.(k) <- l
+              end;
+              d
+          | 3 ->
+              flip masks k (Prng.int rng classes);
+              d
+          | _ ->
+              let k' = Prng.int rng m in
+              loads.(k) <- loads.(k');
+              Array.blit masks (k' * words) masks (k * words) words;
+              d
+        in
+        (d, loads, masks)
+      in
+      let multiset (d, loads, masks) =
+        let machine k = (loads.(k), Array.to_list (Array.sub masks (k * words) words)) in
+        (d, List.sort compare (List.init m machine))
+      in
+      let key (d, loads, masks) =
+        let buf = Array.make (len + 2) 7 in
+        Nogoods.encode codec ~depth_id:d ~loads ~masks buf 1;
+        if buf.(0) <> 7 || buf.(len + 1) <> 7 then
+          QCheck.Test.fail_reportf "encode wrote outside its %d words" len;
+        Array.sub buf 1 len
+      in
+      for _ = 1 to 30 do
+        let a = random_state () in
+        let b = if Prng.int rng 4 = 0 then random_state () else variant a in
+        let same_state = multiset a = multiset b in
+        if key a = key b <> same_state then
+          QCheck.Test.fail_reportf "m=%d classes=%d bound=%d: states %s, keys %s" m classes
+            bound
+            (if same_state then "equal" else "differ")
+            (if same_state then "differ" else "equal")
+      done;
+      true)
+
+let prop_nogood_set =
+  (* 30k operations without a reset store over 8192 keys, three doublings
+     of the 4096 initial slots; then resets mix in. Half the fresh keys are
+     a stored key with one low bit flipped. *)
+  QCheck.Test.make ~name:"no-good set = Hashtbl model (add, mem, reset)" ~count:20
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Prng.create seed in
+      let len = Prng.int_in rng 1 4 in
+      let set = Nogoods.create ~key_len:len in
+      let model = Hashtbl.create 4096 in
+      let recent = Array.make 64 (Array.make len 0) in
+      let fresh () =
+        if Prng.bool rng then begin
+          let near = Array.copy recent.(Prng.int rng 64) in
+          near.(len - 1) <- near.(len - 1) lxor (1 lsl Prng.int rng 3);
+          near
+        end
+        else
+          (* a depth id first; a lone word must carry the variety itself *)
+          Array.init len (fun i ->
+              if i > 0 then any_word rng else if len = 1 then Prng.next_int rng else Prng.int rng 8)
+      in
+      let expect what got want =
+        if got <> want then QCheck.Test.fail_reportf "%s: set says %b, model %b" what got want
+      in
+      let peak = ref 0 in
+      for op = 1 to 35_000 do
+        let k = if Prng.int rng 3 = 0 then recent.(Prng.int rng 64) else fresh () in
+        (* at a nonzero offset of a larger buffer, as in the search *)
+        let buf = Array.append [| -5 |] k in
+        let hash = Nogoods.hash buf 1 len in
+        if op > 30_000 && Prng.int rng 1000 = 0 then begin
+          Nogoods.reset set;
+          Hashtbl.reset model
+        end
+        else if Prng.int rng 5 < 3 then begin
+          expect "add" (Nogoods.add set buf 1 ~hash) (not (Hashtbl.mem model k));
+          Hashtbl.replace model k ();
+          recent.(Prng.int rng 64) <- k
+        end
+        else expect "mem" (Nogoods.mem set buf 1 ~hash) (Hashtbl.mem model k);
+        if Nogoods.length set <> Hashtbl.length model then
+          QCheck.Test.fail_reportf "length %d, model %d" (Nogoods.length set)
+            (Hashtbl.length model);
+        peak := max !peak (Hashtbl.length model)
+      done;
+      Hashtbl.iter
+        (fun k () ->
+          expect "final mem" (Nogoods.mem set k 0 ~hash:(Nogoods.hash k 0 len)) true)
+        model;
+      if !peak <= 8192 then QCheck.Test.fail_reportf "only %d keys stored" !peak;
+      true)
 
 (* ---------- node-limit incumbent surfacing (the PR-10 bugfix) ---------- *)
 
@@ -186,6 +357,8 @@ let () =
           Alcotest.test_case "brute force honors deadlines" `Quick test_brute_force_deadline ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cdcl_matches_brute; prop_cdcl_adversarial_knobs;
-            prop_no_restarts_same_answer; prop_portfolio_matches_brute;
-            prop_ilp_members_match_brute; prop_nfold_member_matches_brute ] ) ]
+          [ prop_cdcl_matches_brute; prop_cdcl_adversarial_knobs; prop_cdcl_five_machines;
+            prop_cdcl_huge_loads; prop_no_restarts_same_answer; prop_portfolio_matches_brute;
+            prop_ilp_members_match_brute; prop_nfold_member_matches_brute ] );
+      ( "nogoods",
+        List.map QCheck_alcotest.to_alcotest [ prop_nogood_keys; prop_nogood_set ] ) ]
