@@ -37,8 +37,9 @@ let instance ~seed ~n ~classes ~machines ~slots =
 (* ---------------- XL tier (opt-in) ----------------
 
    Million-job workloads through the flat paths: streaming parse and the
-   three 2-approximations (the preemptive one, the slowest, runs its piece
-   arithmetic on [Rat]). Gated behind CCS_BENCH_XL because materializing
+   three 2-approximations (the preemptive one, the slowest, cuts and sorts
+   in ints but builds a [Rat] start and length for each of its ~10^6
+   output pieces). Gated behind CCS_BENCH_XL because materializing
    the instance costs ~16 MB off-heap and the phases take seconds, which
    would slow every ordinary gate run; the bench-xl CI job sets the
    variable, everyone else sees the baseline's xl_* entries as benign

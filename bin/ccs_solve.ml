@@ -41,15 +41,23 @@ let algo_conv =
   Arg.conv (parse, print)
 
 (* The printers write straight into the output buffer: a million-job
-   schedule prints without a string per job. *)
-let add_int buf i = Q.add_to_buffer buf (Q.of_int i)
+   schedule prints without a string, a [Printf] or a [Rat] per job. *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_int buf i = if i < 0 then Buffer.add_string buf (string_of_int i) else add_digits buf i
 
 let print_nonpreemptive buf inst assignment =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
   Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
       let load = ref 0 in
       for i = lo to hi - 1 do load := !load + (Ccs.Instance.job inst jobs.(i)).Ccs.Instance.p done;
-      Printf.bprintf buf "machine %d (load %d):" mi !load;
+      Buffer.add_string buf "machine ";
+      add_int buf mi;
+      Buffer.add_string buf " (load ";
+      add_int buf !load;
+      Buffer.add_string buf "):";
       for i = lo to hi - 1 do
         Buffer.add_string buf " j";
         add_int buf jobs.(i)
@@ -60,18 +68,27 @@ let print_splittable buf sched =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
   List.iter
     (fun b ->
-      Printf.bprintf buf "machines %d..%d: class %d, %s each\n" b.Ccs.Schedule.m_start
-        (b.Ccs.Schedule.m_start + b.Ccs.Schedule.m_count - 1)
-        b.Ccs.Schedule.cls
-        (Q.to_string b.Ccs.Schedule.per_machine))
+      Buffer.add_string buf "machines ";
+      add_int buf b.Ccs.Schedule.m_start;
+      Buffer.add_string buf "..";
+      add_int buf (b.Ccs.Schedule.m_start + b.Ccs.Schedule.m_count - 1);
+      Buffer.add_string buf ": class ";
+      add_int buf b.Ccs.Schedule.cls;
+      Buffer.add_string buf ", ";
+      Q.add_to_buffer buf b.Ccs.Schedule.per_machine;
+      Buffer.add_string buf " each\n")
     sched.Ccs.Schedule.blocks;
   List.iter
     (fun (mi, loads) ->
-      Printf.bprintf buf "machine %d: " mi;
+      Buffer.add_string buf "machine ";
+      add_int buf mi;
+      Buffer.add_string buf ": ";
       List.iteri
         (fun k (u, l) ->
-          if k > 0 then Buffer.add_string buf ", ";
-          Printf.bprintf buf "class %d: %s" u (Q.to_string l))
+          Buffer.add_string buf (if k > 0 then ", class " else "class ");
+          add_int buf u;
+          Buffer.add_string buf ": ";
+          Q.add_to_buffer buf l)
         loads;
       Buffer.add_char buf '\n')
     sched.Ccs.Schedule.explicit_machines
@@ -81,7 +98,9 @@ let print_preemptive buf sched =
   Array.iteri
     (fun mi pieces ->
       if pieces <> [] then begin
-        Printf.bprintf buf "machine %d:" mi;
+        Buffer.add_string buf "machine ";
+        add_int buf mi;
+        Buffer.add_char buf ':';
         List.iter
           (fun pc ->
             Buffer.add_string buf " j";

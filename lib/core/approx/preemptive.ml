@@ -102,11 +102,13 @@ let solve inst =
 (* Flat fast path: the same cutting, ordering and stacking as [solve_on],
    but the sub-class items and their fragments live in flat CSR arrays
    instead of per-item cons cells, and the final stable sort runs on an
-   index array. A million-job solve allocates O(items) scratch words plus
-   the output pieces, instead of churning through one list cell per
-   fragment in every intermediate stage. The property suite pins this
-   path's output bit-identical to [solve_on]'s, so every cut point, the
-   stable tie order and the round-robin placement must match exactly. *)
+   index array. With T = tn/q, cutting and sorting count in units of 1/q:
+   every job (T >= pmax), unsplit class load and cut item is at most T, so
+   each such quantity is an int of at most tn. Only the output pieces are
+   [Rat]s; their starts reach 2T, and 2*tn may not fit an int. The property
+   suite pins this path's output bit-identical to [solve_on]'s, so every
+   cut point, the stable tie order and the round-robin placement must
+   match exactly. *)
 let solve_on_flat ~n ~machines:m ~slots ~loads ~total_load ~pmax ~job_p ~offsets ~ids =
   if m >= n then begin
     let sched =
@@ -120,6 +122,9 @@ let solve_on_flat ~n ~machines:m ~slots ~loads ~total_load ~pmax ~job_p ~offsets
     let { Border_search.t_star = t; probes } =
       Border_search.search ~loads ~machines:m ~slots ~lb
     in
+    let tn = Bigint.to_int_exn (Q.num t) and q = Bigint.to_int_exn (Q.den t) in
+    (* P_u > tn/q iff P_u > floor (tn/q): P_u is an integer *)
+    let split u = loads.(u) > tn / q in
     let nc = Array.length loads in
     (* Exact item count: a class above T flushes exactly ceil(pu/T) items
        (the final flush fires iff a remainder is left), anything else is a
@@ -127,70 +132,62 @@ let solve_on_flat ~n ~machines:m ~slots ~loads ~total_load ~pmax ~job_p ~offsets
        zero-size item shifts the round robin's modulo). *)
     let total_items = ref 0 in
     for u = 0 to nc - 1 do
-      let pu_q = Q.of_int loads.(u) in
       total_items :=
         !total_items
-        + (if Q.(pu_q > t) then Bigint.to_int_exn (Q.ceil (Q.div pu_q t)) else 1)
+        + (if split u then Bigint.to_int_exn (Q.ceil (Q.div (Q.of_int loads.(u)) t)) else 1)
     done;
     let total_items = !total_items in
     (* Each of the at most [total_items - 1] cuts adds one fragment beyond
        the per-job one, so [n + total_items] bounds the fragment count. *)
     let frag_cap = n + total_items in
-    let item_size = Array.make total_items Q.zero in
+    let item_size = Array.make total_items 0 in
     let item_off = Array.make (total_items + 1) 0 in
     let frag_job = Array.make frag_cap 0 in
-    let frag_len = Array.make frag_cap Q.zero in
+    let frag_len = Array.make frag_cap 0 in
     let ni = ref 0 and nf = ref 0 in
-    let open_item () = item_off.(!ni) <- !nf in
+    let add_frag j len =
+      frag_job.(!nf) <- j;
+      frag_len.(!nf) <- len;
+      incr nf
+    in
     let close_item size =
       item_size.(!ni) <- size;
       incr ni;
-      open_item ()
+      item_off.(!ni) <- !nf
     in
     let any_split = ref false in
     for u = 0 to nc - 1 do
-      let pu_q = Q.of_int loads.(u) in
-      if Q.(pu_q > t) then begin
+      if split u then begin
         any_split := true;
-        let current_size = ref Q.zero in
-        let flush () =
-          if Q.sign !current_size > 0 then begin
-            close_item !current_size;
-            current_size := Q.zero
-          end
-        in
+        let current = ref 0 in
         for k = offsets.(u) to offsets.(u + 1) - 1 do
           let j = ids.(k) in
-          let remaining = ref (Q.of_int (job_p j)) in
-          while Q.sign !remaining > 0 do
-            let room = Q.sub t !current_size in
-            let take = Q.min room !remaining in
-            frag_job.(!nf) <- j;
-            frag_len.(!nf) <- take;
-            incr nf;
-            current_size := Q.add !current_size take;
-            remaining := Q.sub !remaining take;
-            if Q.(Q.sub t !current_size = Q.zero) then flush ()
+          let remaining = ref (job_p j * q) in
+          while !remaining > 0 do
+            let take = min (tn - !current) !remaining in
+            add_frag j take;
+            current := !current + take;
+            remaining := !remaining - take;
+            if !current = tn then begin
+              close_item tn;
+              current := 0
+            end
           done
         done;
-        flush ()
+        if !current > 0 then close_item !current
       end
       else begin
         for k = offsets.(u) to offsets.(u + 1) - 1 do
           let j = ids.(k) in
-          frag_job.(!nf) <- j;
-          frag_len.(!nf) <- Q.of_int (job_p j);
-          incr nf
+          add_frag j (job_p j * q)
         done;
-        close_item pu_q
+        close_item (loads.(u) * q)
       end
     done;
     assert (!ni = total_items);
-    item_off.(total_items) <- !nf;
     (* Stable sort of the identity permutation = the unique stable order,
        the same permutation [solve_on]'s List.stable_sort produces. *)
-    let order = Array.init total_items (fun i -> i) in
-    Array.stable_sort (fun a b -> Q.compare item_size.(b) item_size.(a)) order;
+    let order = Round_robin.sort_desc item_size (Array.init total_items Fun.id) in
     let repack = !any_split in
     let sched =
       Array.init m (fun mi ->
@@ -202,8 +199,9 @@ let solve_on_flat ~n ~machines:m ~slots ~loads ~total_load ~pmax ~job_p ~offsets
             let it = order.(!i) in
             if repack && !idx = 1 then top := Q.max !top t;
             for k = item_off.(it) to item_off.(it + 1) - 1 do
-              pieces := { Schedule.pjob = frag_job.(k); start = !top; len = frag_len.(k) } :: !pieces;
-              top := Q.add !top frag_len.(k)
+              let len = Q.of_ints frag_len.(k) q in
+              pieces := { Schedule.pjob = frag_job.(k); start = !top; len } :: !pieces;
+              top := Q.add !top len
             done;
             incr idx;
             i := !i + m

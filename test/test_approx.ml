@@ -204,7 +204,26 @@ let test_cu_counts () =
   (* large-job bound dominates area: 7,7,7 with T=12: area=ceil(21/12)=2 but
      three bigs need 3 machines. *)
   Alcotest.(check int) "bigs dominate" 3 (Ccs.Approx.Nonpreemptive.cu ~t:12 [ 7; 7; 7 ]);
-  Alcotest.(check int) "area only" 2 (Ccs.Approx.Nonpreemptive.cu_area_only ~t:12 [ 7; 7; 7 ])
+  Alcotest.(check int) "area only" 2 (Ccs.Approx.Nonpreemptive.cu_area_only ~t:12 [ 7; 7; 7 ]);
+  (* exactly T/2 is a mid, exactly T/3 neither: three 6s pair up two per
+     machine, six 4s only fill the area bound ceil(24/12) *)
+  Alcotest.(check int) "T/2 is a mid" 2 (Ccs.Approx.Nonpreemptive.cu ~t:12 [ 6; 6; 6 ]);
+  Alcotest.(check int) "T/3 is small" 2
+    (Ccs.Approx.Nonpreemptive.cu ~t:12 [ 4; 4; 4; 4; 4; 4 ])
+
+(* The flat core classifies by scanning a size-descending segment, so its
+   boundaries are where the scan stops. On two machines with one slot, T =
+   12 is feasible only if three jobs of exactly T/2 count as mids, and six
+   of exactly T/3 as small. *)
+let test_boundaries_flat () =
+  List.iter
+    (fun (name, p, k) ->
+      let inst = I.make ~machines:2 ~slots:1 (List.init k (fun _ -> (p, 0))) in
+      let _, rec_stats = Ccs.Approx.Nonpreemptive.solve inst in
+      let _, flat_stats = Ccs.Approx.Nonpreemptive.solve_flat (I.to_flat inst) in
+      Alcotest.(check int) (name ^ " record") 12 rec_stats.Ccs.Approx.Nonpreemptive.t_guess;
+      Alcotest.(check int) (name ^ " flat") 12 flat_stats.Ccs.Approx.Nonpreemptive.t_guess)
+    [ ("T/2", 6, 3); ("T/3", 4, 6) ]
 
 let test_nonpreemptive_example () =
   let inst = I.make ~machines:2 ~slots:2 [ (6, 0); (6, 1); (6, 2); (6, 3) ] in
@@ -266,6 +285,43 @@ let prop_huge_m_safety =
           let t_guess = stats.Ccs.Approx.Splittable.t_guess in
           Q.(makespan <= Q.mul (Q.of_int 2) t_guess))
 
+(* Loads near max_int: no sum, ceiling or comparison of the three
+   approximations may wrap. Every schedule validates and meets its bound
+   (checked in [Rat], where 7 * T cannot wrap either), and each flat core
+   agrees with its record path. *)
+let prop_loads_near_max_int =
+  QCheck.Test.make ~name:"loads near max_int: valid, within bound, flat = record" ~count:200
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Ccs_util.Prng.create seed in
+      let n = Ccs_util.Prng.int_in rng 3 40 in
+      let classes = Ccs_util.Prng.int_in rng 1 (min 6 (n - 1)) in
+      let share = max_int / n in
+      let jobs =
+        List.init n (fun i ->
+            ( Ccs_util.Prng.int_in rng (share / 2) share,
+              if i < classes then i else Ccs_util.Prng.int rng classes ))
+      in
+      let slots = Ccs_util.Prng.int_in rng 1 3 in
+      let machines = Ccs_util.Prng.int_in rng ((classes + slots - 1) / slots) (n - 1) in
+      let inst = I.make ~machines ~slots jobs in
+      let fl = I.to_flat inst in
+      let within ~rho t = function
+        | Error e -> QCheck.Test.fail_reportf "invalid: %s" e
+        | Ok makespan -> Q.(makespan <= Q.mul rho t)
+      in
+      let two = Q.of_int 2 and seven_thirds = Q.of_ints 7 3 in
+      let split, split_stats = Ccs.Approx.Splittable.solve_flat fl in
+      let pre, pre_stats = Ccs.Approx.Preemptive.solve inst in
+      let np, np_stats = Ccs.Approx.Nonpreemptive.solve inst in
+      within ~rho:two split_stats.Ccs.Approx.Splittable.t_guess
+        (S.validate_splittable inst split)
+      && within ~rho:two pre_stats.Ccs.Approx.Preemptive.t_guess
+           (S.validate_preemptive inst pre)
+      && within ~rho:seven_thirds (Q.of_int np_stats.Ccs.Approx.Nonpreemptive.t_guess)
+           (Result.map Q.of_int (S.validate_nonpreemptive inst np))
+      && (pre, pre_stats) = Ccs.Approx.Preemptive.solve_flat fl
+      && (np, np_stats) = Ccs.Approx.Nonpreemptive.solve_flat fl)
+
 let prop_bnb_matches_brute =
   QCheck.Test.make ~name:"B&B = brute force on tiny instances" ~count:60
     (QCheck.int_range 0 1_000_000) (fun seed ->
@@ -298,7 +354,8 @@ let () =
         [ Alcotest.test_case "m >= n fast path" `Quick test_preemptive_many_machines ] );
       ( "nonpreemptive",
         [ Alcotest.test_case "C_u computation" `Quick test_cu_counts;
-          Alcotest.test_case "small example" `Quick test_nonpreemptive_example ] );
+          Alcotest.test_case "small example" `Quick test_nonpreemptive_example;
+          Alcotest.test_case "T/2 and T/3 boundaries (flat)" `Quick test_boundaries_flat ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_splittable_valid_and_2approx; prop_splittable_vs_exact;
@@ -306,4 +363,5 @@ let () =
             prop_preemptive_valid_and_2approx; prop_preemptive_vs_split_opt;
             prop_nonpreemptive_valid_and_73; prop_nonpreemptive_vs_exact;
             prop_preemptive_vs_true_opt; prop_preemptive_opt_sandwich;
-            prop_huge_m_safety; prop_bnb_matches_brute; prop_split_opt_lower_bound ] ) ]
+            prop_huge_m_safety; prop_loads_near_max_int; prop_bnb_matches_brute;
+            prop_split_opt_lower_bound ] ) ]

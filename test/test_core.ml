@@ -649,6 +649,25 @@ let prop_round_robin_lemma3 =
       in
       Q.(makespan <= Ccs.Approx.Round_robin.lemma3_bound ~machines:m sizes))
 
+(* The flat cores' item order: [sort_desc] must equal a stable sort by
+   non-ascending key from the given order, for keys of every magnitude up
+   to max_int (one to six radix passes). *)
+let prop_round_robin_sort_desc =
+  QCheck.Test.make ~name:"sort_desc = stable sort by non-ascending key" ~count:300
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Ccs_util.Prng.create seed in
+      let n = Ccs_util.Prng.int_in rng 0 300 in
+      let bits = Ccs_util.Prng.int_in rng 0 62 in
+      let hi = if bits = 62 then max_int else (1 lsl bits) - 1 in
+      let key =
+        Array.init n (fun _ ->
+            if Ccs_util.Prng.int rng 4 = 0 then hi else Ccs_util.Prng.next_int rng land hi)
+      in
+      let ids = Array.init n Fun.id in
+      Ccs_util.Prng.shuffle rng ids;
+      let want = List.stable_sort (fun a b -> compare key.(b) key.(a)) (Array.to_list ids) in
+      Array.to_list (Ccs.Approx.Round_robin.sort_desc key ids) = want)
+
 let () =
   Alcotest.run "core"
     [ ( "instance",
@@ -684,6 +703,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_io_errors ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_generator_valid; prop_round_robin_lemma3; prop_io_fuzz;
-            prop_io_roundtrip_random; prop_decode_preserves_jobs;
+          [ prop_generator_valid; prop_round_robin_lemma3; prop_round_robin_sort_desc;
+            prop_io_fuzz; prop_io_roundtrip_random; prop_decode_preserves_jobs;
             prop_validators_reject_mutations ] ) ]

@@ -324,30 +324,57 @@ let preemptive_equal (a : S.preemptive) (b : S.preemptive) =
               la lb)
        a b
 
+(* [solve_flat] against [solve] on one instance, schedules and stats, for
+   all three variants. *)
+let flat_solves_identical inst fl =
+  let s_rec, st_rec = Ccs.Approx.Splittable.solve inst in
+  let s_flat, st_flat = Ccs.Approx.Splittable.solve_flat fl in
+  let p_rec, pt_rec = Ccs.Approx.Preemptive.solve inst in
+  let p_flat, pt_flat = Ccs.Approx.Preemptive.solve_flat fl in
+  let a_rec, at_rec = Ccs.Approx.Nonpreemptive.solve inst in
+  let a_flat, at_flat = Ccs.Approx.Nonpreemptive.solve_flat fl in
+  splittable_equal s_rec s_flat
+  && Q.equal st_rec.Ccs.Approx.Splittable.t_guess st_flat.Ccs.Approx.Splittable.t_guess
+  && st_rec.probes = st_flat.probes
+  && st_rec.full_slices = st_flat.full_slices
+  && preemptive_equal p_rec p_flat
+  && Q.equal pt_rec.Ccs.Approx.Preemptive.t_guess pt_flat.Ccs.Approx.Preemptive.t_guess
+  && pt_rec.probes = pt_flat.probes
+  && pt_rec.repacked = pt_flat.repacked
+  && a_rec = a_flat
+  && at_rec = at_flat
+
 let prop_solve_flat_bit_identical =
   QCheck.Test.make ~name:"solve_flat bit-identical to solve (all variants)"
     ~count:150
     (QCheck.int_range 0 1_000_000) (fun seed ->
       let fl = G.generate_flat ~seed (spec_of_seed seed) in
-      if not (F.schedulable fl) then true
-      else
-        let inst = I.of_flat fl in
-        let s_rec, st_rec = Ccs.Approx.Splittable.solve inst in
-        let s_flat, st_flat = Ccs.Approx.Splittable.solve_flat fl in
-        let p_rec, pt_rec = Ccs.Approx.Preemptive.solve inst in
-        let p_flat, pt_flat = Ccs.Approx.Preemptive.solve_flat fl in
-        let a_rec, at_rec = Ccs.Approx.Nonpreemptive.solve inst in
-        let a_flat, at_flat = Ccs.Approx.Nonpreemptive.solve_flat fl in
-        splittable_equal s_rec s_flat
-        && Q.equal st_rec.Ccs.Approx.Splittable.t_guess st_flat.Ccs.Approx.Splittable.t_guess
-        && st_rec.probes = st_flat.probes
-        && st_rec.full_slices = st_flat.full_slices
-        && preemptive_equal p_rec p_flat
-        && Q.equal pt_rec.Ccs.Approx.Preemptive.t_guess pt_flat.Ccs.Approx.Preemptive.t_guess
-        && pt_rec.probes = pt_flat.probes
-        && pt_rec.repacked = pt_flat.repacked
-        && a_rec = a_flat
-        && at_rec = at_flat)
+      if not (F.schedulable fl) then true else flat_solves_identical (I.of_flat fl) fl)
+
+(* Wider draws than [spec_of_seed]: m from 2 to 10^6, so most machines get
+   nothing and, at the low end, there are fewer machines than sub-class
+   items; classes of up to 100 jobs; sizes up to 2^40, whose borders P_u/k
+   give guesses T with a denominator above 1, or up to 50, which tie. *)
+let wide_instance seed =
+  let rng = Ccs_util.Prng.create seed in
+  let int_in = Ccs_util.Prng.int_in rng in
+  let classes = int_in 1 8 in
+  let p_hi = if Ccs_util.Prng.bool rng then 50 else 1 lsl 40 in
+  let jobs =
+    List.concat
+      (List.init classes (fun u ->
+           let size = int_in 1 (if Ccs_util.Prng.bool rng then 100 else 8) in
+           List.init size (fun _ -> (int_in 1 p_hi, u))))
+  in
+  let slots = int_in 1 3 in
+  let machines = max ((classes + slots - 1) / slots) (int_in 2 (int_of_float (10.0 ** float_of_int (int_in 1 6)))) in
+  I.make ~machines ~slots jobs
+
+let prop_solve_flat_bit_identical_wide =
+  QCheck.Test.make ~name:"solve_flat bit-identical to solve (wide draws)" ~count:300
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let inst = wide_instance seed in
+      flat_solves_identical inst (I.to_flat inst))
 
 let prop_binary_roundtrip_random =
   QCheck.Test.make ~name:"save_flat/load_flat roundtrip" ~count:50
@@ -375,5 +402,5 @@ let () =
           [ prop_chunking_invariant; prop_record_parser_agrees;
             prop_flat_record_roundtrip; prop_generate_flat_matches;
             prop_renumber_matches_make; prop_text_roundtrip_flat;
-            prop_solve_flat_bit_identical;
+            prop_solve_flat_bit_identical; prop_solve_flat_bit_identical_wide;
             prop_binary_roundtrip_random ] ) ]
