@@ -17,8 +17,8 @@
 module U = Bench_util
 module T = Ccs_util.Tables
 
-let run_variant ~counter ~use_lpt inst =
-  let sched, stats = Ccs.Approx.Nonpreemptive.solve_with_counter ~use_lpt ~counter inst in
+let run_variant ~area_only ~input_order inst =
+  let sched, stats = Ccs.Approx.Nonpreemptive.solve_ablation ~area_only ~input_order inst in
   match Ccs.Schedule.validate_nonpreemptive inst sched with
   | Ok mk -> (mk, stats.Ccs.Approx.Nonpreemptive.t_guess)
   | Error e -> failwith ("ablation produced invalid schedule: " ^ e)
@@ -50,21 +50,19 @@ let a3_instance k =
   let jobs = List.init k (fun _ -> (small, 0)) @ [ (80, 0); (60, 1) ] in
   Ccs.Instance.make ~machines:2 ~slots:2 jobs
 
+(* (area_only, input_order): full, no C2_u (A2), no LPT (A3), neither *)
+let switches = [ (false, false); (true, false); (false, true); (true, true) ]
+
 let a2_a3 () =
   U.header "A2/A3 — ablations of the 7/3-approximation";
   Printf.printf "adversarial families (the regimes Theorem 6's analysis targets):\n";
   let table = T.create [ "family"; "param"; "full ratio"; "no C2_u (A2)"; "no LPT (A3)"; "neither" ] in
   let add family param inst =
-    let cell ~counter ~use_lpt =
-      let mk, t = run_variant ~counter ~use_lpt inst in
+    let cell (area_only, input_order) =
+      let mk, t = run_variant ~area_only ~input_order inst in
       U.f3 (float_of_int mk /. float_of_int t)
     in
-    T.add_row table
-      [ family; param;
-        cell ~counter:Ccs.Approx.Nonpreemptive.cu ~use_lpt:true;
-        cell ~counter:Ccs.Approx.Nonpreemptive.cu_area_only ~use_lpt:true;
-        cell ~counter:Ccs.Approx.Nonpreemptive.cu ~use_lpt:false;
-        cell ~counter:Ccs.Approx.Nonpreemptive.cu_area_only ~use_lpt:false ]
+    T.add_row table (family :: param :: List.map cell switches)
   in
   List.iter (fun k -> add "half-T jobs" (Printf.sprintf "k=%d" k) (a2_instance k)) [ 6; 8; 12 ];
   List.iter (fun k -> add "big-job-last" (Printf.sprintf "k=%d" k) (a3_instance k)) [ 6; 12 ];
@@ -80,11 +78,10 @@ let a2_a3 () =
             ~slots ~p_hi:120
         in
         List.iteri
-          (fun i (counter, use_lpt) ->
-            let mk, t = run_variant ~counter ~use_lpt inst in
+          (fun i (area_only, input_order) ->
+            let mk, t = run_variant ~area_only ~input_order inst in
             acc.(i) <- (float_of_int mk /. float_of_int t) :: acc.(i))
-          [ (Ccs.Approx.Nonpreemptive.cu, true); (Ccs.Approx.Nonpreemptive.cu_area_only, true);
-            (Ccs.Approx.Nonpreemptive.cu, false); (Ccs.Approx.Nonpreemptive.cu_area_only, false) ]
+          switches
       done;
       let mx i = U.f3 (fst (U.summarize acc.(i))) in
       T.add_row table2

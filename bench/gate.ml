@@ -36,8 +36,7 @@ let instance ~seed ~n ~classes ~machines ~slots =
 
 (* ---------------- XL tier (opt-in) ----------------
 
-   Million-job workloads through the flat paths: streaming parse and the
-   three 2-approximations (the preemptive one, the slowest, cuts and sorts
+   Million-job workloads: streaming parse and the three 2-approximations (the preemptive one, the slowest, cuts and sorts
    in ints but builds a [Rat] start and length for each of its ~10^6
    output pieces). Gated behind CCS_BENCH_XL because materializing
    the instance costs ~16 MB off-heap and the phases take seconds, which
@@ -53,24 +52,24 @@ let xl_spec =
   { Ccs.Generator.n = 1_000_000; classes = 150_000; machines = 100_000;
     slots = 3; p_lo = 1; p_hi = 1000; family = Ccs.Generator.Uniform }
 
-let xl_instance = lazy (Ccs.Generator.generate_flat ~seed:(9 * 7919) xl_spec)
+let xl_instance = lazy (Ccs.Generator.generate ~seed:(9 * 7919) xl_spec)
 
-let xl_text = lazy (Ccs.Io.to_string_flat (Lazy.force xl_instance))
+let xl_text = lazy (Ccs.Io.to_string (Lazy.force xl_instance))
 
 let xl_phases () =
   if not xl_enabled then []
   else
     [ ("xl_parse_stream",
        fun () ->
-         match Ccs.Io.of_string_flat (Lazy.force xl_text) with
-         | Ok f -> ignore (Ccs.Instance.Flat.n f)
+         match Ccs.Io.of_string (Lazy.force xl_text) with
+         | Ok f -> ignore (Ccs.Instance.n f)
          | Error e -> failwith e);
       ("xl_solve_splittable",
-       fun () -> ignore (Ccs.Approx.Splittable.solve_flat (Lazy.force xl_instance)));
+       fun () -> ignore (Ccs.Approx.Splittable.solve (Lazy.force xl_instance)));
       ("xl_solve_preemptive",
-       fun () -> ignore (Ccs.Approx.Preemptive.solve_flat (Lazy.force xl_instance)));
+       fun () -> ignore (Ccs.Approx.Preemptive.solve (Lazy.force xl_instance)));
       ("xl_solve_nonpreemptive",
-       fun () -> ignore (Ccs.Approx.Nonpreemptive.solve_flat (Lazy.force xl_instance)))
+       fun () -> ignore (Ccs.Approx.Nonpreemptive.solve (Lazy.force xl_instance)))
     ]
 
 (* The conflict-driven B&B's gate workload: a bnb-stress instance sized so
@@ -90,10 +89,9 @@ let exact_instance =
    decides, and long enough (60-90 ms on a 2-core x86-64 host) to time in
    one solve. *)
 let ptas_instance =
-  Ccs.Instance.of_flat
-    (Ccs.Generator.generate_flat ~seed:3
-       { Ccs.Generator.n = 20; classes = 4; machines = 3; slots = 3; p_lo = 1;
-         p_hi = 100; family = Ccs.Generator.Uniform })
+  Ccs.Generator.generate ~seed:3
+    { Ccs.Generator.n = 20; classes = 4; machines = 3; slots = 3; p_lo = 1;
+      p_hi = 100; family = Ccs.Generator.Uniform }
 
 let ptas_preemptive () =
   ignore (Ccs.Ptas.Preemptive_ptas.solve (Ccs.Ptas.Common.param 2) ptas_instance)
@@ -186,16 +184,17 @@ let counter_names =
   @
   (* XL counters are exact and machine-independent too: the token count
      pins the streaming lexer's behavior on a fixed 10^6-job file, the
-     probe count pins the border / binary searches, and the byte gauge
-     pins the flat representation at exactly 16 bytes per job. *)
+     probe count pins the border / binary searches, the solve count every
+     2-approximation run of this block (the XL solves and the PTAS and B&B
+     warm starts), and the byte gauge pins the instance at exactly 16
+     bytes per job. *)
   if xl_enabled then
-    [ "io.stream_tokens"; "border_search.probes"; "approx.flat_solves";
-      "xl.flat_bytes" ]
+    [ "io.stream_tokens"; "border_search.probes"; "approx.solves"; "xl.flat_bytes" ]
   else []
 
 let m_xl_flat_bytes =
   Ccs_obs.Metrics.counter "xl.flat_bytes"
-    ~help:"Off-heap bytes of the XL tier's flat instance (16 per job)"
+    ~help:"Off-heap bytes of the XL tier's instance (16 per job)"
 
 let measure_counters () =
   let small = instance ~seed:(30 * 7919) ~n:30 ~classes:6 ~machines:3 ~slots:3 in
@@ -207,14 +206,14 @@ let measure_counters () =
   ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param small);
   ignore (Ccs_exact.Bnb.solve_result exact_instance);
   if xl_enabled then begin
-    let fl = Lazy.force xl_instance in
-    (match Ccs.Io.of_string_flat (Lazy.force xl_text) with
-    | Ok f -> ignore (Ccs.Instance.Flat.n f)
+    let inst = Lazy.force xl_instance in
+    (match Ccs.Io.of_string (Lazy.force xl_text) with
+    | Ok f -> ignore (Ccs.Instance.n f)
     | Error e -> failwith e);
-    ignore (Ccs.Approx.Splittable.solve_flat fl);
-    ignore (Ccs.Approx.Preemptive.solve_flat fl);
-    ignore (Ccs.Approx.Nonpreemptive.solve_flat fl);
-    Ccs_obs.Metrics.add m_xl_flat_bytes (Ccs.Instance.Flat.mem_bytes fl)
+    ignore (Ccs.Approx.Splittable.solve inst);
+    ignore (Ccs.Approx.Preemptive.solve inst);
+    ignore (Ccs.Approx.Nonpreemptive.solve inst);
+    Ccs_obs.Metrics.add m_xl_flat_bytes (Ccs.Instance.mem_bytes inst)
   end;
   (* the exact checkpoint count guards the cancellation layer's overhead:
      a new checkpoint in a hot loop moves this long before it moves a wall *)

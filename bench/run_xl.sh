@@ -21,13 +21,11 @@ dune build bench/main.exe bench/check_regression.exe bin/ccs_gen.exe bin/ccs_sol
 XL_BIN=$(mktemp -t ccs_xl_XXXXXX.ccsb)
 trap 'rm -f "$XL_BIN"' EXIT INT TERM
 
-echo "== million-job CLI round trip (--format flat, --compress) =="
+echo "== million-job CLI round trip (ccsb1 input, --compress) =="
 "$GEN" -n 1000000 -C 150000 -m 100000 -c 3 --p-hi 1000 --seed 9 \
   --format flat -o "$XL_BIN"
-"$SOLVE" "$XL_BIN" --variant splittable --algo approx \
-  --format flat --compress | tail -n 4
-"$SOLVE" "$XL_BIN" --variant nonpreemptive --algo approx \
-  --format flat --compress | tail -n 4
+"$SOLVE" "$XL_BIN" --variant splittable --algo approx --compress | tail -n 4
+"$SOLVE" "$XL_BIN" --variant nonpreemptive --algo approx --compress | tail -n 4
 
 echo "== XL sweep (xl_sweep section of BENCH_timing.json) =="
 dune exec bench/main.exe -- XL

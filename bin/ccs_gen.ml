@@ -31,17 +31,17 @@ let run n classes machines slots p_lo p_hi family seed output format obs =
   let spec = { Ccs.Generator.n; classes; machines; slots; p_lo; p_hi; family } in
   (* Both formats draw the same PRNG stream: a flat file holds exactly the
      instance the text file would, byte-exactly after renumbering. *)
-  let fl =
+  let inst =
     Ccs_obs.Recorder.phase "gen.generate"
       ~fields:Ccs_obs.Jsonx.[ ("n", Int n); ("seed", Int seed) ]
-      (fun () -> Ccs.Generator.generate_flat ~seed spec)
+      (fun () -> Ccs.Generator.generate ~seed spec)
   in
   Ccs_obs.Log.info (fun log ->
       log
         ~fields:
-          [ Ccs_obs.Log.int "n" (Ccs.Instance.Flat.n fl);
-            Ccs_obs.Log.int "classes" (Ccs.Instance.Flat.num_classes fl);
-            Ccs_obs.Log.int "machines" (Ccs.Instance.Flat.m fl) ]
+          [ Ccs_obs.Log.int "n" (Ccs.Instance.n inst);
+            Ccs_obs.Log.int "classes" (Ccs.Instance.num_classes inst);
+            Ccs_obs.Log.int "machines" (Ccs.Instance.m inst) ]
         "gen.generate: done");
   match format with
   | `Flat -> (
@@ -50,19 +50,19 @@ let run n classes machines slots p_lo p_hi family seed output format obs =
           Printf.eprintf "error: --format flat is binary; -o FILE is required\n";
           2
       | Some path ->
-          Ccs.Io.save_flat path fl;
+          Ccs.Io.save_flat path inst;
           Printf.eprintf "wrote %s (n=%d, C=%d, flat binary)\n" path
-            (Ccs.Instance.Flat.n fl)
-            (Ccs.Instance.Flat.num_classes fl);
+            (Ccs.Instance.n inst)
+            (Ccs.Instance.num_classes inst);
           0)
   | `Text ->
-      let text = Ccs.Io.to_string_flat fl in
+      let text = Ccs.Io.to_string inst in
       (match output with
       | None -> print_string text
       | Some path ->
           Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
-          Printf.eprintf "wrote %s (n=%d, C=%d)\n" path (Ccs.Instance.Flat.n fl)
-            (Ccs.Instance.Flat.num_classes fl));
+          Printf.eprintf "wrote %s (n=%d, C=%d)\n" path (Ccs.Instance.n inst)
+            (Ccs.Instance.num_classes inst));
       0
 
 let cmd =

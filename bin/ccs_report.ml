@@ -78,7 +78,7 @@ let render_timing path =
             (f xl "classes");
           out "";
           out
-            "Flat form: %.0f MB off-heap; peak heap %.0f Mwords. Generate %.2fM \
+            "Instance: %.0f MB off-heap; peak heap %.0f Mwords. Generate %.2fM \
              jobs/s; parse %.2fM jobs/s (streaming text), %.2fM jobs/s (ccsb1 \
              binary)."
             (f xl "flat_mem_bytes" /. 1e6)
@@ -89,7 +89,7 @@ let render_timing path =
           (match J.member "solves" xl with
           | Some (J.List solves) ->
               out "";
-              out "| variant (flat 2-approx) | wall | jobs/s | valid |";
+              out "| variant (2-approx) | wall | jobs/s | valid |";
               out "|---|---:|---:|---|";
               List.iter
                 (fun s ->

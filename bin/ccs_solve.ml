@@ -3,9 +3,9 @@
    here. With --jobs N the instances are solved as a parallel batch on a
    Ccs_par pool (each solve itself is sequential); each instance's output
    is buffered and flushed in input order, so the bytes printed are
-   identical at any job count. Load, instance build, validation and emit
-   run as flight-recorder phases (io, instance, schedule, emit), so
-   --trace-out and --record cover the CLI's own time. *)
+   identical at any job count. Load, validation and emit run as
+   flight-recorder phases (io, schedule, emit), so --trace-out and --record
+   cover the CLI's own time. *)
 
 open Cmdliner
 module Q = Rat
@@ -52,7 +52,7 @@ let print_nonpreemptive buf inst assignment =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
   Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
       let load = ref 0 in
-      for i = lo to hi - 1 do load := !load + (Ccs.Instance.job inst jobs.(i)).Ccs.Instance.p done;
+      for i = lo to hi - 1 do load := !load + Ccs.Instance.job_p inst jobs.(i) done;
       Buffer.add_string buf "machine ";
       add_int buf mi;
       Buffer.add_string buf " (load ";
@@ -166,8 +166,8 @@ let print_nonpreemptive_compressed buf inst assignment =
   in
   Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
       for i = lo to hi - 1 do
-        let job = Ccs.Instance.job inst jobs.(i) in
-        tally_add t ( + ) mi job.Ccs.Instance.cls job.Ccs.Instance.p
+        let j = jobs.(i) in
+        tally_add t ( + ) mi (Ccs.Instance.job_cls inst j) (Ccs.Instance.job_p inst j)
       done;
       Buffer.clear desc;
       let load = ref 0 in
@@ -193,7 +193,7 @@ let print_preemptive_compressed buf inst sched =
         let finish = ref Q.zero in
         List.iter
           (fun pc ->
-            let u = (Ccs.Instance.job inst pc.Ccs.Schedule.pjob).Ccs.Instance.cls in
+            let u = Ccs.Instance.job_cls inst pc.Ccs.Schedule.pjob in
             tally_add t Q.add mi u pc.Ccs.Schedule.len;
             finish := Q.max !finish (Q.add pc.Ccs.Schedule.start pc.Ccs.Schedule.len))
           pieces;
@@ -271,18 +271,14 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
 
 (* Solve one instance, accumulating stdout/stderr text into the buffers.
    Returns the exit code. *)
-let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~format
-    ~compress ~portfolio ~node_limit =
-  (* Loading always streams into the flat form (text or binary is
-     auto-detected); the record view is rebuilt for the solvers and
-     validators that want it. --format flat routes the 2-approximations
-     through their flat fast paths instead — same bits out either way. *)
-  match Ccs_obs.Recorder.phase "io" (fun () -> Ccs.Io.load_flat file) with
+let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~compress
+    ~portfolio ~node_limit =
+  (* text or ccsb1 binary, auto-detected *)
+  match Ccs_obs.Recorder.phase "io" (fun () -> Ccs.Io.load file) with
   | Error e ->
       Printf.bprintf err "error: %s\n" e;
       1
-  | Ok fl -> (
-      let inst = Ccs_obs.Recorder.phase "instance" (fun () -> Ccs.Instance.of_flat fl) in
+  | Ok inst -> (
       let print_np = if compress then print_nonpreemptive_compressed else print_nonpreemptive in
       let print_pre buf s =
         if compress then print_preemptive_compressed buf inst s else print_preemptive buf s
@@ -300,10 +296,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
         else begin
         (match (variant, algo) with
         | Splittable, Approx ->
-            let sched, stats =
-              if format = `Flat then Ccs.Approx.Splittable.solve_flat fl
-              else Ccs.Approx.Splittable.solve inst
-            in
+            let sched, stats = Ccs.Approx.Splittable.solve inst in
             let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Splittable.t_guess);
@@ -350,10 +343,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
                 if not quiet then print_splittable out sched
             | None -> Printf.bprintf out "exact solver out of budget or instance too large\n")
         | Preemptive, Approx ->
-            let sched, stats =
-              if format = `Flat then Ccs.Approx.Preemptive.solve_flat fl
-              else Ccs.Approx.Preemptive.solve inst
-            in
+            let sched, stats = Ccs.Approx.Preemptive.solve inst in
             let mk = validated "preemptive" (fun () -> Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Preemptive.t_guess);
@@ -368,10 +358,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             Printf.bprintf out "no exact preemptive solver (see DESIGN.md); lower bound: %s\n"
               (Q.to_string (Ccs.Bounds.lb_preemptive inst))
         | Nonpreemptive, Approx ->
-            let sched, stats =
-              if format = `Flat then Ccs.Approx.Nonpreemptive.solve_flat fl
-              else Ccs.Approx.Nonpreemptive.solve inst
-            in
+            let sched, stats = Ccs.Approx.Nonpreemptive.solve inst in
             let mk = validated "non-preemptive" (fun () -> Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive 7/3-approx: makespan %d (guess T=%d, <= 7/3 T)\n" mk
               stats.Ccs.Approx.Nonpreemptive.t_guess;
@@ -425,8 +412,8 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
           Printf.bprintf err "error: ILP node budget exhausted\n";
           4)
 
-let run files variant algo epsilon quiet jobs deadline_ms anytime format compress portfolio
-    node_limit obs =
+let run files variant algo epsilon quiet jobs deadline_ms anytime (_ : [ `Text | `Flat ])
+    compress portfolio node_limit obs =
   Obs_cli.with_reporting obs @@ fun () ->
   if jobs < 1 then begin
     Printf.eprintf "error: --jobs must be >= 1\n";
@@ -444,7 +431,7 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime format compres
           if many then Printf.bprintf out "=== %s ===\n" file;
           let code =
             solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime
-              ~format ~compress ~portfolio ~node_limit
+              ~compress ~portfolio ~node_limit
           in
           (out, err, code))
         (Array.of_list files)
@@ -493,14 +480,14 @@ let cmd =
                ~doc:"Use the degradation ladder even without a deadline ($(b,--algo) picks \
                      the starting rung).")
   in
+  (* Parsed and ignored: bench/e2e still passes it. It goes when that
+     harness next changes. *)
   let format =
     Arg.(value & opt (enum [ ("text", `Text); ("flat", `Flat) ]) `Text
            & info [ "format" ] ~docv:"FMT"
-               ~doc:"Solver pipeline: $(b,text) runs on the boxed record form, \
-                     $(b,flat) runs the 2-approximations directly on the flat \
-                     int-array form (same output bit-for-bit, built for \
-                     million-job instances). Input files are auto-detected \
-                     (text or ccsb1 binary) regardless of $(docv).")
+               ~doc:"Accepted for compatibility and ignored: $(b,text) and \
+                     $(b,flat) run the same pipeline. Input files are \
+                     auto-detected (text or ccsb1 binary).")
   in
   let compress =
     Arg.(value & flag

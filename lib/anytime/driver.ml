@@ -162,8 +162,7 @@ let fallback_splittable inst =
       Schedule.blocks = [];
       explicit_machines =
         List.init n (fun j ->
-            let job = Instance.job inst j in
-            (j, [ (job.Instance.cls, Q.of_int job.Instance.p) ]));
+            (j, [ (Instance.job_cls inst j, Q.of_int (Instance.job_p inst j)) ]));
     }
   else begin
     let loads = Instance.class_load inst in
@@ -182,29 +181,27 @@ let fallback_preemptive inst =
   let n = Instance.n inst and m = Instance.m inst in
   if m >= n then
     Array.init n (fun j ->
-        let job = Instance.job inst j in
-        [ { Schedule.pjob = j; start = Q.zero; len = Q.of_int job.Instance.p } ])
+        [ { Schedule.pjob = j; start = Q.zero; len = Q.of_int (Instance.job_p inst j) } ])
   else begin
     let sched = Array.make m [] in
     let tops = Array.make m Q.zero in
-    let jobs_of = Instance.class_jobs inst in
-    Array.iteri
-      (fun u js ->
-        let i = u mod m in
-        List.iter
-          (fun j ->
-            let len = Q.of_int (Instance.job inst j).Instance.p in
-            sched.(i) <- { Schedule.pjob = j; start = tops.(i); len } :: sched.(i);
-            tops.(i) <- Q.add tops.(i) len)
-          js)
-      jobs_of;
+    let offsets, ids = Instance.class_jobs_csr inst in
+    for u = 0 to Instance.num_classes inst - 1 do
+      let i = u mod m in
+      for k = offsets.(u) to offsets.(u + 1) - 1 do
+        let j = ids.(k) in
+        let len = Q.of_int (Instance.job_p inst j) in
+        sched.(i) <- { Schedule.pjob = j; start = tops.(i); len } :: sched.(i);
+        tops.(i) <- Q.add tops.(i) len
+      done
+    done;
     Array.map List.rev sched
   end
 
 let fallback_nonpreemptive inst =
   let n = Instance.n inst and m = Instance.m inst in
   if m >= n then Array.init n (fun j -> j)
-  else Array.init n (fun j -> (Instance.job inst j).Instance.cls mod m)
+  else Array.init n (fun j -> Instance.job_cls inst j mod m)
 
 (* ---------------- the three ladders ---------------- *)
 

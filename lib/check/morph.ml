@@ -16,7 +16,7 @@ let name = function
   | Permute _ -> "permute classes/jobs"
   | Add_machine -> "add a machine"
 
-let jobs_of inst = List.init (I.n inst) (fun i -> let j = I.job inst i in (j.I.p, j.I.cls))
+let jobs_of inst = List.init (I.n inst) (fun i -> (I.job_p inst i, I.job_cls inst i))
 
 let remake ?machines ?slots inst jobs =
   let machines = Option.value ~default:(I.m inst) machines in

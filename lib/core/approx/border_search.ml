@@ -5,6 +5,13 @@ type result = { t_star : Q.t; probes : int }
 let m_probes = Ccs_obs.Metrics.counter "border_search.probes"
 let m_searches = Ccs_obs.Metrics.counter "border_search.searches"
 
+let m_solves = Ccs_obs.Metrics.counter "approx.solves"
+    ~help:"2-approximation solves (splittable, preemptive and non-preemptive)"
+
+let solve_phase f =
+  Ccs_obs.Metrics.incr m_solves;
+  Ccs_obs.Recorder.phase "approx" f
+
 (* Each feasibility probe scans all classes (O(C log)), so the clock is
    read every time. *)
 let chk_probe = Ccs_resil.Deadline.site "approx.probe"

@@ -13,6 +13,11 @@ type result = {
   probes : int;  (** feasibility evaluations performed (Lemma 2 bound) *)
 }
 
+(** [solve_phase f] runs one solve of a 2-approximation (all three share
+    this module's framework) as the recorder phase [approx], counted in
+    [approx.solves]. *)
+val solve_phase : (unit -> 'a) -> 'a
+
 (** [c * m], saturating at [max_int] for astronomically many machines. *)
 val slot_cap : machines:int -> slots:int -> int
 

@@ -34,78 +34,6 @@ let cu_area_only ~t jobs =
 
 let cu ~t jobs = max (cu_area_only ~t jobs) (cu_large ~t jobs)
 
-let solve_with_counter ?(use_lpt = true) ~counter inst =
-  if not (Instance.schedulable inst) then
-    invalid_arg "Approx.Nonpreemptive.solve: C > c*m, no schedule exists";
-  let n = Instance.n inst in
-  let m = Instance.m inst in
-  if m >= n then begin
-    (* One machine per job is optimal (makespan pmax = LB). *)
-    let sched = Array.init n (fun j -> j) in
-    (sched, { t_guess = Instance.pmax inst; probes = 0 })
-  end
-  else begin
-    let class_jobs = Instance.class_jobs inst in
-    let class_sizes =
-      Array.map (List.map (fun j -> (Instance.job inst j).Instance.p)) class_jobs
-    in
-    let cap = Border_search.slot_cap ~machines:m ~slots:(Instance.c inst) in
-    let probes = ref 0 in
-    let feasible t =
-      Ccs_resil.Deadline.check chk_probe;
-      incr probes;
-      let count = ref 0 in
-      (try
-         Array.iter
-           (fun sizes ->
-             count := !count + counter ~t sizes;
-             if !count > cap then raise Exit)
-           class_sizes;
-         true
-       with Exit -> false)
-    in
-    let total = Instance.total_load inst in
-    let lb = max (Instance.pmax inst) (ceil_div total m) in
-    let ub = max lb (Array.fold_left max 0 (Instance.class_load inst)) in
-    (* Integral makespan: standard binary search for the smallest feasible
-       guess (the count is monotone in T). *)
-    let lo = ref lb and hi = ref ub in
-    if not (feasible ub) then
-      invalid_arg "Approx.Nonpreemptive.solve: unschedulable at the upper bound";
-    while !lo < !hi do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if feasible mid then hi := mid else lo := mid + 1
-    done;
-    let t = !lo in
-    (* Split every class into C_u sub-classes by LPT and round-robin the
-       sub-classes in non-ascending load order. *)
-    let items = ref [] in
-    Array.iteri
-      (fun u jobs ->
-        let sized = List.map (fun j -> (j, (Instance.job inst j).Instance.p)) jobs in
-        let bins = counter ~t (List.map snd sized) in
-        let content, load = Lpt.split ~sorted:use_lpt ~bins sized in
-        Array.iteri
-          (fun k part ->
-            if part <> [] then items := (load.(k), List.map fst part) :: !items)
-          content;
-        ignore u)
-      class_jobs;
-    let sorted = List.stable_sort (fun (a, _) (b, _) -> compare b a) (List.rev !items) in
-    let per_machine = Round_robin.assign ~machines:m sorted in
-    let assignment = Array.make n (-1) in
-    Array.iteri
-      (fun machine items ->
-        List.iter (fun (_, jobs) -> List.iter (fun j -> assignment.(j) <- machine) jobs) items)
-      per_machine;
-    (assignment, { t_guess = t; probes = !probes })
-  end
-
-let solve inst = solve_with_counter ~counter:cu inst
-
-let m_flat_solves = Ccs_obs.Metrics.counter "approx.flat_solves"
-    ~help:"2-approximation solves run directly on the flat representation"
-
 (* Sorts positions [lo, hi) of [sp] by size descending, stably, moving the
    job ids in [sid] along. A class segment starts in index order, so ties
    stay index-ascending. Short segments, the common case, take an insertion
@@ -132,34 +60,35 @@ let sort_segment ~job_p sp sid lo hi =
     done
   end
 
-(* Flat fast path. Same algorithm, same answers, different plumbing: each
-   class's job indices are sorted once by (p descending, index ascending)
-   into a CSR segment. The segment then starts with its bigs (p > T/2),
-   followed by its mids (T/3 < p <= T/2), so a feasibility probe reads them
-   in place: the bigs backwards for the ascending two-pointer, the mids
-   forwards, exactly the sequences the list-based [cu_large] sorts into.
-   The scan stops at the first job of at most T/3. LPT, the item sort and
-   the round robin then run on int arrays, in [Lpt.split]'s first-minimum
-   bin order and the list path's item order (class, then bin), so
-   [solve_flat (Instance.to_flat i)] is bit-identical to [solve i].
-   O(n log n) once, O(n) per probe, O(log ub) probes. *)
-let solve_flat fl =
-  if not (Instance.Flat.schedulable fl) then
+(* Each class's job indices are sorted once by (p descending, index
+   ascending) into a CSR segment. The segment then starts with its bigs
+   (p > T/2), followed by its mids (T/3 < p <= T/2), so a feasibility probe
+   reads them in place: the bigs backwards for the ascending two-pointer,
+   the mids forwards, exactly the sequences [cu_large] sorts into. The scan
+   stops at the first job of at most T/3. LPT, the item sort and the round
+   robin then run on int arrays, in [Lpt.split]'s first-minimum bin order,
+   with items numbered by class, then bin. O(n log n) once, O(n) per probe,
+   O(log ub) probes.
+
+   The two ablation switches: [area_only] counts C1_u alone (A2);
+   [input_order] lists each class's jobs in index order instead of LPT
+   order when splitting it into sub-classes (A3). *)
+let solve_ablation ~area_only ~input_order inst =
+  if not (Instance.schedulable inst) then
     invalid_arg "Approx.Nonpreemptive.solve: C > c*m, no schedule exists";
-  Ccs_obs.Metrics.incr m_flat_solves;
-  Ccs_obs.Recorder.phase "approx" @@ fun () ->
-  let n = Instance.Flat.n fl in
-  let m = Instance.Flat.m fl in
+  Border_search.solve_phase @@ fun () ->
+  let n = Instance.n inst and m = Instance.m inst in
   if m >= n then begin
     (* One machine per job is optimal (makespan pmax = LB). *)
     let sched = Array.init n (fun j -> j) in
-    (sched, { t_guess = Instance.Flat.pmax fl; probes = 0 })
+    (sched, { t_guess = Instance.pmax inst; probes = 0 })
   end
   else begin
-    let loads = Instance.Flat.class_load fl in
-    let classes = Instance.Flat.num_classes fl in
-    let offsets, sid = Instance.Flat.class_jobs_csr fl in
-    let job_p = Instance.Flat.job_p fl in
+    let loads = Instance.class_load inst in
+    let classes = Instance.num_classes inst in
+    let offsets, ids = Instance.class_jobs_csr inst in
+    let job_p = Instance.job_p inst in
+    let sid = if input_order then Array.copy ids else ids in
     let sp = Array.map job_p sid in
     let widest = ref 0 in
     for u = 0 to classes - 1 do
@@ -167,31 +96,34 @@ let solve_flat fl =
       widest := max !widest (offsets.(u + 1) - offsets.(u))
     done;
     let cu_cls ~t u =
-      let lo = offsets.(u) and hi = offsets.(u + 1) in
-      let half = t / 2 and third = t / 3 in
-      let bigs_end = ref lo in
-      while !bigs_end < hi && sp.(!bigs_end) > half do incr bigs_end done;
-      let mids_end = ref !bigs_end in
-      while !mids_end < hi && sp.(!mids_end) > third do incr mids_end done;
-      let bi = ref (!bigs_end - 1) and mi = ref !bigs_end and lu = ref 0 in
-      while !mi < !mids_end do
-        if !bi < lo then begin
-          lu := !lu + (!mids_end - !mi);
-          mi := !mids_end
-        end
-        else if sp.(!mi) <= t - sp.(!bi) then begin
-          decr bi;
-          incr mi
-        end
-        else begin
-          incr lu;
-          incr mi
-        end
-      done;
-      let c2 = !bigs_end - lo + ((!lu + 1) / 2) in
-      max (ceil_div loads.(u) t) c2
+      if area_only then ceil_div loads.(u) t
+      else begin
+        let lo = offsets.(u) and hi = offsets.(u + 1) in
+        let half = t / 2 and third = t / 3 in
+        let bigs_end = ref lo in
+        while !bigs_end < hi && sp.(!bigs_end) > half do incr bigs_end done;
+        let mids_end = ref !bigs_end in
+        while !mids_end < hi && sp.(!mids_end) > third do incr mids_end done;
+        let bi = ref (!bigs_end - 1) and mi = ref !bigs_end and lu = ref 0 in
+        while !mi < !mids_end do
+          if !bi < lo then begin
+            lu := !lu + (!mids_end - !mi);
+            mi := !mids_end
+          end
+          else if sp.(!mi) <= t - sp.(!bi) then begin
+            decr bi;
+            incr mi
+          end
+          else begin
+            incr lu;
+            incr mi
+          end
+        done;
+        let c2 = !bigs_end - lo + ((!lu + 1) / 2) in
+        max (ceil_div loads.(u) t) c2
+      end
     in
-    let cap = Border_search.slot_cap ~machines:m ~slots:(Instance.Flat.c fl) in
+    let cap = Border_search.slot_cap ~machines:m ~slots:(Instance.c inst) in
     let probes = ref 0 in
     let feasible t =
       Ccs_resil.Deadline.check chk_probe;
@@ -205,8 +137,7 @@ let solve_flat fl =
         true
       with Exit -> false
     in
-    let total = Instance.Flat.total_load fl in
-    let lb = max (Instance.Flat.pmax fl) (ceil_div total m) in
+    let lb = Bounds.lb_integral inst in
     let ub = max lb (Array.fold_left max 0 loads) in
     let lo = ref lb and hi = ref ub in
     if not (feasible ub) then
@@ -216,11 +147,13 @@ let solve_flat fl =
       if feasible mid then hi := mid else lo := mid + 1
     done;
     let t = !lo in
-    (* LPT over each presorted segment with [Lpt.split]'s first-minimum bin
-       scan. C_u is at most the class's job count (every p <= T), so one
-       scratch row of bins serves every class. Items are numbered in
-       creation order (class, then bin, empty bins skipped); [pos_item]
-       holds first the bin, then the item of each segment position. *)
+    (* LPT over each presorted segment (list scheduling over the unsorted
+       one under [input_order]) with [Lpt.split]'s first-minimum bin scan.
+       C_u is at most the class's job count (every p <= T), so one scratch
+       row of bins serves every class. Items are numbered in creation order
+       (class, then bin, empty bins skipped); [pos_item] holds first the
+       bin, then the item of each segment position. *)
+    let order, order_p = if input_order then (ids, Array.map job_p ids) else (sid, sp) in
     let bin_load = Array.make !widest 0 and bin_item = Array.make !widest 0 in
     let pos_item = Array.make n 0 and item_load = Array.make n 0 in
     let items = ref 0 in
@@ -234,7 +167,7 @@ let solve_flat fl =
           if bin_load.(k) < bin_load.(!best) then best := k
         done;
         pos_item.(i) <- !best;
-        bin_load.(!best) <- bin_load.(!best) + sp.(i)
+        bin_load.(!best) <- bin_load.(!best) + order_p.(i)
       done;
       (* sizes are positive: a bin is empty iff its load is 0 *)
       for k = 0 to bins - 1 do
@@ -248,14 +181,19 @@ let solve_flat fl =
         pos_item.(i) <- bin_item.(pos_item.(i))
       done
     done;
-    (* Round robin: items by non-ascending load, ties in creation order
-       (the list path's stable sort), the item of rank r on machine r mod m. *)
-    let order = Round_robin.sort_desc item_load (Array.init !items Fun.id) in
+    (* Round robin: items by non-ascending load, ties in creation order,
+       the item of rank r on machine r mod m. *)
+    let ranked = Round_robin.sort_desc item_load (Array.init !items Fun.id) in
     let item_machine = Array.make !items 0 in
-    Array.iteri (fun r it -> item_machine.(it) <- r mod m) order;
+    Array.iteri (fun r it -> item_machine.(it) <- r mod m) ranked;
     let assignment = Array.make n (-1) in
     for i = 0 to n - 1 do
-      assignment.(sid.(i)) <- item_machine.(pos_item.(i))
+      assignment.(order.(i)) <- item_machine.(pos_item.(i))
     done;
     (assignment, { t_guess = t; probes = !probes })
   end
+
+let solve inst = solve_ablation ~area_only:false ~input_order:false inst
+
+(* the name bench/e2e calls; see nonpreemptive.mli *)
+let solve_flat = solve

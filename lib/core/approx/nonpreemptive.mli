@@ -18,28 +18,27 @@ type stats = {
   probes : int;  (** binary-search feasibility evaluations *)
 }
 
-(** [cu ~t jobs] computes [C_u] for one class (exposed for the A2 ablation
-    and tests): [jobs] are the processing times of the class. *)
+(** [cu ~t jobs] computes [C_u] for one class (exposed for the
+    heterogeneous-slots extension and tests): [jobs] are the processing
+    times of the class. *)
 val cu : t:int -> int list -> int
 
-(** Area-only variant [C1_u] (ablation A2). *)
+(** Area-only variant [C1_u] (what ablation A2 counts). *)
 val cu_area_only : t:int -> int list -> int
 
+(** Raises [Invalid_argument] if the instance is unschedulable (C > c*m).
+    O(n log n) once, then O(n) per probe of the binary search. *)
 val solve : Instance.t -> Schedule.nonpreemptive * stats
 
-(** Same algorithm directly on the flat representation, with presorted
-    per-class views so a feasibility probe allocates nothing and the whole
-    solve is O(n log n + n log ub). Bit-identical to [solve] on the
-    converted instance. *)
-val solve_flat : Instance.Flat.t -> Schedule.nonpreemptive * stats
+(** {!solve} with the two ablation switches, both off in {!solve}:
+    [~area_only:true] counts sub-classes by {!cu_area_only} instead of
+    {!cu} (ablation A2, demonstrating that the careful [C2_u] computation
+    matters); [~input_order:true] splits each class by list scheduling in
+    job index order instead of LPT order (ablation A3). Either way the
+    schedule stays valid, only worse. *)
+val solve_ablation :
+  area_only:bool -> input_order:bool -> Instance.t -> Schedule.nonpreemptive * stats
 
-(** Ablation hook: same algorithm but with a caller-supplied sub-class
-    counter (e.g. {!cu_area_only} for ablation A2) — demonstrating that the
-    careful [C2_u] computation matters. [~use_lpt:false] additionally
-    replaces the LPT order inside each class split by raw input order
-    (ablation A3). Either way the schedule stays valid, only worse. *)
-val solve_with_counter :
-  ?use_lpt:bool ->
-  counter:(t:int -> int list -> int) ->
-  Instance.t ->
-  Schedule.nonpreemptive * stats
+(** {!solve}, kept only because [bench/e2e] still calls it; it goes when
+    that harness next changes. *)
+val solve_flat : Instance.t -> Schedule.nonpreemptive * stats

@@ -19,7 +19,6 @@ type stats = {
 
 val solve : Instance.t -> Schedule.preemptive * stats
 
-(** Same algorithm directly on the flat representation (CSR class views,
-    no per-job boxing on the way in). Bit-identical to [solve] on the
-    converted instance. *)
-val solve_flat : Instance.Flat.t -> Schedule.preemptive * stats
+(** {!solve}, kept only because [bench/e2e] still calls it; it goes when
+    that harness next changes. *)
+val solve_flat : Instance.t -> Schedule.preemptive * stats

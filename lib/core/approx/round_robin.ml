@@ -18,7 +18,7 @@ let lemma3_bound ~machines sizes =
   Rat.add (Rat.div total (Rat.of_int machines)) maximum
 
 (* [sort_desc key ids] is [ids] reordered by non-ascending [key.(id)],
-   equal keys in their given order: the order the flat cores hand to the
+   equal keys in their given order: the order the three cores hand to the
    round robin. Keys are non-negative ints. An LSD radix sort on 11-bit
    digits, one O(n) pass per digit of the largest key; [ids] serves as its
    scratch and is overwritten. *)

@@ -1,17 +1,14 @@
 module Q = Rat
 
-let lb_splittable_of ~total_load ~machines =
-  Q.make (Bigint.of_int total_load) (Bigint.of_int machines)
-
 let lb_splittable inst =
-  lb_splittable_of ~total_load:(Instance.total_load inst) ~machines:(Instance.m inst)
+  Q.make (Bigint.of_int (Instance.total_load inst)) (Bigint.of_int (Instance.m inst))
 
-let lb_preemptive_of ~total_load ~machines ~pmax =
-  Q.max (Q.of_int pmax) (lb_splittable_of ~total_load ~machines)
+let lb_preemptive inst = Q.max (Q.of_int (Instance.pmax inst)) (lb_splittable inst)
 
-let lb_preemptive inst =
-  lb_preemptive_of ~total_load:(Instance.total_load inst) ~machines:(Instance.m inst)
-    ~pmax:(Instance.pmax inst)
+(* ceil (total / m) as (total - 1) / m + 1: total >= 1, and total + m - 1
+   can pass max_int *)
+let lb_integral inst =
+  max (Instance.pmax inst) (((Instance.total_load inst - 1) / Instance.m inst) + 1)
 
 let ub_splittable inst =
   let max_load = Array.fold_left max 0 (Instance.class_load inst) in

@@ -1,20 +1,19 @@
 (** Lower and upper bounds on the optimal makespan, as used throughout
-    Section 3 of the paper. All bounds are exact rationals. *)
+    Section 3 of the paper. All bounds but {!lb_integral} are exact
+    rationals. *)
 
 (** Splittable lower bound: the average load [sum p_j / m] (the paper's LB
     for Algorithm 1). *)
 val lb_splittable : Instance.t -> Rat.t
 
-(** Representation-free form of {!lb_splittable}, shared by the record and
-    flat solver paths. *)
-val lb_splittable_of : total_load:int -> machines:int -> Rat.t
-
 (** Preemptive / non-preemptive lower bound:
     [max (pmax, sum p_j / m)] (Theorems 5 and 6). *)
 val lb_preemptive : Instance.t -> Rat.t
 
-(** Representation-free form of {!lb_preemptive}. *)
-val lb_preemptive_of : total_load:int -> machines:int -> pmax:int -> Rat.t
+(** Integral lower bound [max (pmax, ceil (sum p_j / m))] for the
+    non-preemptive variant: its optimum is an integer. Never wraps, even at
+    [sum p_j = max_int]. *)
+val lb_integral : Instance.t -> int
 
 (** A valid class-slot-aware splittable lower bound: the smallest T such
     that splitting every class into [ceil (P_u / T)] sub-classes fits in

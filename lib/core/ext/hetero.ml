@@ -20,9 +20,8 @@ let validate t assignment =
       (fun j mi ->
         if mi < 0 || mi >= m then bad := Some (Printf.sprintf "job %d: bad machine" j)
         else begin
-          let job = Instance.job t.base j in
-          loads.(mi) <- loads.(mi) + job.Instance.p;
-          Hashtbl.replace classes.(mi) job.Instance.cls ()
+          loads.(mi) <- loads.(mi) + Instance.job_p t.base j;
+          Hashtbl.replace classes.(mi) (Instance.job_cls t.base j) ()
         end)
       assignment;
     Array.iteri
@@ -43,11 +42,10 @@ let solve_greedy t =
   let inst = t.base in
   let n = Instance.n inst in
   let m = Instance.m inst in
-  let class_jobs = Instance.class_jobs inst in
-  let class_sizes = Array.map (List.map (fun j -> (Instance.job inst j).Instance.p)) class_jobs in
+  let members = Ptas.Common.class_members inst in
+  let class_sizes = Array.map (List.map snd) members in
   let cap = Array.fold_left ( + ) 0 t.slots in
-  let total = Instance.total_load inst in
-  let lb = max (Instance.pmax inst) ((total + m - 1) / m) in
+  let lb = Bounds.lb_integral inst in
   let ub = max lb (Array.fold_left max 0 (Instance.class_load inst)) in
   let feasible guess =
     let count = ref 0 in
@@ -70,14 +68,13 @@ let solve_greedy t =
   (* sub-classes *)
   let items = ref [] in
   Array.iteri
-    (fun u jobs ->
-      let sized = List.map (fun j -> (j, (Instance.job inst j).Instance.p)) jobs in
+    (fun u sized ->
       let bins = Approx.Nonpreemptive.cu ~t:guess (List.map snd sized) in
       let content, load = Approx.Lpt.split ~bins sized in
       Array.iteri
         (fun k part -> if part <> [] then items := (load.(k), u, List.map fst part) :: !items)
         content)
-    class_jobs;
+    members;
   let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare b a) !items in
   let loads = Array.make m 0 in
   let hosted = Array.init m (fun _ -> Hashtbl.create 4) in
@@ -113,11 +110,9 @@ let solve_exact ?(node_limit = 20_000_000) t =
     let n = Instance.n inst in
     let m = Instance.m inst in
     let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b -> compare (Instance.job inst b).Instance.p (Instance.job inst a).Instance.p)
-      order;
-    let p = Array.map (fun i -> (Instance.job inst i).Instance.p) order in
-    let cls = Array.map (fun i -> (Instance.job inst i).Instance.cls) order in
+    Array.sort (fun a b -> compare (Instance.job_p inst b) (Instance.job_p inst a)) order;
+    let p = Array.map (Instance.job_p inst) order in
+    let cls = Array.map (Instance.job_cls inst) order in
     (* warm start: if the greedy is already optimal the search will not
        improve on it, so it must seed the incumbent, not just the bound *)
     let best, best_assignment =

@@ -15,7 +15,7 @@ type spec = {
 let default =
   { n = 40; classes = 8; machines = 5; slots = 3; p_lo = 1; p_hi = 100; family = Uniform }
 
-let generate_draws ~seed spec =
+let generate ~seed spec =
   if spec.n <= 0 || spec.classes <= 0 then invalid_arg "Generator.generate";
   let rng = Prng.create seed in
   let pick_class =
@@ -73,8 +73,7 @@ let generate_draws ~seed spec =
           else if r < 0.8 then Prng.int_in rng ((spec.p_hi / 3) + 1) (spec.p_hi / 2)
           else Prng.int_in rng (max 1 spec.p_lo) (max 1 (spec.p_hi / 3))
   in
-  (* One explicit draw loop shared by both representations: class first,
-     then size — the same stream order the historical
+  (* Class first, then size — the same stream order the historical
      [List.init n (fun _ -> (pick_p (), pick_class ()))] consumed (tuples
      evaluate right to left), so seeds reproduce the same instances. *)
   let p = Array.make spec.n 0 and cls = Array.make spec.n 0 in
@@ -82,11 +81,10 @@ let generate_draws ~seed spec =
     cls.(i) <- pick_class ();
     p.(i) <- pick_p ()
   done;
-  Instance.Flat.of_arrays ~machines:spec.machines ~slots:spec.slots ~p ~cls
+  Instance.of_arrays ~machines:spec.machines ~slots:spec.slots ~p ~cls
 
-let generate_flat ~seed spec = generate_draws ~seed spec
-
-let generate ~seed spec = Instance.of_flat (generate_draws ~seed spec)
+(* the name bench/e2e calls; see generator.mli *)
+let generate_flat = generate
 
 let figure1_example () =
   (* Ten classes with strictly decreasing loads, four machines, two slots:

@@ -39,11 +39,9 @@ val default : spec
     non-empty is NOT guaranteed (Instance.make renumbers densely). *)
 val generate : seed:int -> spec -> Instance.t
 
-(** Same draw stream straight into the flat representation — for any seed,
-    [generate_flat ~seed spec = Instance.to_flat (generate ~seed spec)]
-    without ever building the boxed records. This is how the XL tier
-    materializes million-job instances. *)
-val generate_flat : seed:int -> spec -> Instance.Flat.t
+(** {!generate}, kept only because [bench/e2e] still calls it; it goes
+    when that harness next changes. *)
+val generate_flat : seed:int -> spec -> Instance.t
 
 (** The 10-class example of the paper's Figure 1 (sizes chosen to reproduce
     the illustrated layout: four classes of decreasing size above T/2, six

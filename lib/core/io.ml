@@ -13,26 +13,18 @@ let m_flat_loads =
     ~help:"Instances parsed in binary flat format"
 
 let to_string inst =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (32 + (16 * Instance.n inst)) in
   Buffer.add_string buf "ccs 1\n";
   Buffer.add_string buf (Printf.sprintf "machines %d\n" (Instance.m inst));
   Buffer.add_string buf (Printf.sprintf "slots %d\n" (Instance.c inst));
   for i = 0 to Instance.n inst - 1 do
-    let j = Instance.job inst i in
-    Buffer.add_string buf (Printf.sprintf "job %d %d\n" j.Instance.p j.Instance.cls)
+    Buffer.add_string buf
+      (Printf.sprintf "job %d %d\n" (Instance.job_p inst i) (Instance.job_cls inst i))
   done;
   Buffer.contents buf
 
-let to_string_flat f =
-  let buf = Buffer.create (32 + (16 * Instance.Flat.n f)) in
-  Buffer.add_string buf "ccs 1\n";
-  Buffer.add_string buf (Printf.sprintf "machines %d\n" (Instance.Flat.m f));
-  Buffer.add_string buf (Printf.sprintf "slots %d\n" (Instance.Flat.c f));
-  for i = 0 to Instance.Flat.n f - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "job %d %d\n" (Instance.Flat.job_p f i) (Instance.Flat.job_cls f i))
-  done;
-  Buffer.contents buf
+(* the name bench/e2e calls; see io.mli *)
+let to_string_flat = to_string
 
 (* ---------------- streaming text parser ----------------
 
@@ -66,14 +58,14 @@ type parser_state = {
   pending : Buffer.t; (* token prefix left over from the previous chunk *)
   mutable machines : int option;
   mutable slots : int option;
-  mutable jp : Instance.Flat.arr; (* growable job arrays, [njobs] filled *)
-  mutable jcls : Instance.Flat.arr;
+  mutable jp : Instance.arr; (* growable job arrays, [njobs] filled *)
+  mutable jcls : Instance.arr;
   mutable njobs : int;
   mutable ntokens : int; (* tokens not yet added to [io.stream_tokens] *)
   mutable error : string option;
 }
 
-let new_arr n : Instance.Flat.arr = A1.create Bigarray.int Bigarray.c_layout n
+let new_arr n : Instance.arr = A1.create Bigarray.int Bigarray.c_layout n
 
 let new_state () =
   { lineno = 1; ntok = 0; job_line = false; tok = Array.make 2 ""; line_p = 0;
@@ -240,7 +232,7 @@ let finish st =
   | None, Some machines, Some slots, n -> (
       (* exact-length copies: the instance keeps 16 bytes per job *)
       let p = resized st.jp n n and cls = resized st.jcls n n in
-      try Ok (Instance.Flat.of_bigarrays ~machines ~slots ~p ~cls)
+      try Ok (Instance.of_bigarrays ~machines ~slots ~p ~cls)
       with Invalid_argument msg -> Error msg)
 
 let default_chunk = 65536
@@ -258,8 +250,8 @@ let parse_stream ~chunk read =
   in
   loop ()
 
-let of_string_flat ?(chunk = default_chunk) text =
-  if chunk <= 0 then invalid_arg "Io.of_string_flat: chunk must be positive";
+let of_string ?(chunk = default_chunk) text =
+  if chunk <= 0 then invalid_arg "Io.of_string: chunk must be positive";
   let pos = ref 0 in
   let read buf =
     let k = min (Bytes.length buf) (String.length text - !pos) in
@@ -269,13 +261,11 @@ let of_string_flat ?(chunk = default_chunk) text =
   in
   parse_stream ~chunk read
 
-let of_string text = Result.map Instance.of_flat (of_string_flat text)
-
 (* ---------------- binary flat format ----------------
 
    Fixed little-endian layout built for the million-job tier: parsing is a
-   header check plus two bulk int64 reads straight into the off-heap flat
-   arrays.
+   header check plus two bulk int64 reads straight into the instance's
+   off-heap arrays.
 
    {v
      "ccsb1\n"                     6-byte magic
@@ -293,9 +283,9 @@ let save_flat path f =
   Out_channel.output_string oc flat_magic;
   let buf = Bytes.create (8 * io_chunk_words) in
   let header = Bytes.create 24 in
-  Bytes.set_int64_le header 0 (Int64.of_int (Instance.Flat.n f));
-  Bytes.set_int64_le header 8 (Int64.of_int (Instance.Flat.m f));
-  Bytes.set_int64_le header 16 (Int64.of_int (Instance.Flat.c f));
+  Bytes.set_int64_le header 0 (Int64.of_int (Instance.n f));
+  Bytes.set_int64_le header 8 (Int64.of_int (Instance.m f));
+  Bytes.set_int64_le header 16 (Int64.of_int (Instance.c f));
   Out_channel.output_bytes oc header;
   let write_arr get n =
     let i = ref 0 in
@@ -308,9 +298,9 @@ let save_flat path f =
       i := !i + k
     done
   in
-  let n = Instance.Flat.n f in
-  write_arr (Instance.Flat.job_p f) n;
-  write_arr (Instance.Flat.job_cls f) n
+  let n = Instance.n f in
+  write_arr (Instance.job_p f) n;
+  write_arr (Instance.job_cls f) n
 
 let read_flat_body ic =
   let header = Bytes.create 24 in
@@ -357,7 +347,7 @@ let read_flat_body ic =
                 | Error e -> Error e
                 | Ok cls -> (
                     Ccs_obs.Metrics.incr m_flat_loads;
-                    try Ok (Instance.Flat.of_bigarrays ~machines ~slots ~p ~cls)
+                    try Ok (Instance.of_bigarrays ~machines ~slots ~p ~cls)
                     with Invalid_argument msg -> Error msg))
           end)
 
@@ -393,11 +383,12 @@ let parse_channel ?(chunk = default_chunk) ic =
     parse_stream ~chunk read
   end
 
-let load_flat path =
+let load path =
   match In_channel.with_open_bin path (fun ic -> parse_channel ic) with
   | r -> r
   | exception Sys_error msg -> Error msg
 
-let load path = Result.map Instance.of_flat (load_flat path)
+(* the name bench/e2e calls; see io.mli *)
+let load_flat = load
 
 let save path inst = Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (to_string inst))

@@ -22,26 +22,29 @@
     There is also a binary flat format (magic ["ccsb1\n"], int64
     little-endian header [n, machines, slots] followed by the [p] and [cls]
     arrays) that loads a million-job instance with two bulk reads. {!load}
-    and {!load_flat} auto-detect the format by sniffing the magic. *)
+    auto-detects the format by sniffing the magic. *)
 
 val to_string : Instance.t -> string
-val to_string_flat : Instance.Flat.t -> string
 
-val of_string : string -> (Instance.t, string) result
+(** {!to_string} under the name [bench/e2e] calls. *)
+val to_string_flat : Instance.t -> string
 
-(** Parse text into the flat form without building any boxed records.
-    [chunk] (default 64 KiB) sets the tokenizer's buffer size — tests use
-    tiny chunks to exercise tokens split across boundaries. *)
-val of_string_flat : ?chunk:int -> string -> (Instance.Flat.t, string) result
+(** Parse text. [chunk] (default 64 KiB) sets the tokenizer's buffer
+    size — tests use tiny chunks to exercise tokens split across
+    boundaries. *)
+val of_string : ?chunk:int -> string -> (Instance.t, string) result
 
 (** Stream an instance from an open channel, auto-detecting binary vs text
     by the leading magic. The channel must be in binary mode. *)
-val parse_channel : ?chunk:int -> in_channel -> (Instance.Flat.t, string) result
+val parse_channel : ?chunk:int -> in_channel -> (Instance.t, string) result
 
 val load : string -> (Instance.t, string) result
-val load_flat : string -> (Instance.Flat.t, string) result
+
+(** {!load}, kept only because [bench/e2e] still calls it; it goes when
+    that harness next changes. *)
+val load_flat : string -> (Instance.t, string) result
 
 val save : string -> Instance.t -> unit
 
 (** Write the binary flat format. *)
-val save_flat : string -> Instance.Flat.t -> unit
+val save_flat : string -> Instance.t -> unit

@@ -8,6 +8,13 @@ let param d =
 
 let delta p = Q.of_ints 1 p.d
 
+let class_members inst =
+  let offsets, ids = Instance.class_jobs_csr inst in
+  Array.init (Instance.num_classes inst) (fun u ->
+      List.init (offsets.(u + 1) - offsets.(u)) (fun k ->
+          let j = ids.(offsets.(u) + k) in
+          (j, Instance.job_p inst j)))
+
 (* Cancellation checkpoints: configuration enumeration is the hot DFS,
    one guess probe of the dual-approximation search is the coarse site. *)
 let chk_enum = Ccs_resil.Deadline.site ~hot:true "ptas.enum"

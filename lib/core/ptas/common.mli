@@ -12,6 +12,10 @@ type param = { d : int  (** 1/delta; d >= 1 *) }
 val param : int -> param
 val delta : param -> Rat.t
 
+(** The jobs of each class as [(job, p_job)] pairs, in increasing job
+    order: the input of the PTASs' per-class grouping. *)
+val class_members : Instance.t -> (int * int) list array
+
 (** All multisets (as sorted-descending lists) over the given distinct part
     values, with sum <= [max_sum] and at most [max_count] parts. Includes
     the empty multiset. Raises [Too_many] beyond [limit] (default 200000) —

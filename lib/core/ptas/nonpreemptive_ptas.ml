@@ -67,14 +67,7 @@ let round_instance (p : Common.param) inst t =
   let unit_q = Q.div t (Q.of_int (c * d * d)) in
   let tbar = c * (d + 3) * (d + 2) in
   let delta_t = Q.div t (Q.of_int d) in
-  let class_jobs = Instance.class_jobs inst in
-  let gclasses =
-    Array.mapi
-      (fun _u ids ->
-        let jobs = List.map (fun j -> (j, (Instance.job inst j).Instance.p)) ids in
-        group_class ~delta_t jobs)
-      class_jobs
-  in
+  let gclasses = Array.map (group_class ~delta_t) (Common.class_members inst) in
   let large = ref [] and smalls = Hashtbl.create 8 in
   Array.iteri
     (fun gi gc ->
@@ -402,9 +395,7 @@ let solve ?progress p inst =
     let orc, calls =
       Common.warm_oracle (fun ~warm ~basis_out t -> oracle ?warm ~basis_out p inst t)
     in
-    let total = Instance.total_load inst in
-    let m = Instance.m inst in
-    let lb = Q.of_int (max (Instance.pmax inst) ((total + m - 1) / m)) in
+    let lb = Q.of_int (Bounds.lb_integral inst) in
     (* the 7/3 schedule's makespan is achievable, hence an accepted guess *)
     let approx_sched, _ = Approx.Nonpreemptive.solve inst in
     let ub = Q.max lb (Q.of_int (Schedule.nonpreemptive_makespan inst approx_sched)) in

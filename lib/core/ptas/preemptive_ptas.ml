@@ -60,13 +60,7 @@ let round_instance (p : Common.param) inst t =
   let layers = ((d + 3) * (d * d + 1) / d) + 1 in
   let tbar_u1 = c * (d + 3) * ((d * d) + 1) in
   let delta_t = Q.div t (Q.of_int d) in
-  let class_jobs = Instance.class_jobs inst in
-  let gclasses =
-    Array.map
-      (fun ids ->
-        group_class ~delta_t (List.map (fun j -> (j, (Instance.job inst j).Instance.p)) ids))
-      class_jobs
-  in
+  let gclasses = Array.map (group_class ~delta_t) (Common.class_members inst) in
   let large = ref [] and smalls = Hashtbl.create 8 in
   Array.iteri
     (fun u gc ->
@@ -360,7 +354,7 @@ let construct (p : Common.param) inst rounded layout sol =
             | Some r -> List.sort (fun (_, a) (_, b) -> compare a b) !r
             | None -> []
           in
-          let members = ref (List.map (fun id -> (id, Q.of_int (Instance.job inst id).Instance.p))
+          let members = ref (List.map (fun id -> (id, Q.of_int (Instance.job_p inst id)))
                                (List.sort compare gj.members)) in
           List.iter
             (fun (mi, l) ->
@@ -404,7 +398,7 @@ let construct (p : Common.param) inst rounded layout sol =
     List.iter (fun l -> used.(l) <- true) machine_used_layers.(mi);
     (* also account for smalls already placed on this machine: track via a
        per-machine cursor list of free intervals consumed so far *)
-    let members = ref (List.map (fun id -> (id, Q.of_int (Instance.job inst id).Instance.p))
+    let members = ref (List.map (fun id -> (id, Q.of_int (Instance.job_p inst id)))
                          (List.sort compare gj.members)) in
     (* existing small pieces on this machine beyond the layer grid *)
     let existing = !(sched.(mi)) in
@@ -520,7 +514,7 @@ let solve ?progress p inst =
   if Instance.m inst >= n then
     (* one job per machine is an optimal preemptive schedule *)
     ( Array.init n (fun j ->
-          [ { Schedule.pjob = j; start = Q.zero; len = Q.of_int (Instance.job inst j).Instance.p } ]),
+          [ { Schedule.pjob = j; start = Q.zero; len = Q.of_int (Instance.job_p inst j) } ]),
       { t_accepted = Q.of_int (Instance.pmax inst); oracle_calls = 0; ilp_vars = 0; layers = 0 } )
   else
     Ccs_obs.Recorder.phase "ptas"

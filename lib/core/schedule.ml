@@ -187,11 +187,16 @@ let to_job_pieces ?(limit = 1_000_000) inst s =
           invalid_arg "Schedule.to_job_pieces: too many machines";
         Hashtbl.replace machines m (ref [ pc ])
   in
-  let class_jobs = Instance.class_jobs inst in
+  let offsets, ids = Instance.class_jobs_csr inst in
   for u = 0 to nclasses - 1 do
     let loads = List.sort (fun (a, _) (b, _) -> compare a b) per_class.(u) in
     (* jobs of class u as a queue of (job, remaining) *)
-    let jobs = ref (List.map (fun j -> (j, Q.of_int (Instance.job inst j).Instance.p)) class_jobs.(u)) in
+    let jobs =
+      ref
+        (List.init (offsets.(u + 1) - offsets.(u)) (fun k ->
+             let j = ids.(offsets.(u) + k) in
+             (j, Q.of_int (Instance.job_p inst j))))
+    in
     List.iter
       (fun (m, load) ->
         let remaining = ref load in
@@ -246,7 +251,7 @@ let validate_preemptive inst sched =
           else if Q.sign pc.len <= 0 then Some "non-positive piece"
           else if Q.sign pc.start < 0 then Some "negative start"
           else begin
-            let u = (Instance.job inst pc.pjob).Instance.cls in
+            let u = Instance.job_cls inst pc.pjob in
             let fresh = class_stamp.(u) <> mi in
             class_stamp.(u) <- mi;
             all.(!filled) <- pc;
@@ -298,7 +303,7 @@ let validate_preemptive inst sched =
             let lo = first.(j) and hi = first.(j + 1) in
             let scheduled = ref Q.zero in
             for i = lo to hi - 1 do scheduled := Q.add !scheduled all.(by_job.(i)).len done;
-            let p = (Instance.job inst j).Instance.p in
+            let p = Instance.job_p inst j in
             if not (Q.equal !scheduled (Q.of_int p)) then
               fail (Printf.sprintf "job %d: scheduled %s of %d" j (Q.to_string !scheduled) p)
             else if hi - lo >= 2 && parallel (Array.sub by_job lo (hi - lo)) then
@@ -343,7 +348,7 @@ let iter_machines assignment f =
 
 let machine_load inst jobs lo hi =
   let load = ref 0 in
-  for i = lo to hi - 1 do load := !load + (Instance.job inst jobs.(i)).Instance.p done;
+  for i = lo to hi - 1 do load := !load + Instance.job_p inst jobs.(i) done;
   !load
 
 let nonpreemptive_makespan inst assignment =
@@ -372,7 +377,7 @@ let validate_nonpreemptive inst assignment =
             if !overfull = None then begin
               let classes = ref 0 in
               for i = lo to hi - 1 do
-                let u = (Instance.job inst jobs.(i)).Instance.cls in
+                let u = Instance.job_cls inst jobs.(i) in
                 if class_stamp.(u) <> mi then begin
                   class_stamp.(u) <- mi;
                   incr classes

@@ -64,11 +64,10 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
        the area bound bites early. Restarts permute a view over this. *)
     let base = Array.init n (fun i -> i) in
     Array.sort
-      (fun a b ->
-        compare (Ccs.Instance.job inst b).Ccs.Instance.p (Ccs.Instance.job inst a).Ccs.Instance.p)
+      (fun a b -> compare (Ccs.Instance.job_p inst b) (Ccs.Instance.job_p inst a))
       base;
-    let bp = Array.map (fun i -> (Ccs.Instance.job inst i).Ccs.Instance.p) base in
-    let bcls = Array.map (fun i -> (Ccs.Instance.job inst i).Ccs.Instance.cls) base in
+    let bp = Array.map (Ccs.Instance.job_p inst) base in
+    let bcls = Array.map (Ccs.Instance.job_cls inst) base in
     (* Job types: jobs with equal (p, class) are interchangeable, so learned
        no-goods are keyed on the remaining type multiset, not job identity —
        which also makes them valid across restarts that permute the order. *)
@@ -92,9 +91,9 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
     let best_assignment = ref (Array.copy start) in
     (* the warm start is incumbent zero of this solve's gap trace *)
     Ccs_obs.Recorder.incumbent ~src:"bnb" ~solve:ord (float_of_int !best);
-    (* Integral root lower bound: OPT uses at most [min m n] machines. *)
+    (* Integral root lower bound *)
     let total = Ccs.Instance.total_load inst in
-    let lb0 = max (Ccs.Instance.pmax inst) ((total + m - 1) / m) in
+    let lb0 = Ccs.Bounds.lb_integral inst in
     Ccs_obs.Recorder.lower_bound ~src:"bnb" ~solve:ord (float_of_int lb0);
     (* ---------------- machine state ---------------- *)
     let words = ((nc + 62) / 63) in
@@ -527,8 +526,8 @@ let brute_force inst =
   if n > 10 then invalid_arg "Bnb.brute_force: too large";
   let nc = Ccs.Instance.num_classes inst in
   let c = Ccs.Instance.c inst in
-  let p = Array.init n (fun j -> (Ccs.Instance.job inst j).Ccs.Instance.p) in
-  let cls = Array.init n (fun j -> (Ccs.Instance.job inst j).Ccs.Instance.cls) in
+  let p = Array.init n (Ccs.Instance.job_p inst) in
+  let cls = Array.init n (Ccs.Instance.job_cls inst) in
   let loads = Array.make m 0 in
   let class_count = Array.make m 0 in
   let occupancy = Array.make (m * nc) 0 in

@@ -34,12 +34,6 @@ let solve_ids = Atomic.make 0
 
 exception Abstain
 
-(* Integral root lower bound: OPT uses at most [min m n] machines. *)
-let int_lower_bound inst =
-  let m = min (Ccs.Instance.m inst) (Ccs.Instance.n inst) in
-  let total = Ccs.Instance.total_load inst in
-  max (Ccs.Instance.pmax inst) ((total + m - 1) / m)
-
 (* Distinct (size, class) job types: sizes/classes/demands plus the job
    indices of each type in increasing order, so decoding an ILP solution
    into a concrete assignment is deterministic. *)
@@ -50,16 +44,16 @@ let types_of inst =
   let tp = ref [] and tcls = ref [] in
   let type_of = Array.make n 0 in
   for j = 0 to n - 1 do
-    let job = Ccs.Instance.job inst j in
-    let kk = (job.Ccs.Instance.p, job.Ccs.Instance.cls) in
+    let p = Ccs.Instance.job_p inst j and cls = Ccs.Instance.job_cls inst j in
+    let kk = (p, cls) in
     match Hashtbl.find_opt tbl kk with
     | Some id -> type_of.(j) <- id
     | None ->
         let id = !nt in
         incr nt;
         Hashtbl.add tbl kk id;
-        tp := job.Ccs.Instance.p :: !tp;
-        tcls := job.Ccs.Instance.cls :: !tcls;
+        tp := p :: !tp;
+        tcls := cls :: !tcls;
         type_of.(j) <- id
   done;
   let nt = !nt in
@@ -118,7 +112,7 @@ let config_ilp ~max_configs ~ilp_nodes inst =
   let nt, tp, tcls, dem, jobs_of = types_of inst in
   let warm, _ = Ccs.Approx.Nonpreemptive.solve inst in
   let ub0 = Ccs.Schedule.nonpreemptive_makespan inst warm in
-  let lb0 = int_lower_bound inst in
+  let lb0 = Ccs.Bounds.lb_integral inst in
   if ub0 = lb0 then Some (ub0, warm)
   else begin
     try
@@ -212,7 +206,7 @@ let nfold_member ~ilp_nodes inst =
   else begin
     let warm, _ = Ccs.Approx.Nonpreemptive.solve inst in
     let ub0 = Ccs.Schedule.nonpreemptive_makespan inst warm in
-    let lb0 = int_lower_bound inst in
+    let lb0 = Ccs.Bounds.lb_integral inst in
     if ub0 = lb0 then Some (ub0, warm)
     else begin
       let class_dem = Array.make nc 0 in
@@ -292,7 +286,7 @@ let solve ?(node_limit = 50_000_000) ?(max_configs = 4_000) ?(ilp_nodes = 200_00
        root lower bound — the portfolio only ever trades it up for a proof. *)
     let warm, _ = Ccs.Approx.Nonpreemptive.solve inst in
     let ub0 = Ccs.Schedule.nonpreemptive_makespan inst warm in
-    let lb0 = int_lower_bound inst in
+    let lb0 = Ccs.Bounds.lb_integral inst in
     let run i =
       let res =
         match i with

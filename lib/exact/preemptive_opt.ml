@@ -21,7 +21,7 @@ let build inst =
   for j = 0 to n - 1 do
     rows :=
       Lp.constr (List.init m (fun i -> (a j i, Q.one))) Lp.Eq
-        (Q.of_int (I.job inst j).I.p)
+        (Q.of_int (I.job_p inst j))
       :: !rows
   done;
   for i = 0 to m - 1 do
@@ -33,8 +33,8 @@ let build inst =
       :: !rows
   done;
   for j = 0 to n - 1 do
-    let p = (I.job inst j).I.p in
-    let u = (I.job inst j).I.cls in
+    let p = I.job_p inst j in
+    let u = I.job_cls inst j in
     for i = 0 to m - 1 do
       rows := Lp.constr [ (a j i, Q.one); (y u i, Q.of_int (-p)) ] Lp.Le Q.zero :: !rows
     done
@@ -42,7 +42,7 @@ let build inst =
   let upper = Array.make nvars None in
   for j = 0 to n - 1 do
     for i = 0 to m - 1 do
-      upper.(a j i) <- Some (Q.of_int (I.job inst j).I.p)
+      upper.(a j i) <- Some (Q.of_int (I.job_p inst j))
     done
   done;
   for u = 0 to nc - 1 do

@@ -211,18 +211,19 @@ let test_cu_counts () =
   Alcotest.(check int) "T/3 is small" 2
     (Ccs.Approx.Nonpreemptive.cu ~t:12 [ 4; 4; 4; 4; 4; 4 ])
 
-(* The flat core classifies by scanning a size-descending segment, so its
-   boundaries are where the scan stops. On two machines with one slot, T =
-   12 is feasible only if three jobs of exactly T/2 count as mids, and six
-   of exactly T/3 as small. *)
+(* The core classifies by scanning a size-descending segment, so its
+   boundaries are where the scan stops; the list reference classifies each
+   job by [cu]. On two machines with one slot, T = 12 is feasible only if
+   three jobs of exactly T/2 count as mids, and six of exactly T/3 as
+   small. *)
 let test_boundaries_flat () =
   List.iter
     (fun (name, p, k) ->
       let inst = I.make ~machines:2 ~slots:1 (List.init k (fun _ -> (p, 0))) in
-      let _, rec_stats = Ccs.Approx.Nonpreemptive.solve inst in
-      let _, flat_stats = Ccs.Approx.Nonpreemptive.solve_flat (I.to_flat inst) in
-      Alcotest.(check int) (name ^ " record") 12 rec_stats.Ccs.Approx.Nonpreemptive.t_guess;
-      Alcotest.(check int) (name ^ " flat") 12 flat_stats.Ccs.Approx.Nonpreemptive.t_guess)
+      let _, ref_stats = Approx_ref.nonpreemptive inst in
+      let _, stats = Ccs.Approx.Nonpreemptive.solve inst in
+      Alcotest.(check int) (name ^ " reference") 12 ref_stats.Ccs.Approx.Nonpreemptive.t_guess;
+      Alcotest.(check int) (name ^ " core") 12 stats.Ccs.Approx.Nonpreemptive.t_guess)
     [ ("T/2", 6, 3); ("T/3", 4, 6) ]
 
 let test_nonpreemptive_example () =
@@ -287,8 +288,8 @@ let prop_huge_m_safety =
 
 (* Loads near max_int: no sum, ceiling or comparison of the three
    approximations may wrap. Every schedule validates and meets its bound
-   (checked in [Rat], where 7 * T cannot wrap either), and each flat core
-   agrees with its record path. *)
+   (checked in [Rat], where 7 * T cannot wrap either), and each core
+   agrees with its list reference. *)
 let prop_loads_near_max_int =
   QCheck.Test.make ~name:"loads near max_int: valid, within bound, flat = record" ~count:200
     (QCheck.int_range 0 1_000_000) (fun seed ->
@@ -304,13 +305,12 @@ let prop_loads_near_max_int =
       let slots = Ccs_util.Prng.int_in rng 1 3 in
       let machines = Ccs_util.Prng.int_in rng ((classes + slots - 1) / slots) (n - 1) in
       let inst = I.make ~machines ~slots jobs in
-      let fl = I.to_flat inst in
       let within ~rho t = function
         | Error e -> QCheck.Test.fail_reportf "invalid: %s" e
         | Ok makespan -> Q.(makespan <= Q.mul rho t)
       in
       let two = Q.of_int 2 and seven_thirds = Q.of_ints 7 3 in
-      let split, split_stats = Ccs.Approx.Splittable.solve_flat fl in
+      let split, split_stats = Ccs.Approx.Splittable.solve inst in
       let pre, pre_stats = Ccs.Approx.Preemptive.solve inst in
       let np, np_stats = Ccs.Approx.Nonpreemptive.solve inst in
       within ~rho:two split_stats.Ccs.Approx.Splittable.t_guess
@@ -319,8 +319,9 @@ let prop_loads_near_max_int =
            (S.validate_preemptive inst pre)
       && within ~rho:seven_thirds (Q.of_int np_stats.Ccs.Approx.Nonpreemptive.t_guess)
            (Result.map Q.of_int (S.validate_nonpreemptive inst np))
-      && (pre, pre_stats) = Ccs.Approx.Preemptive.solve_flat fl
-      && (np, np_stats) = Ccs.Approx.Nonpreemptive.solve_flat fl)
+      && (split, split_stats) = Approx_ref.splittable inst
+      && (pre, pre_stats) = Approx_ref.preemptive inst
+      && (np, np_stats) = Approx_ref.nonpreemptive inst)
 
 let prop_bnb_matches_brute =
   QCheck.Test.make ~name:"B&B = brute force on tiny instances" ~count:60

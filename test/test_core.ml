@@ -30,29 +30,29 @@ let test_total_overflow () =
   let half = (max_int / 2) + 1 in
   let inst = mk [ (max_int - 1, 0); (1, 1) ] in
   Alcotest.(check int) "total max_int" max_int (I.total_load inst);
-  let flat p cls = I.Flat.of_arrays ~machines:3 ~slots:2 ~p ~cls in
-  let fl = flat [| max_int - 1; 1 |] [| 0; 1 |] in
-  Alcotest.(check int) "flat total max_int" max_int (I.Flat.total_load fl);
+  let arrays p cls = I.of_arrays ~machines:3 ~slots:2 ~p ~cls in
+  let inst = arrays [| max_int - 1; 1 |] [| 0; 1 |] in
+  Alcotest.(check int) "of_arrays total max_int" max_int (I.total_load inst);
   Alcotest.check_raises "make"
     (Invalid_argument "Instance.make: total processing time exceeds max_int") (fun () ->
       ignore (mk [ (half, 0); (half, 1) ]));
   Alcotest.check_raises "make, overflow after the first job"
     (Invalid_argument "Instance.make: total processing time exceeds max_int") (fun () ->
       ignore (mk [ (1, 0); (max_int, 1) ]));
-  Alcotest.check_raises "flat"
-    (Invalid_argument "Instance.Flat: total processing time exceeds max_int") (fun () ->
-      ignore (flat [| half; 7; half |] [| 0; 1; 0 |]));
+  Alcotest.check_raises "of_arrays"
+    (Invalid_argument "Instance.make: total processing time exceeds max_int") (fun () ->
+      ignore (arrays [| half; 7; half |] [| 0; 1; 0 |]));
   (* a per-job error still wins over the total *)
-  Alcotest.check_raises "flat, bad job first"
-    (Invalid_argument "Instance.Flat: classes must be non-negative") (fun () ->
-      ignore (flat [| half; half; 1 |] [| 0; 1; -1 |]));
+  Alcotest.check_raises "of_arrays, bad job first"
+    (Invalid_argument "Instance.make: classes must be non-negative") (fun () ->
+      ignore (arrays [| half; half; 1 |] [| 0; 1; -1 |]));
   match
     Ccs.Io.of_string
       "ccs 1\nmachines 1\nslots 2\njob 3000000000000000000 0\njob 3000000000000000000 1\n"
   with
   | Error e ->
       Alcotest.(check string)
-        "parse" "Instance.Flat: total processing time exceeds max_int" e
+        "parse" "Instance.make: total processing time exceeds max_int" e
   | Ok _ -> Alcotest.fail "overflowing total accepted"
 
 let test_slots_clamped () =
@@ -506,6 +506,15 @@ let test_bounds () =
   Alcotest.check q "lb pre" (Q.of_int 8) (Ccs.Bounds.lb_preemptive inst);
   Alcotest.check q "ub integral" (Q.of_int 24) (Ccs.Bounds.ub_integral inst)
 
+(* ceil (total / m) must not wrap when total + m - 1 passes max_int *)
+let test_lb_integral_max_int () =
+  let third = max_int / 3 in
+  let inst = I.make ~machines:2 ~slots:1 [ (third, 0); (third, 0); (third, 0) ] in
+  Alcotest.(check int) "total" max_int (I.total_load inst);
+  Alcotest.(check int) "ceil (max_int / 2)" ((max_int / 2) + 1) (Ccs.Bounds.lb_integral inst);
+  Alcotest.(check int) "pmax dominates" 7
+    (Ccs.Bounds.lb_integral (I.make ~machines:4 ~slots:1 [ (7, 0); (1, 0) ]))
+
 let test_ub_integral_no_overflow () =
   (* one job near max_int and a total that still fits: n * pmax wraps in
      native arithmetic but must come back exact (and in particular positive
@@ -695,6 +704,8 @@ let () =
           Alcotest.test_case "non-preemptive huge m" `Quick test_nonpreemptive_huge_m ] );
       ( "bounds",
         [ Alcotest.test_case "values" `Quick test_bounds;
+          Alcotest.test_case "lb_integral at a total of max_int" `Quick
+            test_lb_integral_max_int;
           Alcotest.test_case "ub_integral no overflow" `Quick
             test_ub_integral_no_overflow ] );
       ( "io",

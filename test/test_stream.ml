@@ -1,30 +1,29 @@
-(* Streaming parser, flat representation, binary format, and record↔flat
-   parity: the tokenizer must be invariant under chunking (every token
-   boundary exercised), both parsers must agree byte-for-byte on results
-   AND error messages, and the flat solver paths must be bit-identical to
-   the record paths. *)
+(* Streaming parser, instance construction, binary format, and the
+   2-approximation cores against their list-based references: the
+   tokenizer must be invariant under chunking (every token boundary
+   exercised), with the same results AND error messages, and each
+   production core must be bit-identical to [Approx_ref]. *)
 
 module I = Ccs.Instance
-module F = Ccs.Instance.Flat
 module S = Ccs.Schedule
 module Io = Ccs.Io
 module G = Ccs.Generator
 module Q = Rat
 
-let flat_equal a b =
-  F.n a = F.n b && F.m a = F.m b && F.c a = F.c b
-  && F.num_classes a = F.num_classes b
+let inst_equal a b =
+  I.n a = I.n b && I.m a = I.m b && I.c a = I.c b
+  && I.num_classes a = I.num_classes b
   &&
   let ok = ref true in
-  for i = 0 to F.n a - 1 do
-    if F.job_p a i <> F.job_p b i || F.job_cls a i <> F.job_cls b i then ok := false
+  for i = 0 to I.n a - 1 do
+    if I.job_p a i <> I.job_p b i || I.job_cls a i <> I.job_cls b i then ok := false
   done;
   !ok
 
 (* results agree exactly: same Ok instance or same Error string *)
 let parse_agree r1 r2 =
   match (r1, r2) with
-  | Ok a, Ok b -> flat_equal a b
+  | Ok a, Ok b -> inst_equal a b
   | Error e1, Error e2 -> String.equal e1 e2
   | _ -> false
 
@@ -32,17 +31,17 @@ let canonical = "ccs 1\nmachines 31\nslots 2\njob 128 10\njob 7 3\njob 3000 10\n
 
 let test_chunk_boundaries () =
   let want =
-    match Io.of_string_flat canonical with
+    match Io.of_string canonical with
     | Ok f -> f
     | Error e -> Alcotest.fail e
   in
   List.iter
     (fun chunk ->
-      match Io.of_string_flat ~chunk canonical with
+      match Io.of_string ~chunk canonical with
       | Ok f ->
           Alcotest.(check bool)
             (Printf.sprintf "chunk %d equals default" chunk)
-            true (flat_equal want f)
+            true (inst_equal want f)
       | Error e -> Alcotest.fail (Printf.sprintf "chunk %d: %s" chunk e))
     [ 1; 2; 3; 5; 7; 13; 64 ]
 
@@ -50,44 +49,44 @@ let test_crlf_tab_runs () =
   (* runs of every separator the old parser treated as blank: space, tab,
      CR (also mid-line), form feed — plus comments *)
   let s = "ccs \t\t 1\r\nmachines\t\t31\r\r\nslots \012 2\n# c\r\njob\t128 \t 10\r\n" in
-  (match Io.of_string_flat ~chunk:3 s with
+  (match Io.of_string ~chunk:3 s with
   | Ok f ->
-      Alcotest.(check int) "n" 1 (F.n f);
-      Alcotest.(check int) "m" 31 (F.m f);
-      Alcotest.(check int) "p" 128 (F.job_p f 0)
+      Alcotest.(check int) "n" 1 (I.n f);
+      Alcotest.(check int) "m" 31 (I.m f);
+      Alcotest.(check int) "p" 128 (I.job_p f 0)
   | Error e -> Alcotest.fail e);
   (* a blank-only line is skipped without consuming a job *)
-  match Io.of_string_flat "ccs 1\nmachines 2\nslots 1\n \t \njob 4 0\n" with
-  | Ok f -> Alcotest.(check int) "blank line skipped" 1 (F.n f)
+  match Io.of_string "ccs 1\nmachines 2\nslots 1\n \t \njob 4 0\n" with
+  | Ok f -> Alcotest.(check int) "blank line skipped" 1 (I.n f)
   | Error e -> Alcotest.fail e
 
 let test_truncated_final_record () =
   (* missing the class field on the last line, no trailing newline: the
      finish flush must still dispatch (and reject) the partial record —
      two tokens fall through to the header dispatch, like the old parser *)
-  (match Io.of_string_flat "ccs 1\nmachines 2\nslots 2\njob 3" with
+  (match Io.of_string "ccs 1\nmachines 2\nslots 2\njob 3" with
   | Error e -> Alcotest.(check string) "truncated job" "line 4: unrecognized line" e
   | Ok _ -> Alcotest.fail "truncated job line accepted");
-  (match Io.of_string_flat "ccs 1\nmachines 2\nslots 2\njob 3 x" with
+  (match Io.of_string "ccs 1\nmachines 2\nslots 2\njob 3 x" with
   | Error e -> Alcotest.(check string) "bad class token" "line 4: bad job line" e
   | Ok _ -> Alcotest.fail "non-numeric class accepted");
   (* a complete final record without a trailing newline is fine *)
-  (match Io.of_string_flat "ccs 1\nmachines 2\nslots 2\njob 3 1" with
-  | Ok f -> Alcotest.(check int) "no trailing newline" 1 (F.n f)
+  (match Io.of_string "ccs 1\nmachines 2\nslots 2\njob 3 1" with
+  | Ok f -> Alcotest.(check int) "no trailing newline" 1 (I.n f)
   | Error e -> Alcotest.fail e);
   (* header only: the end checks fire in declaration order *)
-  match Io.of_string_flat "ccs 1\nmachines 2\nslots 2\n" with
+  match Io.of_string "ccs 1\nmachines 2\nslots 2\n" with
   | Error e -> Alcotest.(check string) "no jobs" "no jobs" e
   | Ok _ -> Alcotest.fail "empty job list accepted"
 
 let test_huge_processing_times () =
   let p12 = 1_000_000_000_000 in
   let s = Printf.sprintf "ccs 1\nmachines 2\nslots 2\njob %d 0\njob %d 1\n" p12 (p12 - 1) in
-  match Io.of_string_flat ~chunk:7 s with
+  match Io.of_string ~chunk:7 s with
   | Ok f ->
-      Alcotest.(check int) "p exact at 10^12" p12 (F.job_p f 0);
-      Alcotest.(check int) "total load exact" (p12 + (p12 - 1)) (F.total_load f);
-      Alcotest.(check int) "pmax" p12 (F.pmax f)
+      Alcotest.(check int) "p exact at 10^12" p12 (I.job_p f 0);
+      Alcotest.(check int) "total load exact" (p12 + (p12 - 1)) (I.total_load f);
+      Alcotest.(check int) "pmax" p12 (I.pmax f)
   | Error e -> Alcotest.fail e
 
 (* Numeric token shapes in both job fields: the in-place digit path and
@@ -106,7 +105,7 @@ let test_numeric_token_shapes () =
       (fun chunk ->
         let label = Printf.sprintf "%s, chunk %s" label
             (match chunk with Some c -> string_of_int c | None -> "default") in
-        match (Io.of_string_flat ?chunk text, expect) with
+        match (Io.of_string ?chunk text, expect) with
         | Ok f, Ok check -> check label f
         | Error e, Error want -> Alcotest.(check string) label want e
         | Ok _, Error want -> Alcotest.fail (label ^ ": accepted, want " ^ want)
@@ -122,7 +121,7 @@ let test_numeric_token_shapes () =
         (Printf.sprintf "%sjob %s 0\n" header tok)
         (match v with
         | Some v when v > 0 ->
-            Ok (fun label f -> Alcotest.(check int) label v (F.job_p f 0))
+            Ok (fun label f -> Alcotest.(check int) label v (I.job_p f 0))
         | _ -> bad);
       (* class field: a second job names the expected value in plain
          decimal, so one class means the two ids parsed equal *)
@@ -130,7 +129,7 @@ let test_numeric_token_shapes () =
         (Printf.sprintf "%sjob 5 %s\njob 7 %d\n" header tok (Option.value v ~default:0))
         (match v with
         | Some v when v >= 0 ->
-            Ok (fun label f -> Alcotest.(check int) label 1 (F.num_classes f))
+            Ok (fun label f -> Alcotest.(check int) label 1 (I.num_classes f))
         | _ -> bad))
     numeric_tokens
 
@@ -141,14 +140,14 @@ let test_job_keyword () =
       List.iter
         (fun chunk ->
           let text = Printf.sprintf "ccs 1\nmachines 3\nslots 2\n%s 5 0\n" kw in
-          match Io.of_string_flat ?chunk text with
+          match Io.of_string ?chunk text with
           | Error e -> Alcotest.(check string) kw "line 4: unrecognized line" e
           | Ok _ -> Alcotest.fail (kw ^ " accepted as a job line"))
         [ Some 1; Some 2; Some 3; None ])
     [ "jo"; "jox"; "joc"; "Job"; "jobs"; "ajob" ]
 
 let test_chunk_validation () =
-  match Io.of_string_flat ~chunk:0 canonical with
+  match Io.of_string ~chunk:0 canonical with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "chunk 0 accepted"
 
@@ -157,28 +156,28 @@ let with_temp f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
 
 let test_binary_roundtrip () =
-  let fl =
-    match Io.of_string_flat canonical with Ok f -> f | Error e -> Alcotest.fail e
+  let inst =
+    match Io.of_string canonical with Ok f -> f | Error e -> Alcotest.fail e
   in
   with_temp (fun path ->
-      Io.save_flat path fl;
-      match Io.load_flat path with
-      | Ok f -> Alcotest.(check bool) "binary roundtrip" true (flat_equal fl f)
+      Io.save_flat path inst;
+      match Io.load path with
+      | Ok f -> Alcotest.(check bool) "binary roundtrip" true (inst_equal inst f)
       | Error e -> Alcotest.fail e)
 
 let test_binary_errors () =
   (* a ccsb1 magic followed by garbage must report, not crash; and a text
-     file through load_flat must fall back to the text parser *)
+     file through load must fall back to the text parser *)
   with_temp (fun path ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "ccsb1\n\001\002");
-      (match Io.load_flat path with
+      (match Io.load path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "truncated binary accepted");
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc canonical);
-      (match Io.load_flat path with
-      | Ok f -> Alcotest.(check int) "text via load_flat" 3 (F.n f)
+      (match Io.load path with
+      | Ok f -> Alcotest.(check int) "text via load" 3 (I.n f)
       | Error e -> Alcotest.fail e));
-  match Io.load_flat "/nonexistent/ccs_test_stream.ccsb" with
+  match Io.load "/nonexistent/ccs_test_stream.ccsb" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonexistent path accepted"
 
@@ -202,20 +201,9 @@ let prop_chunking_invariant =
     ~count:500
     (QCheck.make grammar_gen ~print:(fun s -> s))
     (fun s ->
-      let d = Io.of_string_flat s in
-      parse_agree d (Io.of_string_flat ~chunk:1 s)
-      && parse_agree d (Io.of_string_flat ~chunk:3 s))
-
-let prop_record_parser_agrees =
-  (* of_string and of_string_flat share one lexer; the record result must
-     be the converted flat result, and rejects must carry the same text *)
-  QCheck.Test.make ~name:"of_string agrees with of_string_flat" ~count:500
-    (QCheck.make grammar_gen ~print:(fun s -> s))
-    (fun s ->
-      match (Io.of_string s, Io.of_string_flat s) with
-      | Ok inst, Ok f -> flat_equal (I.to_flat inst) f
-      | Error e1, Error e2 -> String.equal e1 e2
-      | _ -> false)
+      let d = Io.of_string s in
+      parse_agree d (Io.of_string ~chunk:1 s)
+      && parse_agree d (Io.of_string ~chunk:3 s))
 
 let spec_of_seed seed =
   {
@@ -233,28 +221,10 @@ let spec_of_seed seed =
       | _ -> Large_jobs);
   }
 
-let prop_flat_record_roundtrip =
-  QCheck.Test.make ~name:"to_flat/of_flat exact inverses" ~count:200
-    (QCheck.int_range 0 1_000_000) (fun seed ->
-      let inst = G.generate ~seed (spec_of_seed seed) in
-      let fl = I.to_flat inst in
-      let inst' = I.of_flat fl in
-      I.n inst = I.n inst' && I.m inst = I.m inst' && I.c inst = I.c inst'
-      && I.class_load inst = I.class_load inst'
-      && List.for_all
-           (fun j -> I.job inst j = I.job inst' j)
-           (List.init (I.n inst) Fun.id)
-      && flat_equal fl (I.to_flat inst'))
-
-let prop_generate_flat_matches =
-  QCheck.Test.make ~name:"generate_flat = to_flat . generate" ~count:200
-    (QCheck.int_range 0 1_000_000) (fun seed ->
-      let spec = spec_of_seed seed in
-      flat_equal (G.generate_flat ~seed spec) (I.to_flat (G.generate ~seed spec)))
-
 (* Class ids drawn dense (below n), on the array/[Hashtbl] boundary
-   (largest id 2n-1 or 2n) and sparse (up to max_int): the flat
-   constructor must number them exactly as [Instance.make] does. *)
+   (largest id 2n-1 or 2n) and sparse (up to max_int): the constructor
+   must number them as the model below does, the distinct ids in
+   ascending order. *)
 let class_ids_gen =
   QCheck.Gen.(
     int_range 1 40 >>= fun n ->
@@ -276,25 +246,28 @@ let prop_renumber_matches_make =
     (QCheck.make class_ids_gen ~print:QCheck.Print.(array int))
     (fun ids ->
       let n = Array.length ids in
-      let fl =
-        F.of_arrays ~machines:2 ~slots:2 ~p:(Array.make n 1) ~cls:(Array.copy ids)
+      let inst =
+        I.of_arrays ~machines:2 ~slots:2 ~p:(Array.make n 1) ~cls:(Array.copy ids)
       in
-      let jobs = List.map (fun u -> (1, u)) (Array.to_list ids) in
-      let inst = I.make ~machines:2 ~slots:2 jobs in
-      F.num_classes fl = I.num_classes inst
+      (* the model: a [Set] of the ids, numbered in its order *)
+      let module IS = Set.Make (Int) in
+      let used = Array.fold_left (fun acc u -> IS.add u acc) IS.empty ids in
+      let mapping = Hashtbl.create 16 in
+      IS.iter (fun u -> Hashtbl.replace mapping u (Hashtbl.length mapping)) used;
+      I.num_classes inst = IS.cardinal used
       && List.for_all
-           (fun i -> F.job_cls fl i = (I.job inst i).I.cls)
+           (fun i -> I.job_cls inst i = Hashtbl.find mapping ids.(i))
            (List.init n Fun.id))
 
 let prop_text_roundtrip_flat =
   QCheck.Test.make ~name:"to_string_flat streams back identically" ~count:200
     (QCheck.int_range 0 1_000_000) (fun seed ->
-      let fl = G.generate_flat ~seed (spec_of_seed seed) in
-      match Io.of_string_flat ~chunk:11 (Io.to_string_flat fl) with
-      | Ok f -> flat_equal fl f
+      let inst = G.generate ~seed (spec_of_seed seed) in
+      match Io.of_string ~chunk:11 (Io.to_string inst) with
+      | Ok f -> inst_equal inst f
       | Error _ -> false)
 
-(* bit-identity of the flat solver paths against the record paths *)
+(* bit-identity of the production cores against the list references *)
 
 let splittable_equal (a : S.splittable) (b : S.splittable) =
   List.length a.S.blocks = List.length b.S.blocks
@@ -324,32 +297,41 @@ let preemptive_equal (a : S.preemptive) (b : S.preemptive) =
               la lb)
        a b
 
-(* [solve_flat] against [solve] on one instance, schedules and stats, for
-   all three variants. *)
-let flat_solves_identical inst fl =
-  let s_rec, st_rec = Ccs.Approx.Splittable.solve inst in
-  let s_flat, st_flat = Ccs.Approx.Splittable.solve_flat fl in
-  let p_rec, pt_rec = Ccs.Approx.Preemptive.solve inst in
-  let p_flat, pt_flat = Ccs.Approx.Preemptive.solve_flat fl in
-  let a_rec, at_rec = Ccs.Approx.Nonpreemptive.solve inst in
-  let a_flat, at_flat = Ccs.Approx.Nonpreemptive.solve_flat fl in
-  splittable_equal s_rec s_flat
-  && Q.equal st_rec.Ccs.Approx.Splittable.t_guess st_flat.Ccs.Approx.Splittable.t_guess
-  && st_rec.probes = st_flat.probes
-  && st_rec.full_slices = st_flat.full_slices
-  && preemptive_equal p_rec p_flat
-  && Q.equal pt_rec.Ccs.Approx.Preemptive.t_guess pt_flat.Ccs.Approx.Preemptive.t_guess
-  && pt_rec.probes = pt_flat.probes
-  && pt_rec.repacked = pt_flat.repacked
-  && a_rec = a_flat
-  && at_rec = at_flat
+(* The production cores against [Approx_ref] on one instance, schedules
+   and stats, for all three variants, and the non-preemptive one at all
+   four settings of its A2/A3 switches. The property names keep the
+   historical core names: the production cores are the former flat cores
+   ([solve_flat]), the references the former record cores ([solve]). *)
+let solves_identical inst =
+  let s_ref, st_ref = Approx_ref.splittable inst in
+  let s_prod, st_prod = Ccs.Approx.Splittable.solve inst in
+  let p_ref, pt_ref = Approx_ref.preemptive inst in
+  let p_prod, pt_prod = Ccs.Approx.Preemptive.solve inst in
+  splittable_equal s_ref s_prod
+  && Q.equal st_ref.Ccs.Approx.Splittable.t_guess st_prod.Ccs.Approx.Splittable.t_guess
+  && st_ref.probes = st_prod.probes
+  && st_ref.full_slices = st_prod.full_slices
+  && preemptive_equal p_ref p_prod
+  && Q.equal pt_ref.Ccs.Approx.Preemptive.t_guess pt_prod.Ccs.Approx.Preemptive.t_guess
+  && pt_ref.probes = pt_prod.probes
+  && pt_ref.repacked = pt_prod.repacked
+  && List.for_all
+       (fun (area_only, input_order) ->
+         let counter =
+           if area_only then Ccs.Approx.Nonpreemptive.cu_area_only
+           else Ccs.Approx.Nonpreemptive.cu
+         in
+         Approx_ref.nonpreemptive ~counter ~use_lpt:(not input_order) inst
+         = Ccs.Approx.Nonpreemptive.solve_ablation ~area_only ~input_order inst)
+       [ (false, false); (true, false); (false, true); (true, true) ]
+  && Approx_ref.nonpreemptive inst = Ccs.Approx.Nonpreemptive.solve inst
 
 let prop_solve_flat_bit_identical =
   QCheck.Test.make ~name:"solve_flat bit-identical to solve (all variants)"
     ~count:150
     (QCheck.int_range 0 1_000_000) (fun seed ->
-      let fl = G.generate_flat ~seed (spec_of_seed seed) in
-      if not (F.schedulable fl) then true else flat_solves_identical (I.of_flat fl) fl)
+      let inst = G.generate ~seed (spec_of_seed seed) in
+      if not (I.schedulable inst) then true else solves_identical inst)
 
 (* Wider draws than [spec_of_seed]: m from 2 to 10^6, so most machines get
    nothing and, at the low end, there are fewer machines than sub-class
@@ -373,16 +355,15 @@ let wide_instance seed =
 let prop_solve_flat_bit_identical_wide =
   QCheck.Test.make ~name:"solve_flat bit-identical to solve (wide draws)" ~count:300
     (QCheck.int_range 0 1_000_000) (fun seed ->
-      let inst = wide_instance seed in
-      flat_solves_identical inst (I.to_flat inst))
+      solves_identical (wide_instance seed))
 
 let prop_binary_roundtrip_random =
   QCheck.Test.make ~name:"save_flat/load_flat roundtrip" ~count:50
     (QCheck.int_range 0 1_000_000) (fun seed ->
-      let fl = G.generate_flat ~seed (spec_of_seed seed) in
+      let inst = G.generate ~seed (spec_of_seed seed) in
       with_temp (fun path ->
-          Io.save_flat path fl;
-          match Io.load_flat path with Ok f -> flat_equal fl f | Error _ -> false))
+          Io.save_flat path inst;
+          match Io.load path with Ok f -> inst_equal inst f | Error _ -> false))
 
 let () =
   Alcotest.run "stream"
@@ -399,8 +380,6 @@ let () =
           Alcotest.test_case "errors + text fallback" `Quick test_binary_errors ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_chunking_invariant; prop_record_parser_agrees;
-            prop_flat_record_roundtrip; prop_generate_flat_matches;
-            prop_renumber_matches_make; prop_text_roundtrip_flat;
+          [ prop_chunking_invariant; prop_renumber_matches_make; prop_text_roundtrip_flat;
             prop_solve_flat_bit_identical; prop_solve_flat_bit_identical_wide;
             prop_binary_roundtrip_random ] ) ]
