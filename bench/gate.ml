@@ -174,8 +174,9 @@ let measure () = List.map (fun (name, f) -> (name, time_phase f)) phases
 let counter_names =
   [ "lp.phase1_iterations"; "rat.promotions"; "resil.cancel_checks";
     (* the size of the PTAS searches: a pivot-rule or branching change that
-       grows the LP path or the B&B tree shows here before it moves a wall *)
-    "lp.pivots"; "ilp.nodes";
+       grows the LP path or the B&B tree shows here before it moves a wall,
+       and so does a guess search that probes more than the lower bound *)
+    "lp.pivots"; "ilp.nodes"; "ptas.guesses";
     (* exact-search effort on the fixed bnb-stress instance: nodes is the
        headline capability number, the others break a node regression down
        (store too small, probing disabled, restarts misfiring) *)

@@ -319,7 +319,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~c
             let oracle t =
               if Ccs.Ptas.Nfold_form.feasible_splittable param inst t then
                 match Ccs.Ptas.Splittable_ptas.oracle param inst t with
-                | Some sched -> Some sched
+                | Some (sched, _) -> Some sched
                 | None ->
                     failwith
                       "nfold backend accepted a guess the aggregated oracle rejects"
@@ -449,7 +449,9 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime (_ : [ `Text |
 
 let cmd =
   let files =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"INSTANCE"
+    (* plain strings: an unreadable file is the loader's error (exit 1),
+       reported in its place in a batch *)
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"INSTANCE"
            ~doc:"Instance file(s) (ccs_gen format); several files form a batch.")
   in
   let variant = Arg.(value & opt variant_conv Nonpreemptive & info [ "variant" ] ~doc:"splittable, preemptive or nonpreemptive.") in

@@ -157,9 +157,6 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
     let rec go acc k = if k = 0 then acc else go (Q.mul acc step) (k - 1) in
     Q.min ub (go lb i)
   in
-  let record_accept w t =
-    match prog with None -> () | Some p -> p.accepted <- Some (w, t)
-  in
   let record_reject t =
     match prog with
     | None -> ()
@@ -168,23 +165,34 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
         | Some r when Q.(r >= t) -> ()
         | _ -> p.rejected <- Some t)
   in
-  match oracle (point imax) with
-  | None -> failwith "geometric_search: oracle rejected the upper bound"
-  | Some witness_ub ->
-      record_accept witness_ub (point imax);
-      let best = ref (witness_ub, point imax) in
-      (* bisection for the smallest accepted grid index in [lo, hi] *)
-      let lo = ref 0 and hi = ref imax in
+  let accept w t =
+    (match prog with None -> () | Some p -> p.accepted <- Some (w, t));
+    (w, t)
+  in
+  (* The LB first: an accepted LB ends the search after one probe. *)
+  match oracle lb with
+  | Some w -> accept w lb
+  | None -> (
+      record_reject lb;
+      (* bisection for the smallest accepted grid index in [1, imax]; imax
+         is taken as accepted until a probe there says otherwise *)
+      let best = ref None in
+      let lo = ref 1 and hi = ref imax in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
         let t = point mid in
         match oracle t with
         | Some w ->
-            best := (w, t);
-            record_accept w t;
+            best := Some (accept w t);
             hi := mid
         | None ->
             record_reject t;
             lo := mid + 1
       done;
-      !best
+      match !best with
+      | Some found -> found
+      | None -> (
+          (* every point below imax was rejected: ub is the fallback witness *)
+          match if imax = 0 then None else oracle ub with
+          | Some w -> accept w ub
+          | None -> failwith "geometric_search: oracle rejected the upper bound"))

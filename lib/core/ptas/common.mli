@@ -66,7 +66,7 @@ val observe_rounding : large:int -> small_groups:int -> configs:int -> unit
 (** [warm_oracle oracle] wraps a PTAS oracle for {!geometric_search}: it
     counts the calls (the returned ref), and starts every later ILP from
     the root basis of the first call that produced one — normally the
-    search's upper-bound probe. A basis of another shape is safe: the LP
+    search's lower-bound probe. A basis of another shape is safe: the LP
     checks it and falls back to a cold start. *)
 val warm_oracle :
   (warm:Lp.basis option -> basis_out:Lp.basis option ref -> Rat.t -> 'a option) ->
@@ -101,7 +101,14 @@ type 'a anytime = {
     oracle must be monotone (accepting T implies accepting any larger grid
     point); this is the standard dual-approximation argument. Raises
     [Failure] if even [ub] is rejected. [progress] (when supplied) is kept
-    current while the search runs. *)
+    current while the search runs.
+
+    Probe order: [lb] (grid point 0) first, and an accepted [lb] ends the
+    search after one oracle call. Otherwise the search bisects over grid
+    indices [1, imax] (imax the index of [ub]) and probes [ub] only when
+    every lower point was rejected, as the fallback witness. A rejected
+    [lb] thus costs at most ceil(log2 imax) + 2 calls, typically one more
+    than a search that starts at [ub]. *)
 val geometric_search :
   ?progress:'a progress ->
   lb:Rat.t ->

@@ -374,7 +374,7 @@ let oracle ?warm ?basis_out (p : Common.param) inst t =
           Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct inst rounded layout sol)
         in
         (match Schedule.validate_nonpreemptive inst assignment with
-        | Ok _ -> Some assignment
+        | Ok _ -> Some (assignment, layout.nvars)
         | Error e -> failwith ("Nonpreemptive_ptas: constructed invalid schedule: " ^ e))
 
 let solve ?progress p inst =
@@ -399,19 +399,17 @@ let solve ?progress p inst =
     (* the 7/3 schedule's makespan is achievable, hence an accepted guess *)
     let approx_sched, _ = Approx.Nonpreemptive.solve inst in
     let ub = Q.max lb (Q.of_int (Schedule.nonpreemptive_makespan inst approx_sched)) in
-    let sched, t_accepted =
+    let (sched, ilp_vars), t_accepted =
       Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
     in
-    let rounded = round_instance p inst t_accepted in
-    let layout = build_layout rounded in
     Ccs_obs.Log.info (fun log ->
         log
           ~fields:
             [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
               Ccs_obs.Log.int "oracle_calls" !calls;
-              Ccs_obs.Log.int "ilp_vars" layout.nvars ]
+              Ccs_obs.Log.int "ilp_vars" ilp_vars ]
           "nonpreemptive.solve: accepted");
-    (sched, { t_accepted; oracle_calls = !calls; ilp_vars = layout.nvars })
+    (sched, { t_accepted; oracle_calls = !calls; ilp_vars })
 
 type abstract = {
   a_tbar : int;
@@ -438,6 +436,6 @@ let solve_anytime p inst =
         refuted = prog.Common.rejected;
         complete = true }
   | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = prog.Common.accepted;
+      { Common.result = Option.map (fun ((sched, _), t) -> (sched, t)) prog.Common.accepted;
         refuted = prog.Common.rejected;
         complete = false }

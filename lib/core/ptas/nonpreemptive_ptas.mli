@@ -32,7 +32,7 @@ type stats = {
 val guarantee : Common.param -> Rat.t -> Rat.t
 
 val solve :
-  ?progress:Schedule.nonpreemptive Common.progress ->
+  ?progress:(Schedule.nonpreemptive * int) Common.progress ->
   Common.param ->
   Instance.t ->
   Schedule.nonpreemptive * stats
@@ -40,14 +40,15 @@ val solve :
 (** Deadline-tolerant variant; see {!Splittable_ptas.solve_anytime}. *)
 val solve_anytime : Common.param -> Instance.t -> Schedule.nonpreemptive Common.anytime
 
-(** Feasibility oracle for one guess (exposed for tests). *)
+(** Feasibility oracle for one guess (exposed for tests): the schedule and
+    the variable count of the configuration ILP that produced it. *)
 val oracle :
   ?warm:Lp.basis ->
   ?basis_out:Lp.basis option ref ->
   Common.param ->
   Instance.t ->
   Rat.t ->
-  Schedule.nonpreemptive option
+  (Schedule.nonpreemptive * int) option
 
 (** {2 Internals exposed for the N-fold form ({!Nfold_form}) and tests} *)
 

@@ -504,7 +504,7 @@ let oracle ?warm ?basis_out (p : Common.param) inst t =
           Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct p inst rounded layout sol)
         in
         (match Schedule.validate_preemptive inst sched with
-        | Ok _ -> Some sched
+        | Ok _ -> Some (sched, layout.nvars, rounded.layers)
         | Error e -> failwith ("Preemptive_ptas: constructed invalid schedule: " ^ e))
 
 let solve ?progress p inst =
@@ -531,25 +531,17 @@ let solve ?progress p inst =
     let approx_sched, _ = Approx.Preemptive.solve inst in
     let approx_mk = Schedule.preemptive_makespan approx_sched in
     let ub = Q.max lb approx_mk in
-    let sched, t_accepted =
+    let (sched, ilp_vars, layers), t_accepted =
       Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
     in
-    let rounded = round_instance p inst t_accepted in
-    let layout = build_layout rounded in
     Ccs_obs.Log.info (fun log ->
         log
           ~fields:
             [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
               Ccs_obs.Log.int "oracle_calls" !calls;
-              Ccs_obs.Log.int "ilp_vars" layout.nvars ]
+              Ccs_obs.Log.int "ilp_vars" ilp_vars ]
           "preemptive.solve: accepted");
-    ( sched,
-      {
-        t_accepted;
-        oracle_calls = !calls;
-        ilp_vars = layout.nvars;
-        layers = rounded.layers;
-      } )
+    (sched, { t_accepted; oracle_calls = !calls; ilp_vars; layers })
 
 (* Anytime entry; see Splittable_ptas.solve_anytime. *)
 let solve_anytime p inst =
@@ -560,6 +552,6 @@ let solve_anytime p inst =
         refuted = prog.Common.rejected;
         complete = true }
   | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = prog.Common.accepted;
+      { Common.result = Option.map (fun ((sched, _, _), t) -> (sched, t)) prog.Common.accepted;
         refuted = prog.Common.rejected;
         complete = false }

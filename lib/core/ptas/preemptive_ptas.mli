@@ -39,7 +39,7 @@ type stats = {
 val guarantee : Common.param -> Rat.t -> Rat.t
 
 val solve :
-  ?progress:Schedule.preemptive Common.progress ->
+  ?progress:(Schedule.preemptive * int * int) Common.progress ->
   Common.param ->
   Instance.t ->
   Schedule.preemptive * stats
@@ -47,11 +47,13 @@ val solve :
 (** Deadline-tolerant variant; see {!Splittable_ptas.solve_anytime}. *)
 val solve_anytime : Common.param -> Instance.t -> Schedule.preemptive Common.anytime
 
-(** Feasibility oracle for one guess (exposed for tests). *)
+(** Feasibility oracle for one guess (exposed for tests): the schedule, the
+    variable count of the configuration ILP that produced it, and |L| at
+    the guess. *)
 val oracle :
   ?warm:Lp.basis ->
   ?basis_out:Lp.basis option ref ->
   Common.param ->
   Instance.t ->
   Rat.t ->
-  Schedule.preemptive option
+  (Schedule.preemptive * int * int) option

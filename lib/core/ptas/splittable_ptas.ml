@@ -412,7 +412,7 @@ let oracle ?(explicit_limit = 4096) ?warm ?basis_out (p : Common.param) inst t =
             construct inst rounded layout sol ~explicit_limit)
       in
       (match Schedule.validate_splittable inst sched with
-      | Ok _ -> Some sched
+      | Ok _ -> Some (sched, layout.nvars)
       | Error e -> failwith ("Splittable_ptas: constructed invalid schedule: " ^ e))
 
 let solve ?(explicit_limit = 4096) ?progress p inst =
@@ -424,32 +424,28 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
         [ ("variant", Str "splittable"); ("n", Int (Instance.n inst));
           ("m", Int (Instance.m inst)); ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
   @@ fun () ->
-  let last_vars = ref 0 in
   let orc, calls =
     Common.warm_oracle (fun ~warm ~basis_out t ->
         oracle ~explicit_limit ?warm ~basis_out p inst t)
   in
   let lb = Bounds.lb_splittable inst in
   let ub = Q.max lb (Bounds.ub_splittable inst) in
-  let sched, t_accepted =
+  let (sched, ilp_vars), t_accepted =
     Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
   in
-  (let rounded = round_instance p inst t_accepted in
-   let layout = build_layout rounded (configurations p inst rounded) in
-   last_vars := layout.nvars);
   Ccs_obs.Log.info (fun log ->
       log
         ~fields:
           [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
             Ccs_obs.Log.int "oracle_calls" !calls;
-            Ccs_obs.Log.int "ilp_vars" !last_vars ]
+            Ccs_obs.Log.int "ilp_vars" ilp_vars ]
         "splittable.solve: accepted");
   ( sched,
     {
       t_accepted;
       oracle_calls = !calls;
       compressed = Instance.m inst > explicit_limit;
-      ilp_vars = !last_vars;
+      ilp_vars;
     } )
 
 (* Anytime entry: run the full PTAS, but on cancellation salvage the best
@@ -463,6 +459,6 @@ let solve_anytime ?explicit_limit p inst =
         refuted = prog.Common.rejected;
         complete = true }
   | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = prog.Common.accepted;
+      { Common.result = Option.map (fun ((sched, _), t) -> (sched, t)) prog.Common.accepted;
         refuted = prog.Common.rejected;
         complete = false }

@@ -29,7 +29,7 @@ type stats = {
   t_accepted : Rat.t;  (** accepted guess; makespan <= (1+5 delta) t_accepted *)
   oracle_calls : int;
   compressed : bool;  (** Theorem 11 path taken *)
-  ilp_vars : int;  (** variables in the last accepted configuration ILP *)
+  ilp_vars : int;  (** variables in the configuration ILP at [t_accepted] *)
 }
 
 (** [solve param inst] runs the full PTAS (binary search + oracle). The
@@ -38,7 +38,7 @@ type stats = {
     [Common.Too_many] if the configuration space for this delta explodes. *)
 val solve :
   ?explicit_limit:int ->
-  ?progress:Schedule.splittable Common.progress ->
+  ?progress:(Schedule.splittable * int) Common.progress ->
   Common.param ->
   Instance.t ->
   Schedule.splittable * stats
@@ -51,7 +51,8 @@ val solve_anytime :
   ?explicit_limit:int -> Common.param -> Instance.t -> Schedule.splittable Common.anytime
 
 (** The feasibility oracle for one guess (exposed for tests): [None] means
-    provably no schedule with makespan T exists. *)
+    provably no schedule with makespan T exists; otherwise the schedule and
+    the variable count of the configuration ILP that produced it. *)
 val oracle :
   ?explicit_limit:int ->
   ?warm:Lp.basis ->
@@ -59,7 +60,7 @@ val oracle :
   Common.param ->
   Instance.t ->
   Rat.t ->
-  Schedule.splittable option
+  (Schedule.splittable * int) option
 
 (** {2 Internals exposed for the N-fold form ({!Nfold_form}) and tests} *)
 

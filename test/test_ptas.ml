@@ -222,6 +222,70 @@ let test_geometric_search () =
   Alcotest.(check bool) "within one grid step" true
     Q.(accepted >= Q.of_int 10 && accepted <= Q.of_int 15)
 
+(* The guess grid, built apart from the search: lb (1+delta)^i up to the
+   first point at or above ub, which is clamped to ub. *)
+let guess_grid ~lb ~ub ~delta =
+  let step = Q.add Q.one delta in
+  let rec go t acc = if Q.(t >= ub) then List.rev (ub :: acc) else go (Q.mul t step) (t :: acc) in
+  Array.of_list (go lb [])
+
+let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
+
+(* Threshold oracles over random grids: accept from grid index k on, with
+   k = 0 (the LB), k = imax (only ub) and k past the grid (reject all)
+   drawn as often as an interior index. *)
+let prop_geometric_search_order =
+  let gen =
+    QCheck.Gen.(
+      let* lb = map2 Q.of_ints (int_range 1 1000) (int_range 1 20) in
+      let* gap = map2 Q.of_ints (int_range 0 5000) (int_range 1 20) in
+      let* d = oneofl [ 1; 2; 3; 5 ] in
+      let* pick = int_range 0 5 in
+      let+ r = int_range 0 1_000_000 in
+      (lb, Q.add lb gap, Q.of_ints 1 d, pick, r))
+  in
+  let print (lb, ub, delta, pick, r) =
+    Printf.sprintf "lb=%s ub=%s delta=%s pick=%d r=%d" (Q.to_string lb) (Q.to_string ub)
+      (Q.to_string delta) pick r
+  in
+  QCheck.Test.make ~name:"geometric search: LB first, ub only as the fallback" ~count:2000
+    (QCheck.make ~print gen) (fun (lb, ub, delta, pick, r) ->
+      let grid = guess_grid ~lb ~ub ~delta in
+      let imax = Array.length grid - 1 in
+      let k = match pick with 0 -> 0 | 1 -> imax | 2 -> imax + 1 | _ -> r mod (imax + 1) in
+      let probes = ref [] in
+      let oracle t =
+        probes := t :: !probes;
+        if k <= imax && Q.(t >= grid.(k)) then Some t else None
+      in
+      let prog = C.progress () in
+      let result =
+        match C.geometric_search ~progress:prog ~lb ~ub ~delta ~oracle () with
+        | found -> Ok found
+        | exception Failure msg -> Error msg
+      in
+      let probes = List.rev !probes in
+      let nprobes = List.length probes in
+      let highest_rejected =
+        List.fold_left
+          (fun acc t ->
+            if k <= imax && Q.(t >= grid.(k)) then acc
+            else match acc with Some h when Q.(h >= t) -> acc | _ -> Some t)
+          None probes
+      in
+      if nprobes > ceil_log2 imax + 2 then
+        QCheck.Test.fail_reportf "%d probes for imax = %d" nprobes imax;
+      if List.exists (Q.equal ub) probes && k < imax then
+        QCheck.Test.fail_reportf "probed ub although grid point %d is accepted" k;
+      match result with
+      | Error msg ->
+          k > imax && msg = "geometric_search: oracle rejected the upper bound"
+      | Ok (w, t) ->
+          k <= imax && Q.equal t grid.(k) && Q.equal w t
+          && (k > 0 || match probes with [ p ] -> Q.equal p lb | _ -> false)
+          && (match prog.C.accepted with Some (w', t') -> Q.equal w' w && Q.equal t' t | None -> false)
+          && Option.equal Q.equal prog.C.rejected highest_rejected)
+
 (* x0 + x1 = 1 and x0 = x1 meet only at (1/2, 1/2): the root relaxation is
    fractional, so deciding the ILP takes branching. One node is not enough
    and must not be mistaken for "infeasible". *)
@@ -247,6 +311,7 @@ let () =
     [ ( "common",
         [ Alcotest.test_case "multiset enumeration" `Quick test_common_multisets;
           Alcotest.test_case "geometric search" `Quick test_geometric_search;
+          QCheck_alcotest.to_alcotest prop_geometric_search_order;
           Alcotest.test_case "ILP node budget" `Quick test_int_feasibility_budget;
           Alcotest.test_case "ILP rows sum duplicates" `Quick
             test_int_feasibility_duplicates ] );
