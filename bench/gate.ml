@@ -1,8 +1,9 @@
-(* Measurement and threshold logic for the bench regression gate, shared
-   by its two front-ends: bench/check_regression.exe (the CI gate, plain
-   text, exit code) and bin/ccs_report --check (markdown trend reports).
-   Keeping it in one module means the calibrated workloads, the counter
-   list and the tolerance rule exist in exactly one place.
+(* Measurement and threshold logic for the bench regression gate. Its
+   front-end is bin/ccs_report: --check compares a fresh measurement with
+   the baseline (a markdown report and an exit code), --update rewrites
+   the baseline. Keeping the logic in one module means the calibrated
+   workloads, the counter list and the tolerance rule exist in exactly
+   one place.
 
    Each phase is timed as the minimum wall clock over a few repetitions
    (minimum, not mean: noise only adds time). Raw walls are not comparable
@@ -246,7 +247,7 @@ let number = function
 
 let read_baseline path =
   if not (Sys.file_exists path) then
-    Error (Printf.sprintf "no %s — run check_regression --update to create it" path)
+    Error (Printf.sprintf "no %s — run ccs_report --update to create it" path)
   else
     let text = In_channel.with_open_text path In_channel.input_all in
     match J.of_string text with

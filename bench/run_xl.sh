@@ -15,8 +15,9 @@ cd "$(dirname "$0")/.."
 TOL="${CCS_BENCH_TOLERANCE:-1.5}"
 GEN=_build/default/bin/ccs_gen.exe
 SOLVE=_build/default/bin/ccs_solve.exe
+REPORT=_build/default/bin/ccs_report.exe
 
-dune build bench/main.exe bench/check_regression.exe bin/ccs_gen.exe bin/ccs_solve.exe
+dune build bench/main.exe bin/ccs_gen.exe bin/ccs_solve.exe bin/ccs_report.exe
 
 XL_BIN=$(mktemp -t ccs_xl_XXXXXX.ccsb)
 trap 'rm -f "$XL_BIN"' EXIT INT TERM
@@ -31,4 +32,4 @@ echo "== XL sweep (xl_sweep section of BENCH_timing.json) =="
 dune exec bench/main.exe -- XL
 
 echo "== calibrated gate (tolerance $TOL) =="
-CCS_BENCH_XL=1 CCS_BENCH_TOLERANCE="$TOL" dune exec bench/check_regression.exe
+CCS_BENCH_XL=1 CCS_BENCH_TOLERANCE="$TOL" "$REPORT" --check

@@ -36,13 +36,6 @@ let run n classes machines slots p_lo p_hi family seed output format obs =
       ~fields:Ccs_obs.Jsonx.[ ("n", Int n); ("seed", Int seed) ]
       (fun () -> Ccs.Generator.generate ~seed spec)
   in
-  Ccs_obs.Log.info (fun log ->
-      log
-        ~fields:
-          [ Ccs_obs.Log.int "n" (Ccs.Instance.n inst);
-            Ccs_obs.Log.int "classes" (Ccs.Instance.num_classes inst);
-            Ccs_obs.Log.int "machines" (Ccs.Instance.m inst) ]
-        "gen.generate: done");
   match format with
   | `Flat -> (
       match output with

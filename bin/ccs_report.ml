@@ -1,10 +1,12 @@
-(* Trend-report renderer: turns the bench artifacts (BENCH_timing.json,
-   BENCH_baseline.json) and flight-recorder JSONL files into one markdown
-   report — per-algo walls and counters, gap-convergence summaries per
-   recording, per-phase GC/work attribution, and (with --check) the bench
-   regression gate re-run against the baseline with its calibrated
-   thresholds (shared with bench/check_regression via the Gate module).
-   Exit code 1 when --check finds a regression, so CI can gate on it. *)
+(* Trend-report renderer and the bench regression gate's front-end: turns
+   the bench artifacts (BENCH_timing.json, BENCH_baseline.json) and
+   flight-recorder JSONL files into one markdown report — per-algo walls
+   and counters, gap-convergence summaries per recording, per-phase
+   GC/work attribution, and (with --check) the gate re-run against the
+   baseline with its calibrated thresholds (the Gate module). Exit code 1
+   when --check finds a regression and 2 when it cannot read the
+   baseline, so CI can gate on it. --update re-measures the gate and
+   rewrites the baseline instead. *)
 
 open Cmdliner
 module J = Ccs_obs.Jsonx
@@ -256,9 +258,10 @@ let render_check baseline =
   out "";
   match Gate.compare_to_baseline ~path:baseline () with
   | Error e ->
-      out "gate skipped: %s" e;
+      (* a gate without its baseline must not pass *)
+      out "gate not run: %s" e;
       out "";
-      0
+      2
   | Ok cmp ->
       out "Machine speed vs baseline: %.2fx (calibration %.4fs vs %.4fs); tolerance %.0f%%."
         cmp.Gate.scale cmp.Gate.calibration_s cmp.Gate.base_calibration_s
@@ -296,7 +299,7 @@ let render_check baseline =
 
 (* ---------------- driver ---------------- *)
 
-let run timing baseline records output check =
+let report timing baseline records output check =
   out "# ccs trend report";
   out "";
   (match timing with
@@ -316,6 +319,14 @@ let run timing baseline records output check =
   | None -> print_string (Buffer.contents buf));
   code
 
+let run timing baseline records output = function
+  | `Report -> report timing baseline records output false
+  | `Check -> report timing baseline records output true
+  | `Update ->
+      let cal, n_phases = Gate.write_baseline baseline in
+      Printf.printf "wrote %s (%d phases, calibration %.4fs)\n" baseline n_phases cal;
+      0
+
 let cmd =
   let timing =
     Arg.(value & opt (some string) (Some "BENCH_timing.json")
@@ -324,7 +335,8 @@ let cmd =
   let baseline =
     Arg.(value & opt string "BENCH_baseline.json"
            & info [ "baseline" ] ~docv:"FILE"
-               ~doc:"Regression-gate baseline (used by $(b,--check)).")
+               ~doc:"Regression-gate baseline (read by $(b,--check), written by \
+                     $(b,--update)).")
   in
   let records =
     Arg.(value & opt_all string []
@@ -336,16 +348,24 @@ let cmd =
            & info [ "o"; "output" ] ~docv:"FILE"
                ~doc:"Write the markdown report to $(docv) instead of stdout.")
   in
-  let check =
-    Arg.(value & flag
-           & info [ "check" ]
-               ~doc:"Re-run the bench regression gate against $(b,--baseline) (same \
-                     calibrated thresholds as bench/check_regression) and exit 1 on \
-                     regression.")
+  let mode =
+    Arg.(value
+         & vflag `Report
+             [ ( `Check,
+                 info [ "check" ]
+                   ~doc:"Re-run the bench regression gate against $(b,--baseline) with \
+                         its calibrated thresholds. Exit 1 on a regression, 2 when the \
+                         baseline cannot be read." );
+               ( `Update,
+                 info [ "update" ]
+                   ~doc:"Re-measure the gate's phases and counters and rewrite \
+                         $(b,--baseline) with them, instead of rendering a report. \
+                         Run it after an intentional performance change and commit \
+                         the file." ) ])
   in
   let info =
     Cmd.info "ccs_report" ~doc:"Render markdown trend reports from bench and recorder artifacts"
   in
-  Cmd.v info Term.(const run $ timing $ baseline $ records $ output $ check)
+  Cmd.v info Term.(const run $ timing $ baseline $ records $ output $ mode)
 
 let () = exit (Cmd.eval' cmd)

@@ -516,9 +516,8 @@ let cmd =
   let exits =
     Cmd.Exit.info 1 ~doc:"on an unreadable instance or one the chosen algorithm cannot solve."
     :: Cmd.Exit.info 2
-         ~doc:"on a bad option value: $(b,--jobs) below 1, an unknown $(b,--log-level), or \
-               a $(b,--trace-out), $(b,--record) or $(b,--metrics-out) file that cannot be \
-               written."
+         ~doc:"on a bad option value: $(b,--jobs) below 1, or a $(b,--trace-out), \
+               $(b,--record) or $(b,--metrics-out) file that cannot be written."
     :: Cmd.Exit.info 3
          ~doc:"when a computed schedule fails validation (a solver bug; the validator's \
                reason is printed)."

@@ -1,6 +1,6 @@
-(* Shared observability flags for the CLIs: --log-level, --log-json,
-   --trace-out, --metrics, --metrics-out, --record and --progress, plus
-   the end-of-run reporting they imply. *)
+(* Shared observability flags for the CLIs: --trace-out, --metrics,
+   --metrics-out, --record and --progress, plus the end-of-run reporting
+   they imply. *)
 
 open Cmdliner
 
@@ -11,17 +11,6 @@ type t = {
   record_out : string option;
   progress : bool;
 }
-
-let log_level =
-  Arg.(
-    value
-    & opt string "warn"
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:"Log verbosity: off, error, warn, info, debug or trace.")
-
-let log_json =
-  Arg.(
-    value & flag & info [ "log-json" ] ~doc:"Emit log lines as JSONL instead of text.")
 
 let trace_out =
   Arg.(
@@ -53,8 +42,8 @@ let record_out =
     & info [ "record" ] ~docv:"FILE"
         ~doc:
           "Enable the solver flight recorder and write its event stream \
-           (convergence updates, phase GC/work attribution, checkpoint \
-           samples) to FILE as JSONL.")
+           (convergence updates, solver decisions, phase GC/work \
+           attribution, checkpoint samples) to FILE as JSONL.")
 
 let progress =
   Arg.(
@@ -64,13 +53,7 @@ let progress =
           "Print a progress ticker to stderr during long solves: current \
            phase, relative gap, and elapsed time against the deadline.")
 
-let setup level_s json trace metrics metrics_out record progress =
-  (match Ccs_obs.Log.level_of_string level_s with
-  | Ok lvl -> Ccs_obs.Log.set_level lvl
-  | Error e ->
-      Printf.eprintf "error: --log-level: %s\n" e;
-      exit 2);
-  if json then Ccs_obs.Log.set_format Ccs_obs.Log.Jsonl;
+let setup trace metrics metrics_out record progress =
   (* --trace-out renders the recorder's phases and the ticker rides on its
      event stream, so each of the three starts it (--progress alone never
      gets written out) *)
@@ -80,8 +63,7 @@ let setup level_s json trace metrics metrics_out record progress =
 
 let term =
   Term.(
-    const setup $ log_level $ log_json $ trace_out $ metrics $ metrics_out
-    $ record_out $ progress)
+    const setup $ trace_out $ metrics $ metrics_out $ record_out $ progress)
 
 (* Runs even when the solver raised: partial metrics, traces and recordings
    are exactly what one wants when diagnosing a failure. An output file that

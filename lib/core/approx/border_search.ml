@@ -50,12 +50,9 @@ let search ~loads ~machines ~slots ~lb =
   let finish r =
     Ccs_obs.Metrics.incr m_searches;
     Ccs_obs.Metrics.add m_probes r.probes;
-    Ccs_obs.Log.debug (fun log ->
-        log
-          ~fields:
-            [ Ccs_obs.Log.str "t_star" (Q.to_string r.t_star);
-              Ccs_obs.Log.int "probes" r.probes ]
-          "border_search.done");
+    if Ccs_obs.Recorder.active () then
+      Ccs_obs.Recorder.emit "border_search.done"
+        Ccs_obs.Jsonx.[ ("t_star", Str (Q.to_string r.t_star)); ("probes", Int r.probes) ];
     r
   in
   if feasible lb then finish { t_star = lb; probes = !probes }

@@ -386,7 +386,10 @@ let parse_channel ?(chunk = default_chunk) ic =
 let load path =
   match In_channel.with_open_bin path (fun ic -> parse_channel ic) with
   | r -> r
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg ->
+      (* an open error names the path, a read error (a directory) does not *)
+      let prefix = path ^ ": " in
+      Error (if String.starts_with ~prefix msg then msg else prefix ^ msg)
 
 (* the name bench/e2e calls; see io.mli *)
 let load_flat = load

@@ -38,6 +38,8 @@ val of_string : ?chunk:int -> string -> (Instance.t, string) result
     by the leading magic. The channel must be in binary mode. *)
 val parse_channel : ?chunk:int -> in_channel -> (Instance.t, string) result
 
+(** Read an instance file. An [Error] message that comes from the file
+    system starts with the path. *)
 val load : string -> (Instance.t, string) result
 
 (** {!load}, kept only because [bench/e2e] still calls it; it goes when

@@ -141,12 +141,9 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
     Ccs_resil.Deadline.check chk_guess;
     Ccs_obs.Metrics.incr m_guesses;
     let answer = oracle t in
-    Ccs_obs.Log.debug (fun log ->
-        log
-          ~fields:
-            [ Ccs_obs.Log.str "t" (Q.to_string t);
-              Ccs_obs.Log.bool "accepted" (answer <> None) ]
-          "ptas.guess");
+    if Ccs_obs.Recorder.active () then
+      Ccs_obs.Recorder.emit "ptas.guess"
+        Ccs_obs.Jsonx.[ ("t", Str (Q.to_string t)); ("accepted", Bool (answer <> None)) ];
     answer
   in
   let step = Q.add Q.one delta in

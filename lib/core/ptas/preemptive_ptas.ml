@@ -534,13 +534,6 @@ let solve ?progress p inst =
     let (sched, ilp_vars, layers), t_accepted =
       Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
     in
-    Ccs_obs.Log.info (fun log ->
-        log
-          ~fields:
-            [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-              Ccs_obs.Log.int "oracle_calls" !calls;
-              Ccs_obs.Log.int "ilp_vars" ilp_vars ]
-          "preemptive.solve: accepted");
     (sched, { t_accepted; oracle_calls = !calls; ilp_vars; layers })
 
 (* Anytime entry; see Splittable_ptas.solve_anytime. *)

@@ -433,13 +433,6 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
   let (sched, ilp_vars), t_accepted =
     Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
   in
-  Ccs_obs.Log.info (fun log ->
-      log
-        ~fields:
-          [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-            Ccs_obs.Log.int "oracle_calls" !calls;
-            Ccs_obs.Log.int "ilp_vars" ilp_vars ]
-        "splittable.solve: accepted");
   ( sched,
     {
       t_accepted;

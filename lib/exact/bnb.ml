@@ -322,12 +322,6 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
           best := current_max;
           incr incumbents;
           Ccs_obs.Recorder.incumbent ~src:"bnb" ~solve:ord (float_of_int current_max);
-          Ccs_obs.Log.debug (fun log ->
-              log
-                ~fields:
-                  [ Ccs_obs.Log.int "makespan" current_max;
-                    Ccs_obs.Log.int "nodes" !nodes ]
-                "bnb.incumbent");
           let out = Array.make n 0 in
           for i = 0 to n - 1 do
             out.(base.(i)) <- asg.(i)
@@ -472,17 +466,12 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
       let lower_bound = if complete then !best else lb0 in
       if complete then
         Ccs_obs.Recorder.lower_bound ~src:"bnb" ~solve:ord (float_of_int !best);
-      Ccs_obs.Log.debug (fun log ->
-          log
-            ~fields:
-              [ Ccs_obs.Log.int "n" n;
-                Ccs_obs.Log.int "m" m;
-                Ccs_obs.Log.int "nodes" !nodes;
-                Ccs_obs.Log.int "nogoods" !ng_stored;
-                Ccs_obs.Log.int "restarts" !restarts;
-                Ccs_obs.Log.int "prunes_area" !prunes_area;
-                Ccs_obs.Log.bool "complete" complete ]
-            "bnb.solve");
+      if Ccs_obs.Recorder.active () then
+        Ccs_obs.Recorder.emit "bnb.done"
+          Ccs_obs.Jsonx.
+            [ ("nodes", Int !nodes); ("nogoods", Int !ng_stored);
+              ("nogood_resets", Int !ng_resets); ("restarts", Int !restarts);
+              ("prunes_area", Int !prunes_area); ("complete", Bool complete) ];
       Some
         {
           makespan = !best;

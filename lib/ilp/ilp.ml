@@ -352,19 +352,4 @@ let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
   Ccs_obs.Metrics.add m_prunes_prop !prunes;
   Ccs_obs.Metrics.observe h_nodes (float_of_int !nodes);
   if !limit_hit then Ccs_obs.Metrics.incr m_limit_hits;
-  Ccs_obs.Log.debug (fun log ->
-      log
-        ~fields:
-          [
-            Ccs_obs.Log.int "nvars" p.lp.Lp.nvars;
-            Ccs_obs.Log.int "nodes" !nodes;
-            Ccs_obs.Log.int "prunes" !prunes;
-            Ccs_obs.Log.str "result"
-              (match result with
-              | Optimal _ -> "optimal"
-              | Infeasible -> "infeasible"
-              | Unbounded -> "unbounded"
-              | Node_limit -> "node_limit");
-          ]
-        "ilp.solve");
   result

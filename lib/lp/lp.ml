@@ -1148,21 +1148,6 @@ let run ?warm ~bland_after md ~lower ~upper =
         | `Unbounded -> Ccs_obs.Metrics.incr m_unbounded
         | `Optimal -> ());
         sync_rat_counters ();
-        Ccs_obs.Log.trace (fun log ->
-            log
-              ~fields:
-                [
-                  Ccs_obs.Log.int "rows" core.m;
-                  Ccs_obs.Log.int "cols" core.n_total;
-                  Ccs_obs.Log.int "pivots" stats.pivots;
-                  Ccs_obs.Log.bool "warm" warm_ok;
-                  Ccs_obs.Log.str "outcome"
-                    (match outcome with
-                    | `Infeasible -> "infeasible"
-                    | `Unbounded -> "unbounded"
-                    | `Optimal -> "optimal");
-                ]
-              "lp.solve");
         stats
       in
       (match p1 with

@@ -317,7 +317,7 @@ let optimize ?(max_norm = 2) p x0 =
       lambda := !lambda * 2
     done;
     match !best with
-    | Some (gain, lam, g) ->
+    | Some (_, lam, g) ->
         for i = 0 to p.n - 1 do
           for j = 0 to p.t - 1 do
             x.(i).(j) <- x.(i).(j) + (lam * g.(i).(j))
@@ -326,10 +326,6 @@ let optimize ?(max_norm = 2) p x0 =
         assert (check p x);
         Ccs_obs.Metrics.incr m_aug_steps;
         Ccs_obs.Metrics.observe h_lambda (float_of_int lam);
-        Ccs_obs.Log.debug (fun log ->
-            log
-              ~fields:[ Ccs_obs.Log.int "lambda" lam; Ccs_obs.Log.int "gain" gain ]
-              "nfold.augmentation_step");
         improved := true
     | None -> ()
   done;

@@ -1,7 +1,7 @@
-(** Minimal JSON values for the observability layer: enough to emit JSONL
-    log lines, Chrome trace events and metric dumps, and to parse them back
-    in the test-suite. Kept dependency-free on purpose — the sealed
-    environment has no JSON library. *)
+(** Minimal JSON values for the observability layer: enough to emit the
+    recorder's JSONL lines, Chrome trace events and metric dumps, and to
+    parse them back in the test-suite. Kept dependency-free on purpose —
+    the sealed environment has no JSON library. *)
 
 type t =
   | Null

@@ -34,10 +34,9 @@ let injected_total () = Atomic.get injected
 let hit site k what =
   Atomic.incr injected;
   Ccs_obs.Metrics.incr m_injected;
-  Ccs_obs.Log.debug (fun log ->
-      log
-        ~fields:[ Ccs_obs.Log.str "site" site; Ccs_obs.Log.int "ordinal" k ]
-        ("faults: injecting " ^ what))
+  if Ccs_obs.Recorder.active () then
+    Ccs_obs.Recorder.emit "fault"
+      Ccs_obs.Jsonx.[ ("site", Str site); ("ordinal", Int k); ("what", Str what) ]
 
 let apply site k = function
   | Cancel ->

@@ -1,9 +1,6 @@
-(* Ccs_obs tests: level filtering (including the zero-cost guarantee that
-   filtered closures never run), JSONL well-formedness, recorder phases
-   and their Chrome rendering, metrics registry semantics, and the Jsonx
-   printer/parser pair. *)
+(* Ccs_obs tests: recorder phases and their Chrome rendering, metrics
+   registry semantics, and the Jsonx printer/parser pair. *)
 
-module Log = Ccs_obs.Log
 module Metrics = Ccs_obs.Metrics
 module Jsonx = Ccs_obs.Jsonx
 module Recorder = Ccs_obs.Recorder
@@ -12,81 +9,6 @@ let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
-
-let with_captured_log ?(level = Some Log.Debug) ?(format = Log.Text) f =
-  let buf = Buffer.create 256 in
-  Log.set_output (Buffer.add_string buf);
-  Log.set_format format;
-  Log.set_level level;
-  Fun.protect
-    ~finally:(fun () ->
-      Log.set_level (Some Log.Warn);
-      Log.set_format Log.Text;
-      Log.set_output prerr_string)
-    (fun () ->
-      f ();
-      Buffer.contents buf)
-
-(* ---------- logging ---------- *)
-
-let test_level_filtering () =
-  let ran = ref false in
-  let out =
-    with_captured_log ~level:(Some Log.Warn) (fun () ->
-        Log.debug (fun m ->
-            ran := true;
-            m "invisible");
-        Log.warn (fun m -> m "visible"))
-  in
-  Alcotest.(check bool) "filtered closure never invoked" false !ran;
-  Alcotest.(check bool) "warn line present" true (contains ~needle:"visible" out)
-
-let test_level_off () =
-  let out =
-    with_captured_log ~level:None (fun () -> Log.err (fun m -> m "nothing"))
-  in
-  Alcotest.(check string) "no output when off" "" out
-
-let test_level_of_string () =
-  (match Log.level_of_string "DEBUG" with
-  | Ok (Some Log.Debug) -> ()
-  | _ -> Alcotest.fail "DEBUG should parse");
-  (match Log.level_of_string "off" with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "off should parse to None");
-  match Log.level_of_string "bogus" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus should be rejected"
-
-let test_jsonl_well_formed () =
-  let out =
-    with_captured_log ~format:Log.Jsonl (fun () ->
-        Log.info (fun m ->
-            m
-              ~fields:
-                [ Log.int "pivots" 42; Log.str "algo" "ptas\"quoted\"";
-                  Log.bool "ok" true; Log.float "t" 1.5 ]
-              "solve done"))
-  in
-  let lines =
-    String.split_on_char '\n' out |> List.filter (fun l -> String.trim l <> "")
-  in
-  Alcotest.(check int) "one line" 1 (List.length lines);
-  match Jsonx.of_string (List.hd lines) with
-  | Error e -> Alcotest.fail ("JSONL line does not parse: " ^ e)
-  | Ok j ->
-      (match Jsonx.member "msg" j with
-      | Some (Jsonx.Str s) -> Alcotest.(check string) "msg" "solve done" s
-      | _ -> Alcotest.fail "missing msg");
-      (match Jsonx.member "pivots" j with
-      | Some (Jsonx.Int 42) -> ()
-      | _ -> Alcotest.fail "missing pivots field");
-      (match Jsonx.member "algo" j with
-      | Some (Jsonx.Str s) -> Alcotest.(check string) "escaping survives" "ptas\"quoted\"" s
-      | _ -> Alcotest.fail "missing algo field");
-      (match Jsonx.member "level" j with
-      | Some (Jsonx.Str "info") -> ()
-      | _ -> Alcotest.fail "missing level")
 
 (* ---------- metrics ---------- *)
 
@@ -528,12 +450,7 @@ let test_jsonx_rejects_garbage () =
 
 let () =
   Alcotest.run "obs"
-    [ ( "log",
-        [ Alcotest.test_case "level filtering" `Quick test_level_filtering;
-          Alcotest.test_case "off" `Quick test_level_off;
-          Alcotest.test_case "level_of_string" `Quick test_level_of_string;
-          Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed ] );
-      ( "metrics",
+    [ ( "metrics",
         [ Alcotest.test_case "counters + reset" `Quick test_counters_and_reset;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "histogram vs Util.Stats" `Quick test_histogram_vs_stats;

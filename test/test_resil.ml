@@ -7,7 +7,8 @@
      k-th cancellation checkpoint (Cancel and Raise actions) and demand a
      valid outcome each time — validator-clean incumbent, sound lower
      bound vs the exact optimum, balanced recorder phases (the sweep runs
-     under the recorder, so the phase depth is really tracked).
+     under the recorder, so the phase depth is really tracked), and a
+     [fault] event naming the ordinal that fired.
    - Determinism after chaos: a clean run after an interrupted one still
      produces the baseline answer (no corrupted global state).
    - The checkpoint counter is exact and deterministic for a fixed
@@ -155,6 +156,9 @@ let sweep_points total =
   List.sort compare !pts
 
 let ordinal_sweep action regime () =
+  (* the ground truth is computed before the count, so every swept
+     ordinal falls inside the ladder's own run *)
+  ignore (Lazy.force (match regime with `Split -> opt_split | `Pre -> opt_pre | `Nonpre -> opt_nonpre));
   Ccs_obs.Recorder.start ();
   Fun.protect ~finally:Ccs_obs.Recorder.stop @@ fun () ->
   Faults.arm (Faults.At { ordinal = max_int; action = Faults.Cancel });
@@ -167,7 +171,13 @@ let ordinal_sweep action regime () =
       Fun.protect ~finally:Faults.disarm (fun () ->
           solve_checked (Printf.sprintf "fault@%d" k) regime);
       Alcotest.(check int) (Printf.sprintf "phases balanced after fault@%d" k) 0
-        (Ccs_obs.Recorder.open_depth ()))
+        (Ccs_obs.Recorder.open_depth ());
+      Alcotest.(check bool) (Printf.sprintf "fault@%d recorded" k) true
+        (List.exists
+           (fun e ->
+             e.Ccs_obs.Recorder.kind = "fault"
+             && List.assoc_opt "ordinal" e.fields = Some (Ccs_obs.Jsonx.Int k))
+           (Ccs_obs.Recorder.events ())))
     (sweep_points total)
 
 (* ---------- determinism after chaos ---------- *)
