@@ -59,6 +59,7 @@ let m_unbounded = Ccs_obs.Metrics.counter "lp.unbounded"
 let m_refactor = Ccs_obs.Metrics.counter "lp.basis_refactorizations"
 let m_pricing_switches = Ccs_obs.Metrics.counter "lp.pricing_switches"
 let m_warm = Ccs_obs.Metrics.counter "lp.warm_starts"
+let m_repair_stalls = Ccs_obs.Metrics.counter "lp.repair_stalls"
 let m_rat_hits = Ccs_obs.Metrics.counter "rat.small_hits"
 let m_rat_promos = Ccs_obs.Metrics.counter "rat.promotions"
 
@@ -1105,6 +1106,9 @@ let run ?warm ~bland_after md ~lower ~upper =
                       warm_ok := true;
                       `Infeasible iters
                   | `Stalled ->
+                      (* counted here: the cold restart alone shows only as a
+                         solve that is not warm *)
+                      Ccs_obs.Metrics.incr m_repair_stalls;
                       unpin_artificials ();
                       `Cold))
       in
