@@ -842,12 +842,14 @@ let dual_feasible core =
 (* Dual-simplex feasibility repair, starting from a factored, dual-feasible
    basis whose x_B violates some boxes — the branch-and-bound child case,
    where the parent's optimal basis is off by exactly one tightened bound.
-   Leaving row and entering column both break ties by smallest variable
-   index (Bland-style), which keeps runs deterministic and, together with
-   exact arithmetic, rules out cycling; a generous iteration cap returns
-   [`Stalled] so the caller can always fall back to a cold start.
-   Maintains [core.d] exactly; Devex weights are left alone because the
-   caller re-derives them before phase 2. *)
+   The leaving row is the violated one of smallest basic variable index;
+   the entering column is chosen by the least dual ratio and, among ties,
+   by the size of its pivot element (see the scan below). Both rules are
+   deterministic, but together they are not Bland's rule, so they do not
+   exclude cycling: the iteration cap ends the repair, returning [`Stalled]
+   so the caller falls back to a cold start. Maintains [core.d] exactly;
+   Devex weights are left alone because the caller re-derives them before
+   phase 2. *)
 let dual_repair core =
   let max_iters = 100 + (20 * core.m) in
   (* alpha_j of the pricing row, allocated once per call rather than per
@@ -859,8 +861,7 @@ let dual_repair core =
     Ccs_resil.Deadline.check chk_pivot;
     if iters > max_iters then `Stalled
     else begin
-      (* most negative choice would be faster on average; smallest basic
-         variable index is the Bland-style choice that cannot cycle *)
+      (* the violated row of smallest basic variable index leaves *)
       let r = ref (-1) in
       let sr = ref 0 in
       for i = core.m - 1 downto 0 do
@@ -887,12 +888,18 @@ let dual_repair core =
         btran core rho;
         let q = ref (-1) in
         let best = ref Q.zero in
-        (* Dual feasibility makes every eligible ratio >= 0, and ties go to
-           the lowest index, so the first eligible column with d_j = 0 is
-           the one the full scan would pick: the scan stops there. Its
-           theta_d is 0, so the dual update never reads the skipped alphas.
-           Feasibility-mode solves (zero objective) stop at the first
-           eligible column. *)
+        let best_alpha = ref Q.zero in  (* |alpha_q| *)
+        (* Among the eligible columns of least ratio, enter the first in
+           index order whose pivot element has |alpha_j| >= 1, else the one
+           of largest |alpha_j| (the lowest index on ties). The entering
+           variable moves by |violation| / |alpha_j|, so a small pivot
+           element can push other basic variables out of their boxes; in a
+           zero-objective feasibility LP every eligible column ties at
+           ratio 0 and this rule alone picks the pivot. Dual feasibility
+           makes every eligible ratio >= 0, so the first column of ratio 0
+           with |alpha_j| >= 1 is the one the full scan would pick: the
+           scan stops there. Its theta_d is 0, so the dual update never
+           reads the skipped alphas. *)
         let j = ref 0 in
         while !j < core.n_enter do
           let jj = !j in
@@ -911,19 +918,21 @@ let dual_repair core =
                   | At_upper -> Q.sign sa < 0
                   | Basic _ -> false
                 in
-                if eligible then
-                  if Q.is_zero core.d.(jj) then begin
-                    q := jj;
-                    best := Q.zero;
-                    j := core.n_enter
-                  end
-                  else begin
-                    let ratio = Q.div core.d.(jj) sa in
-                    if !q < 0 || Q.(ratio < !best) then begin
+                if eligible then begin
+                  let ratio =
+                    if Q.is_zero core.d.(jj) then Q.zero else Q.div core.d.(jj) sa
+                  in
+                  let c = if !q < 0 then -1 else Q.compare ratio !best in
+                  if c <= 0 then begin
+                    let abs_a = Q.abs a in
+                    if c < 0 || Q.(!best_alpha < one && abs_a > !best_alpha) then begin
                       q := jj;
-                      best := ratio
+                      best := ratio;
+                      best_alpha := abs_a;
+                      if Q.is_zero ratio && Q.(abs_a >= one) then j := core.n_enter
                     end
                   end
+                end
               end
         done;
         if !q < 0 then `Infeasible (iters + 1)

@@ -4,9 +4,11 @@
     sparse columns: the basis is held as a product-form-eta factorization,
     pricing is Devex (float scores choose the pivot order; every number
     that enters the solution is exact), and Bland's rule takes over after
-    a run of degenerate pivots so cycling remains impossible. There are no
-    tolerances and answers are exactly right — which is what the
-    branch-and-bound ILP solver and the PTAS feasibility oracles require.
+    a run of degenerate pivots so the primal phases cannot cycle. The
+    dual-simplex repair of a warm start has no such rule: an iteration cap
+    ends it, and the solve then restarts cold. There are no tolerances and
+    answers are exactly right — which is what the branch-and-bound ILP
+    solver and the PTAS feasibility oracles require.
     Built from scratch; the sealed environment has no LP library.
 
     Finite variable bounds are implicit (a nonbasic variable rests at its

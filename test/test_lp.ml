@@ -209,6 +209,52 @@ let test_dual_repair_zero_cost_tie () =
       | _ -> Alcotest.fail "expected optimal on both paths")
   | _ -> Alcotest.fail "expected optimal"
 
+(* The LP x0/2 + x1 + x2 = 5 under [objective], solved cold and then warm
+   from its own basis after [upper] cuts one variable: the cut leaves one
+   dual-repair pivot, whose entering column the tests below check through
+   the repaired solution. *)
+let repair_after_cut ~objective ~upper =
+  let p =
+    Lp.problem ~nvars:3 ~objective
+      [ Lp.constr [ (0, qr 1 2); (1, Q.one); (2, Q.one) ] Lp.Eq (qi 5) ]
+  in
+  let md = Lp.model p in
+  match Lp.solve_model md ~lower:p.Lp.lower ~upper:p.Lp.upper with
+  | Lp.Optimal { basis; _ } -> (
+      match Lp.solve_model ~warm:basis md ~lower:p.Lp.lower ~upper with
+      | Lp.Optimal { solution; stats; _ } ->
+          Alcotest.(check bool) "warm adopted" true stats.Lp.warm_started;
+          Alcotest.(check int) "one repair pivot" 1 stats.Lp.pivots;
+          Alcotest.(check bool) "feasible" true (Lp.feasible { p with Lp.upper } solution);
+          solution
+      | _ -> Alcotest.fail "expected optimal after the cut")
+  | _ -> Alcotest.fail "expected optimal"
+
+let test_dual_repair_tie_at_zero () =
+  (* Zero objective, as in the PTAS feasibility ILPs: the cold solve makes
+     x1 = 5 basic. Cutting x1 to <= 2 leaves x0 (alpha 1/2) and x2
+     (alpha 1) tied at ratio 0. The lower index x0 would move by 3 / (1/2)
+     = 6; x2, the first with |alpha| >= 1, must enter and moves by 3. *)
+  let x =
+    repair_after_cut ~objective:[| Q.zero; Q.zero; Q.zero |]
+      ~upper:[| None; Some (qi 2); None |]
+  in
+  Alcotest.check q "x0 stays at 0" Q.zero x.(0);
+  Alcotest.check q "x1 at its new bound" (qi 2) x.(1);
+  Alcotest.check q "x2 entered" (qi 3) x.(2)
+
+let test_dual_repair_tie_positive () =
+  (* min -x2: the optimum takes x2 = 5 basic, with reduced costs 1/2 and 1
+     on x0 and x1. Cutting x2 to <= 2 ties x0 (alpha 1/2) and x1 (alpha 1)
+     at ratio 1; x1 must enter rather than x0. *)
+  let x =
+    repair_after_cut ~objective:[| Q.zero; Q.zero; Q.minus_one |]
+      ~upper:[| None; None; Some (qi 2) |]
+  in
+  Alcotest.check q "x0 stays at 0" Q.zero x.(0);
+  Alcotest.check q "x1 entered" (qi 3) x.(1);
+  Alcotest.check q "x2 at its new bound" (qi 2) x.(2)
+
 let test_fractional_data () =
   (* min 2/3 x + 1/7 y s.t. x + y >= 22/7, y <= 1. Opt: y = 1, x = 15/7. *)
   let p =
@@ -407,6 +453,10 @@ let () =
             test_warm_dual_repair;
           Alcotest.test_case "dual repair takes the zero-cost tie" `Quick
             test_dual_repair_zero_cost_tie;
+          Alcotest.test_case "dual repair tie at ratio 0 takes |alpha| >= 1" `Quick
+            test_dual_repair_tie_at_zero;
+          Alcotest.test_case "dual repair tie at ratio 1 takes |alpha| >= 1" `Quick
+            test_dual_repair_tie_positive;
           Alcotest.test_case "fractional data" `Quick test_fractional_data ] );
       ( "lst-rounding",
         [ Alcotest.test_case "simple" `Quick test_lst_simple;
