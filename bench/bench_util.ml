@@ -4,14 +4,6 @@
 module Q = Rat
 module T = Ccs_util.Tables
 
-let fam_name = function
-  | Ccs.Generator.Uniform -> "uniform"
-  | Zipf -> "zipf"
-  | Heavy_classes -> "heavy"
-  | Large_jobs -> "large"
-  | Lp_stress -> "lp-stress"
-  | Bnb_stress -> "bnb-stress"
-
 let families = Ccs.Generator.[ Uniform; Zipf; Heavy_classes; Large_jobs; Lp_stress ]
 
 (* A schedulable random instance: C is clamped under c*m and n. *)

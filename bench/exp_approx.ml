@@ -37,8 +37,9 @@ let e1 () =
             match !exact_ratios with [] -> "-" | l -> U.f3 (fst (U.summarize l))
           in
           T.add_row table
-            [ U.fam_name family; string_of_int n; string_of_int classes;
-              string_of_int machines; string_of_int slots; "30"; U.f3 mx; U.f3 mean; vs_exact ])
+            [ Ccs.Generator.family_name family; string_of_int n;
+              string_of_int classes; string_of_int machines; string_of_int slots; "30";
+              U.f3 mx; U.f3 mean; vs_exact ])
         [ (8, 4, 3, 2); (40, 8, 5, 3); (200, 12, 8, 3) ])
     U.families;
   T.print table;
@@ -68,8 +69,9 @@ let e2 () =
           let mx, mean = U.summarize !ratios in
           let vs_exact = match !exact_ratios with [] -> "-" | l -> U.f3 (fst (U.summarize l)) in
           T.add_row table
-            [ U.fam_name family; string_of_int n; string_of_int machines; "30";
-              U.f3 mx; U.f3 mean; vs_exact; string_of_int !repacked; "0" ])
+            [ Ccs.Generator.family_name family; string_of_int n;
+              string_of_int machines; "30"; U.f3 mx; U.f3 mean; vs_exact;
+              string_of_int !repacked; "0" ])
         [ (8, 4, 3, 2); (40, 8, 5, 3); (200, 12, 8, 3) ])
     U.families;
   T.print table;
@@ -106,8 +108,9 @@ let e3 () =
                 (U.f3 mx, U.f3 mean)
           in
           T.add_row table
-            [ U.fam_name family; string_of_int n; string_of_int machines; "30";
-              U.f3 mx; U.f3 mean; vs_exact; vs_exact_mean ])
+            [ Ccs.Generator.family_name family; string_of_int n;
+              string_of_int machines; "30"; U.f3 mx; U.f3 mean; vs_exact;
+              vs_exact_mean ])
         [ (10, 4, 3, 2); (12, 4, 3, 2); (60, 8, 5, 3); (300, 12, 8, 3) ])
     U.families;
   T.print table;

@@ -276,10 +276,24 @@ let read_baseline path =
             | _ -> Error (Printf.sprintf "%s: missing \"phases\" object" path))
         | _ -> Error (Printf.sprintf "%s: missing \"calibration_s\"" path))
 
+(* Rewrites [path] from a fresh measurement. Phases and counters of the
+   old file that this run did not measure (the xl_* entries, without
+   CCS_BENCH_XL) are kept after the measured ones, each kept wall scaled
+   by the new calibration over the old so that it keeps its meaning. *)
 let write_baseline path =
   let cal = calibrate () in
-  let walls = measure () in
-  let counters = measure_counters () in
+  let measured = measure () in
+  let measured_counters = measure_counters () in
+  let unmeasured now old = List.filter (fun (n, _) -> not (List.mem_assoc n now)) old in
+  let walls, counters =
+    match read_baseline path with
+    | Error _ -> (measured, measured_counters)
+    | Ok old ->
+        let scale = cal /. old.calibration_s in
+        ( measured
+          @ List.map (fun (n, w) -> (n, w *. scale)) (unmeasured measured old.walls),
+          measured_counters @ unmeasured measured_counters old.counters )
+  in
   let round = J.round_sig 9 in
   let json =
     J.Obj

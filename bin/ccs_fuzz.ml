@@ -10,30 +10,6 @@
 
 open Cmdliner
 
-let family_conv =
-  let parse = function
-    | "uniform" -> Ok Ccs.Generator.Uniform
-    | "zipf" -> Ok Ccs.Generator.Zipf
-    | "heavy" -> Ok Ccs.Generator.Heavy_classes
-    | "large" -> Ok Ccs.Generator.Large_jobs
-    | "lp-stress" -> Ok Ccs.Generator.Lp_stress
-    | "bnb-stress" -> Ok Ccs.Generator.Bnb_stress
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown family %S (uniform|zipf|heavy|large|lp-stress|bnb-stress)" s))
-  in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | Ccs.Generator.Uniform -> "uniform"
-      | Zipf -> "zipf"
-      | Heavy_classes -> "heavy"
-      | Large_jobs -> "large"
-      | Lp_stress -> "lp-stress"
-      | Bnb_stress -> "bnb-stress")
-  in
-  Arg.conv (parse, print)
-
 (* Chaos mode (--faults and/or --deadline-ms): instead of the differential
    oracle, run the Ccs_anytime degradation ladder on every instance under
    deadlines and seeded fault injection and demand a valid schedule or a
@@ -144,11 +120,12 @@ let cmd =
            & info [ "max-n" ] ~doc:"Cap on generated instance size.")
   in
   let family =
-    Arg.(value & opt (some family_conv) None
+    Arg.(value & opt (some (enum Ccs.Generator.families)) None
            & info [ "family" ]
-               ~doc:"Pin every instance to one workload family (uniform, zipf, heavy, \
-                     large, lp-stress or bnb-stress) instead of drawing it per index. \
-                     Applies to the differential oracle and to chaos mode.")
+               ~doc:("Pin every instance to one workload family ("
+                     ^ doc_alts_enum Ccs.Generator.families
+                     ^ ") instead of drawing it per index. Applies to the \
+                        differential oracle and to chaos mode."))
   in
   let deadline_ms =
     Arg.(value & opt (some int) None

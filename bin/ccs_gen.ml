@@ -2,30 +2,6 @@
 
 open Cmdliner
 
-let family_conv =
-  let parse = function
-    | "uniform" -> Ok Ccs.Generator.Uniform
-    | "zipf" -> Ok Ccs.Generator.Zipf
-    | "heavy" -> Ok Ccs.Generator.Heavy_classes
-    | "large" -> Ok Ccs.Generator.Large_jobs
-    | "lp-stress" -> Ok Ccs.Generator.Lp_stress
-    | "bnb-stress" -> Ok Ccs.Generator.Bnb_stress
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown family %S (uniform|zipf|heavy|large|lp-stress|bnb-stress)" s))
-  in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | Ccs.Generator.Uniform -> "uniform"
-      | Zipf -> "zipf"
-      | Heavy_classes -> "heavy"
-      | Large_jobs -> "large"
-      | Lp_stress -> "lp-stress"
-      | Bnb_stress -> "bnb-stress")
-  in
-  Arg.conv (parse, print)
-
 let run n classes machines slots p_lo p_hi family seed output format obs =
   Obs_cli.with_reporting obs @@ fun () ->
   let spec = { Ccs.Generator.n; classes; machines; slots; p_lo; p_hi; family } in
@@ -66,7 +42,9 @@ let cmd =
   let p_lo = Arg.(value & opt int 1 & info [ "p-lo" ] ~doc:"Minimum processing time.") in
   let p_hi = Arg.(value & opt int 100 & info [ "p-hi" ] ~doc:"Maximum processing time.") in
   let family =
-    Arg.(value & opt family_conv Ccs.Generator.Uniform & info [ "family" ] ~doc:"Workload family: uniform, zipf, heavy or large.")
+    Arg.(value & opt (enum Ccs.Generator.families) Ccs.Generator.Uniform
+           & info [ "family" ]
+               ~doc:("Workload family: " ^ doc_alts_enum Ccs.Generator.families ^ "."))
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let output = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file (stdout if absent).") in

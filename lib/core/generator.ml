@@ -2,6 +2,12 @@ module Prng = Ccs_util.Prng
 
 type family = Uniform | Zipf | Heavy_classes | Large_jobs | Lp_stress | Bnb_stress
 
+let families =
+  [ ("uniform", Uniform); ("zipf", Zipf); ("heavy", Heavy_classes); ("large", Large_jobs);
+    ("lp-stress", Lp_stress); ("bnb-stress", Bnb_stress) ]
+
+let family_name f = fst (List.find (fun (_, g) -> g = f) families)
+
 type spec = {
   n : int;
   classes : int;

@@ -23,6 +23,13 @@ type family =
           area bound is weak and the tree is deep — the adversarial family
           for the conflict-driven B&B and the solver portfolio *)
 
+(** Every family with its command-line name, in declaration order. The
+    CLIs' [--family] converters and docs are built from this table. *)
+val families : (string * family) list
+
+(** The family's name in {!families}. *)
+val family_name : family -> string
+
 type spec = {
   n : int;
   classes : int;
