@@ -209,51 +209,65 @@ let test_dual_repair_zero_cost_tie () =
       | _ -> Alcotest.fail "expected optimal on both paths")
   | _ -> Alcotest.fail "expected optimal"
 
-(* The LP x0/2 + x1 + x2 = 5 under [objective], solved cold and then warm
-   from its own basis after [upper] cuts one variable: the cut leaves one
-   dual-repair pivot, whose entering column the tests below check through
-   the repaired solution. *)
-let repair_after_cut ~objective ~upper =
+(* One row, sum_j coeffs_j x_j = 5, under [objective]: solved cold under
+   [parent_upper], then warm from that basis under [upper], which cuts the
+   parent's basic variable. The cut leaves one dual-repair pivot, whose
+   entering column the tests below read off the repaired solution. *)
+let repair_after_cut ~coeffs ~objective ~parent_upper ~upper =
   let p =
-    Lp.problem ~nvars:3 ~objective
-      [ Lp.constr [ (0, qr 1 2); (1, Q.one); (2, Q.one) ] Lp.Eq (qi 5) ]
+    Lp.problem ~upper:parent_upper ~nvars:(List.length coeffs) ~objective
+      [ Lp.constr (List.mapi (fun j a -> (j, a)) coeffs) Lp.Eq (qi 5) ]
   in
   let md = Lp.model p in
-  match Lp.solve_model md ~lower:p.Lp.lower ~upper:p.Lp.upper with
+  match Lp.solve_model md ~lower:p.Lp.lower ~upper:parent_upper with
   | Lp.Optimal { basis; _ } -> (
       match Lp.solve_model ~warm:basis md ~lower:p.Lp.lower ~upper with
       | Lp.Optimal { solution; stats; _ } ->
           Alcotest.(check bool) "warm adopted" true stats.Lp.warm_started;
           Alcotest.(check int) "one repair pivot" 1 stats.Lp.pivots;
-          Alcotest.(check bool) "feasible" true (Lp.feasible { p with Lp.upper } solution);
+          Alcotest.(check bool) "feasible" true
+            (Lp.feasible { p with Lp.upper } solution);
           solution
       | _ -> Alcotest.fail "expected optimal after the cut")
   | _ -> Alcotest.fail "expected optimal"
 
 let test_dual_repair_tie_at_zero () =
-  (* Zero objective, as in the PTAS feasibility ILPs: the cold solve makes
-     x1 = 5 basic. Cutting x1 to <= 2 leaves x0 (alpha 1/2) and x2
-     (alpha 1) tied at ratio 0. The lower index x0 would move by 3 / (1/2)
-     = 6; x2, the first with |alpha| >= 1, must enter and moves by 3. *)
+  (* Zero objective, as in the PTAS feasibility ILPs, on
+     x0/2 + x1 + x2 + 2 x3 = 5. With x3 fixed at 0 the cold solve makes
+     x1 = 5 basic. Cutting x1 to <= 2 and freeing x3 ties x0, x2 and x3 at
+     ratio 0, with alpha 1/2, 1 and 2. x2, the first with |alpha| >= 1,
+     must enter and moves by 3; the lowest index would move x0 by 6, and
+     the largest alpha (the highest index too) x3 by 3/2. *)
   let x =
-    repair_after_cut ~objective:[| Q.zero; Q.zero; Q.zero |]
-      ~upper:[| None; Some (qi 2); None |]
+    repair_after_cut ~coeffs:[ qr 1 2; Q.one; Q.one; qi 2 ]
+      ~objective:(Array.make 4 Q.zero) ~parent_upper:[| None; None; None; Some Q.zero |]
+      ~upper:[| None; Some (qi 2); None; None |]
   in
-  Alcotest.check q "x0 stays at 0" Q.zero x.(0);
-  Alcotest.check q "x1 at its new bound" (qi 2) x.(1);
-  Alcotest.check q "x2 entered" (qi 3) x.(2)
+  Alcotest.(check (array q)) "x2 entered" [| Q.zero; qi 2; qi 3; Q.zero |] x
+
+let test_dual_repair_tie_small_alphas () =
+  (* x0/4 + x1/2 + x2/2 + x3 = 5, zero objective: the cold solve makes
+     x3 = 5 basic. Cutting x3 to <= 2 ties x0, x1 and x2 at ratio 0 with
+     alpha 1/4, 1/2 and 1/2. None reaches 1, so the largest enters, the
+     lower index of the two: x1, moved by 3 / (1/2) = 6. *)
+  let x =
+    repair_after_cut ~coeffs:[ qr 1 4; qr 1 2; qr 1 2; Q.one ]
+      ~objective:(Array.make 4 Q.zero) ~parent_upper:(Array.make 4 None)
+      ~upper:[| None; None; None; Some (qi 2) |]
+  in
+  Alcotest.(check (array q)) "x1 entered" [| Q.zero; qi 6; Q.zero; qi 2 |] x
 
 let test_dual_repair_tie_positive () =
-  (* min -x2: the optimum takes x2 = 5 basic, with reduced costs 1/2 and 1
-     on x0 and x1. Cutting x2 to <= 2 ties x0 (alpha 1/2) and x1 (alpha 1)
-     at ratio 1; x1 must enter rather than x0. *)
+  (* min -x2 s.t. x0/2 + x1 + x2 = 5: the optimum takes x2 = 5 basic, with
+     reduced costs 1/2 and 1 on x0 and x1. Cutting x2 to <= 2 ties x0
+     (alpha 1/2) and x1 (alpha 1) at ratio 1; x1 must enter rather than
+     x0. *)
   let x =
-    repair_after_cut ~objective:[| Q.zero; Q.zero; Q.minus_one |]
+    repair_after_cut ~coeffs:[ qr 1 2; Q.one; Q.one ]
+      ~objective:[| Q.zero; Q.zero; Q.minus_one |] ~parent_upper:(Array.make 3 None)
       ~upper:[| None; None; Some (qi 2) |]
   in
-  Alcotest.check q "x0 stays at 0" Q.zero x.(0);
-  Alcotest.check q "x1 entered" (qi 3) x.(1);
-  Alcotest.check q "x2 at its new bound" (qi 2) x.(2)
+  Alcotest.(check (array q)) "x1 entered" [| Q.zero; qi 3; qi 2 |] x
 
 let test_fractional_data () =
   (* min 2/3 x + 1/7 y s.t. x + y >= 22/7, y <= 1. Opt: y = 1, x = 15/7. *)
@@ -453,9 +467,11 @@ let () =
             test_warm_dual_repair;
           Alcotest.test_case "dual repair takes the zero-cost tie" `Quick
             test_dual_repair_zero_cost_tie;
-          Alcotest.test_case "dual repair tie at ratio 0 takes |alpha| >= 1" `Quick
+          Alcotest.test_case "dual repair tie at ratio 0: first |alpha| >= 1" `Quick
             test_dual_repair_tie_at_zero;
-          Alcotest.test_case "dual repair tie at ratio 1 takes |alpha| >= 1" `Quick
+          Alcotest.test_case "dual repair tie, all |alpha| < 1: largest" `Quick
+            test_dual_repair_tie_small_alphas;
+          Alcotest.test_case "dual repair tie at ratio 1: first |alpha| >= 1" `Quick
             test_dual_repair_tie_positive;
           Alcotest.test_case "fractional data" `Quick test_fractional_data ] );
       ( "lst-rounding",
