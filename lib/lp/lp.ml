@@ -861,7 +861,6 @@ let dual_repair core =
     Ccs_resil.Deadline.check chk_pivot;
     if iters > max_iters then `Stalled
     else begin
-      (* the violated row of smallest basic variable index leaves *)
       let r = ref (-1) in
       let sr = ref 0 in
       for i = core.m - 1 downto 0 do
