@@ -15,15 +15,14 @@ open Cmdliner
    deadlines and seeded fault injection and demand a valid schedule or a
    clean Degraded value from every run. Sequential by design — see
    Ccs_check.Chaos. *)
-let run_chaos seed count epsilon max_n family deadline_ms faults cancel_ppm raise_ppm delay_ppm
+let run_chaos seed count param max_n family deadline_ms faults cancel_ppm raise_ppm delay_ppm
     portfolio verbose =
-  let d = max 1 (int_of_float (ceil (1.0 /. epsilon))) in
   let config =
     {
       Ccs_check.Chaos.default_config with
       seed;
       count;
-      param = Ccs.Ptas.Common.param d;
+      param;
       max_n;
       deadline_ms;
       faults;
@@ -53,6 +52,41 @@ let run_chaos seed count epsilon max_n family deadline_ms faults cancel_ppm rais
     (if nfail = 0 then "no failures" else Printf.sprintf "%d failures" nfail);
   if nfail = 0 then 0 else 1
 
+(* The differential oracle over [count] seeded instances. *)
+let run_oracle seed count param jobs max_n family no_metamorphic no_shrink verbose =
+  (* no idle domains: each one still joins every minor GC *)
+  Ccs_par.set_jobs (min jobs count);
+  let config =
+    {
+      Ccs_check.Runner.default_config with
+      seed;
+      count;
+      param;
+      metamorphic = not no_metamorphic;
+      shrink = not no_shrink;
+      max_n;
+      family;
+    }
+  in
+  let report = Ccs_check.Runner.run config in
+  if verbose then begin
+    Printf.printf "%-24s %8s %8s\n" "solver" "solved" "skipped";
+    List.iter
+      (fun t ->
+        Printf.printf "%-24s %8d %8d\n" t.Ccs_check.Oracle.name
+          t.Ccs_check.Oracle.solved t.Ccs_check.Oracle.skipped)
+      report.Ccs_check.Runner.tallies
+  end;
+  List.iter
+    (fun case -> print_string (Ccs_check.Runner.render_case config case))
+    report.Ccs_check.Runner.cases;
+  let nviol = List.length report.Ccs_check.Runner.cases in
+  Printf.printf "checked %d instances (seed %d, delta 1/%d): %s\n"
+    report.Ccs_check.Runner.checked seed param.Ccs.Ptas.Common.d
+    (if nviol = 0 then "no violations"
+     else Printf.sprintf "%d violation%s" nviol (if nviol = 1 then "" else "s"));
+  if nviol = 0 then 0 else 1
+
 let run seed count epsilon jobs max_n family no_metamorphic no_shrink verbose deadline_ms faults
     cancel_ppm raise_ppm delay_ppm portfolio obs =
   Obs_cli.with_reporting obs @@ fun () ->
@@ -64,45 +98,16 @@ let run seed count epsilon jobs max_n family no_metamorphic no_shrink verbose de
     Printf.eprintf "error: --count must be >= 1\n";
     2
   end
-  else if faults || deadline_ms <> None then
-    run_chaos seed count epsilon max_n family deadline_ms faults cancel_ppm raise_ppm delay_ppm
-      portfolio verbose
-  else begin
-    (* no idle domains: each one still joins every minor GC *)
-    Ccs_par.set_jobs (min jobs count);
-    let d = max 1 (int_of_float (ceil (1.0 /. epsilon))) in
-    let param = Ccs.Ptas.Common.param d in
-    let config =
-      {
-        Ccs_check.Runner.default_config with
-        seed;
-        count;
-        param;
-        metamorphic = not no_metamorphic;
-        shrink = not no_shrink;
-        max_n;
-        family;
-      }
-    in
-    let report = Ccs_check.Runner.run config in
-    if verbose then begin
-      Printf.printf "%-24s %8s %8s\n" "solver" "solved" "skipped";
-      List.iter
-        (fun t ->
-          Printf.printf "%-24s %8d %8d\n" t.Ccs_check.Oracle.name
-            t.Ccs_check.Oracle.solved t.Ccs_check.Oracle.skipped)
-        report.Ccs_check.Runner.tallies
-    end;
-    List.iter
-      (fun case -> print_string (Ccs_check.Runner.render_case config case))
-      report.Ccs_check.Runner.cases;
-    let nviol = List.length report.Ccs_check.Runner.cases in
-    Printf.printf "checked %d instances (seed %d, delta 1/%d): %s\n"
-      report.Ccs_check.Runner.checked seed d
-      (if nviol = 0 then "no violations"
-       else Printf.sprintf "%d violation%s" nviol (if nviol = 1 then "" else "s"));
-    if nviol = 0 then 0 else 1
-  end
+  else
+    match Ccs.Ptas.Common.param_of_epsilon epsilon with
+    | None ->
+        Printf.eprintf "error: --epsilon must be > 0 with ceil(1/epsilon) <= max_int\n";
+        2
+    | Some param when faults || deadline_ms <> None ->
+        run_chaos seed count param max_n family deadline_ms faults cancel_ppm raise_ppm delay_ppm
+          portfolio verbose
+    | Some param ->
+        run_oracle seed count param jobs max_n family no_metamorphic no_shrink verbose
 
 let cmd =
   let seed =
@@ -110,7 +115,7 @@ let cmd =
            ~doc:"PRNG seed; instance $(i,i) depends only on ($(docv), i).")
   in
   let count = Arg.(value & opt int 100 & info [ "count" ] ~docv:"N" ~doc:"Number of instances to check.") in
-  let epsilon = Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"PTAS accuracy (delta = 1/ceil(1/epsilon)).") in
+  let epsilon = Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"PTAS accuracy (delta = 1/ceil(1/epsilon)), greater than 0.") in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Worker domains. Reports are bit-identical at any $(docv).")

@@ -271,7 +271,7 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
 
 (* Solve one instance, accumulating stdout/stderr text into the buffers.
    Returns the exit code. *)
-let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~compress
+let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~compress
     ~portfolio ~node_limit =
   (* text or ccsb1 binary, auto-detected *)
   match Ccs_obs.Recorder.phase "io" (fun () -> Ccs.Io.load file) with
@@ -285,8 +285,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~c
       in
       Printf.bprintf out "instance: n=%d m=%d c=%d C=%d\n" (Ccs.Instance.n inst)
         (Ccs.Instance.m inst) (Ccs.Instance.c inst) (Ccs.Instance.num_classes inst);
-      let d = max 1 (int_of_float (ceil (1.0 /. epsilon))) in
-      let param = Ccs.Ptas.Common.param d in
+      let d = param.Ccs.Ptas.Common.d in
       try
         if anytime || deadline_ms <> None then begin
           solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress
@@ -419,33 +418,37 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime (_ : [ `Text |
     Printf.eprintf "error: --jobs must be >= 1\n";
     2
   end
-  else begin
-    (* An idle worker domain still joins every stop-the-world minor GC, so
-       the pool never outnumbers the files it can work on. *)
-    Ccs_par.set_jobs (min jobs (List.length files));
-    let many = List.length files > 1 in
-    let results =
-      Ccs_par.parallel_map
-        (fun file ->
-          let out = Buffer.create 256 and err = Buffer.create 64 in
-          if many then Printf.bprintf out "=== %s ===\n" file;
-          let code =
-            solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime
-              ~compress ~portfolio ~node_limit
-          in
-          (out, err, code))
-        (Array.of_list files)
-    in
-    Ccs_obs.Recorder.phase "emit" @@ fun () ->
-    (* a batch exits with its highest code, except that a failed
-       validation (3, a solver bug) is never hidden behind a 4 *)
-    Array.fold_left
-      (fun acc (out, err, code) ->
-        Buffer.output_buffer stdout out;
-        Buffer.output_buffer stderr err;
-        if acc = 3 || code = 3 then 3 else max acc code)
-      0 results
-  end
+  else
+    match Ccs.Ptas.Common.param_of_epsilon epsilon with
+    | None ->
+        Printf.eprintf "error: --epsilon must be > 0 with ceil(1/epsilon) <= max_int\n";
+        2
+    | Some param ->
+        (* An idle worker domain still joins every stop-the-world minor GC, so
+           the pool never outnumbers the files it can work on. *)
+        Ccs_par.set_jobs (min jobs (List.length files));
+        let many = List.length files > 1 in
+        let results =
+          Ccs_par.parallel_map
+            (fun file ->
+              let out = Buffer.create 256 and err = Buffer.create 64 in
+              if many then Printf.bprintf out "=== %s ===\n" file;
+              let code =
+                solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime
+                  ~compress ~portfolio ~node_limit
+              in
+              (out, err, code))
+            (Array.of_list files)
+        in
+        Ccs_obs.Recorder.phase "emit" @@ fun () ->
+        (* a batch exits with its highest code, except that a failed
+           validation (3, a solver bug) is never hidden behind a 4 *)
+        Array.fold_left
+          (fun acc (out, err, code) ->
+            Buffer.output_buffer stdout out;
+            Buffer.output_buffer stderr err;
+            if acc = 3 || code = 3 then 3 else max acc code)
+          0 results
 
 let cmd =
   let files =
@@ -461,7 +464,7 @@ let cmd =
                ~doc:"approx, ptas, exact, or nfold (the paper's literal N-fold \
                      formulation; splittable variant only).")
   in
-  let epsilon = Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"PTAS accuracy (delta = 1/ceil(1/epsilon)).") in
+  let epsilon = Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"PTAS accuracy (delta = 1/ceil(1/epsilon)), greater than 0.") in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Do not print the schedule.") in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"

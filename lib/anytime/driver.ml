@@ -66,15 +66,17 @@ let raise_lb st v =
     Ccs_obs.Recorder.lower_bound ~src:"driver" ~solve:st.ord (Q.to_float v)
   end
 
-(* A rung body either finishes, is interrupted (deadline kill or injected
+(* A rung body either finishes, is interrupted (deadline or injected
    fault — the ladder degrades), or reports the accuracy out of practical
    reach (PTAS configuration blow-up / ILP node budget — the ladder moves
-   on without counting it as a degradation). *)
-let guard st f =
+   on without counting it as a degradation). Only a cancellation runs
+   [salvage], which keeps what the rung had found by then. *)
+let guard ?(salvage = ignore) st f =
   match f () with
   | v -> Some v
   | exception Deadline.Cancelled _ ->
       st.interrupted <- true;
+      salvage ();
       None
   | exception Faults.Injected _ ->
       st.interrupted <- true;
@@ -96,7 +98,7 @@ let rung_token base ~grace_ms = function
           Deadline.of_limit_ns (max l (Ccs_util.Mono.now_ns () + Ccs_util.Mono.ns_of_ms grace_ms)))
   | Exact | Ptas -> if base == Deadline.never then base else Deadline.child base
 
-let ladder = function
+let rungs_from = function
   | Exact -> [ Exact; Ptas; Approx; Fallback ]
   | Ptas -> [ Ptas; Approx; Fallback ]
   | Approx -> [ Approx; Fallback ]
@@ -118,7 +120,7 @@ let climb st ~base ~grace_ms ~start step =
         Metrics.observe_log h_rung (Ccs_util.Mono.elapsed_s ~since:t0);
         if not ok then go rest
   in
-  go (ladder start)
+  go (rungs_from start)
 
 let finish st ~base =
   (match Deadline.limit_ns base with
@@ -203,176 +205,152 @@ let fallback_nonpreemptive inst =
   if m >= n then Array.init n (fun j -> j)
   else Array.init n (fun j -> Instance.job_cls inst j mod m)
 
-(* ---------------- the three ladders ---------------- *)
+(* ---------------- the ladder ---------------- *)
 
-let solve_splittable ?deadline ?(start = Exact) ?(param = Common.param 3) ?(node_limit = 200_000)
-    ?(grace_ms = 25) inst =
-  check_schedulable "solve_splittable" inst;
-  let st = init (Bounds.lb_splittable inst) in
-  let base = match deadline with Some d -> d | None -> Deadline.ambient () in
-  let step r tok =
-    match r with
-    | Exact -> (
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () ->
-                  Ccs_exact.Splittable_opt.solve_schedule ~max_nodes:node_limit inst))
-        with
-        | Some (Some (opt, sched)) ->
-            accept st Exact sched opt;
-            raise_lb st opt;
-            true
-        | Some None | None -> false)
-    | Ptas -> (
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () -> Ccs.Ptas.Splittable_ptas.solve_anytime param inst))
-        with
-        | Some a ->
-            Option.iter (raise_lb st) a.Common.refuted;
-            (match a.Common.result with
-            | Some (sched, _) -> accept st Ptas sched (Schedule.splittable_makespan sched)
-            | None -> ());
-            if not a.Common.complete then st.interrupted <- true;
-            a.Common.complete
-        | None -> false)
-    | Approx -> (
-        match
-          guard st (fun () -> Deadline.with_token tok (fun () -> Ccs.Approx.Splittable.solve inst))
-        with
-        | Some (sched, stats) ->
-            raise_lb st stats.Ccs.Approx.Splittable.t_guess;
-            accept st Approx sched (Schedule.splittable_makespan sched);
-            true
-        | None -> false)
-    | Fallback ->
-        let sched = fallback_splittable inst in
-        accept st Fallback sched (Schedule.splittable_makespan sched);
-        true
-  in
-  climb st ~base ~grace_ms ~start step;
-  finish st ~base
+(* How an exact rung's search ended: with the optimum, out of its node
+   budget, or cut by a deadline or fault it absorbed itself. *)
+type ending = Proved | Out_of_budget | Interrupted
 
-let solve_preemptive ?deadline ?(start = Exact) ?(param = Common.param 3) ?(node_limit = 200_000)
-    ?(grace_ms = 25) inst =
-  check_schedulable "solve_preemptive" inst;
-  let st = init (Bounds.lb_preemptive inst) in
-  let base = match deadline with Some d -> d | None -> Deadline.ambient () in
-  let step r tok =
-    match r with
-    | Exact -> (
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () ->
-                  Ccs_exact.Preemptive_opt.solve ~max_nodes:node_limit inst))
-        with
-        | Some (Some (opt, sched)) ->
-            accept st Exact sched opt;
-            raise_lb st opt;
-            true
-        | Some None | None -> false)
-    | Ptas -> (
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () -> Ccs.Ptas.Preemptive_ptas.solve_anytime param inst))
-        with
-        | Some a ->
-            Option.iter (raise_lb st) a.Common.refuted;
-            (match a.Common.result with
-            | Some (sched, _) -> accept st Ptas sched (Schedule.preemptive_makespan sched)
-            | None -> ());
-            if not a.Common.complete then st.interrupted <- true;
-            a.Common.complete
-        | None -> false)
-    | Approx -> (
-        match
-          guard st (fun () -> Deadline.with_token tok (fun () -> Ccs.Approx.Preemptive.solve inst))
-        with
-        | Some (sched, stats) ->
-            raise_lb st stats.Ccs.Approx.Preemptive.t_guess;
-            accept st Approx sched (Schedule.preemptive_makespan sched);
-            true
-        | None -> false)
-    | Fallback ->
-        let sched = fallback_preemptive inst in
-        accept st Fallback sched (Schedule.preemptive_makespan sched);
-        true
-  in
-  climb st ~base ~grace_ms ~start step;
-  finish st ~base
+type 's exact = { sched : 's; value : Q.t; bound : Q.t; ended : ending }
 
-let solve_nonpreemptive ?deadline ?(start = Exact) ?(param = Common.param 3)
-    ?(node_limit = 200_000) ?(portfolio = false) ?(grace_ms = 25) inst =
-  check_schedulable "solve_nonpreemptive" inst;
-  (* The optimum is integral, so the fractional load bound rounds up. *)
-  let st = init (Q.of_bigint (Q.ceil (Bounds.lb_preemptive inst))) in
+(* One regime's rungs. [ptas] runs the PTAS against a live progress record;
+   [of_witness] turns the record's accepted witness into a schedule. An
+   [exact] of [None] found nothing; [approx] returns its schedule with the
+   guess it certifies as a lower bound. *)
+type ('s, 'w) regime = {
+  makespan : 's -> Q.t;
+  exact : unit -> 's exact option;
+  ptas : 'w Common.progress -> 's;
+  of_witness : 'w -> 's;
+  approx : unit -> 's * Q.t;
+  fallback : unit -> 's;
+}
+
+let proved (value, sched) = { sched; value; bound = value; ended = Proved }
+
+let ladder ?deadline ~start ~grace_ms ~lb r =
+  let st = init lb in
   let base = match deadline with Some d -> d | None -> Deadline.ambient () in
-  let mk asg = Q.of_int (Schedule.nonpreemptive_makespan inst asg) in
-  let step r tok =
-    match r with
-    | Exact when portfolio -> (
-        (* The race returns the lowest-index member's proof (deterministic
-           at any pool size); an unproved outcome still carries the
-           warm-start incumbent plus the root bound. *)
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () ->
-                  Ccs_exact.Portfolio.solve ~node_limit inst))
-        with
-        | Some (Some o) ->
-            accept st Exact o.Ccs_exact.Portfolio.assignment
-              (Q.of_int o.Ccs_exact.Portfolio.makespan);
-            raise_lb st (Q.of_int o.Ccs_exact.Portfolio.lower_bound);
-            o.Ccs_exact.Portfolio.proved
-        | Some None | None -> false)
+  let step rung tok =
+    let run ?salvage f = guard ?salvage st (fun () -> Deadline.with_token tok f) in
+    match rung with
     | Exact -> (
-        (* [solve_result] never raises on cancellation: the search
-           warm-starts from the 7/3 approximation, so even an interrupted
-           exact rung contributes a real incumbent — and always a proven
-           root lower bound. *)
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () ->
-                  Ccs_exact.Bnb.solve_result ~node_limit inst))
-        with
-        | Some (Some r) -> (
-            accept st Exact r.Ccs_exact.Bnb.assignment (Q.of_int r.Ccs_exact.Bnb.makespan);
-            raise_lb st (Q.of_int r.Ccs_exact.Bnb.lower_bound);
-            match r.Ccs_exact.Bnb.status with
-            | Ccs_exact.Bnb.Complete -> true
-            | Ccs_exact.Bnb.Node_limit -> false
-            | Ccs_exact.Bnb.Interrupted _ ->
+        match run r.exact with
+        | Some (Some e) -> (
+            accept st Exact e.sched e.value;
+            raise_lb st e.bound;
+            match e.ended with
+            | Proved -> true
+            | Out_of_budget -> false
+            | Interrupted ->
                 st.interrupted <- true;
                 false)
         | Some None | None -> false)
     | Ptas -> (
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () ->
-                  Ccs.Ptas.Nonpreemptive_ptas.solve_anytime param inst))
-        with
-        | Some a ->
-            Option.iter (raise_lb st) a.Common.refuted;
-            (match a.Common.result with
-            | Some (asg, _) -> accept st Ptas asg (mk asg)
-            | None -> ());
-            if not a.Common.complete then st.interrupted <- true;
-            a.Common.complete
+        (* A cancelled search still leaves its best accepted witness and
+           its highest refuted guess, a lower bound by the
+           dual-approximation argument. *)
+        let progress = Common.progress () in
+        let keep sched =
+          Option.iter (raise_lb st) progress.Common.rejected;
+          Option.iter (fun s -> accept st Ptas s (r.makespan s)) sched
+        in
+        let salvage () =
+          keep (Option.map (fun (w, _) -> r.of_witness w) progress.Common.accepted)
+        in
+        match run ~salvage (fun () -> r.ptas progress) with
+        | Some s ->
+            keep (Some s);
+            true
         | None -> false)
     | Approx -> (
-        match
-          guard st (fun () ->
-              Deadline.with_token tok (fun () -> Ccs.Approx.Nonpreemptive.solve inst))
-        with
-        | Some (asg, stats) ->
-            raise_lb st (Q.of_int stats.Ccs.Approx.Nonpreemptive.t_guess);
-            accept st Approx asg (mk asg);
+        match run r.approx with
+        | Some (s, t) ->
+            raise_lb st t;
+            accept st Approx s (r.makespan s);
             true
         | None -> false)
     | Fallback ->
-        let asg = fallback_nonpreemptive inst in
-        accept st Fallback asg (mk asg);
+        let s = r.fallback () in
+        accept st Fallback s (r.makespan s);
         true
   in
   climb st ~base ~grace_ms ~start step;
   finish st ~base
+
+let solve_splittable ?deadline ?(start = Exact) ?(param = Common.param 3) ?(node_limit = 200_000)
+    ?(grace_ms = 25) inst =
+  check_schedulable "solve_splittable" inst;
+  ladder ?deadline ~start ~grace_ms ~lb:(Bounds.lb_splittable inst)
+    {
+      makespan = Schedule.splittable_makespan;
+      exact =
+        (fun () ->
+          Option.map proved (Ccs_exact.Splittable_opt.solve_schedule ~max_nodes:node_limit inst));
+      ptas = (fun progress -> fst (Ccs.Ptas.Splittable_ptas.solve ~progress param inst));
+      of_witness = fst;
+      approx =
+        (fun () ->
+          let s, stats = Ccs.Approx.Splittable.solve inst in
+          (s, stats.Ccs.Approx.Splittable.t_guess));
+      fallback = (fun () -> fallback_splittable inst);
+    }
+
+let solve_preemptive ?deadline ?(start = Exact) ?(param = Common.param 3) ?(node_limit = 200_000)
+    ?(grace_ms = 25) inst =
+  check_schedulable "solve_preemptive" inst;
+  ladder ?deadline ~start ~grace_ms ~lb:(Bounds.lb_preemptive inst)
+    {
+      makespan = Schedule.preemptive_makespan;
+      exact =
+        (fun () -> Option.map proved (Ccs_exact.Preemptive_opt.solve ~max_nodes:node_limit inst));
+      ptas = (fun progress -> fst (Ccs.Ptas.Preemptive_ptas.solve ~progress param inst));
+      of_witness = (fun (s, _, _) -> s);
+      approx =
+        (fun () ->
+          let s, stats = Ccs.Approx.Preemptive.solve inst in
+          (s, stats.Ccs.Approx.Preemptive.t_guess));
+      fallback = (fun () -> fallback_preemptive inst);
+    }
+
+let solve_nonpreemptive ?deadline ?(start = Exact) ?(param = Common.param 3)
+    ?(node_limit = 200_000) ?(portfolio = false) ?(grace_ms = 25) inst =
+  check_schedulable "solve_nonpreemptive" inst;
+  let exact () =
+    if portfolio then
+      (* the first member's proof, or the warm-start incumbent with the
+         root bound when every member abstains *)
+      Option.map
+        (fun (o : Ccs_exact.Portfolio.outcome) ->
+          { sched = o.assignment; value = Q.of_int o.makespan;
+            bound = Q.of_int o.lower_bound;
+            ended = (if o.proved then Proved else Out_of_budget) })
+        (Ccs_exact.Portfolio.solve ~node_limit inst)
+    else
+      (* [solve_result] absorbs a cancellation: the search warm-starts from
+         the 7/3 approximation, so even an interrupted exact rung
+         contributes a real incumbent and a proven root lower bound. *)
+      Option.map
+        (fun (b : Ccs_exact.Bnb.result) ->
+          { sched = b.assignment; value = Q.of_int b.makespan;
+            bound = Q.of_int b.lower_bound;
+            ended =
+              (match b.status with
+              | Ccs_exact.Bnb.Complete -> Proved
+              | Ccs_exact.Bnb.Node_limit -> Out_of_budget
+              | Ccs_exact.Bnb.Interrupted _ -> Interrupted) })
+        (Ccs_exact.Bnb.solve_result ~node_limit inst)
+  in
+  let approx () =
+    let asg, stats = Ccs.Approx.Nonpreemptive.solve inst in
+    (asg, Q.of_int stats.Ccs.Approx.Nonpreemptive.t_guess)
+  in
+  ladder ?deadline ~start ~grace_ms ~lb:(Q.of_int (Bounds.lb_integral inst))
+    {
+      makespan = (fun asg -> Q.of_int (Schedule.nonpreemptive_makespan inst asg));
+      exact;
+      ptas = (fun progress -> fst (Ccs.Ptas.Nonpreemptive_ptas.solve ~progress param inst));
+      of_witness = fst;
+      approx;
+      fallback = (fun () -> fallback_nonpreemptive inst);
+    }

@@ -26,10 +26,9 @@
     recorded in the [resil.deadline_overshoot_ms] histogram; every degraded
     return bumps [resil.degradations].
 
-    This module lives outside {!Ccs_resil} (the ISSUE's working name was
-    [Ccs_resil.Driver]) because the solvers it drives themselves depend on
-    [ccs_resil] for their checkpoints — see DESIGN.md, "Cancellation
-    contract". *)
+    This module lives outside {!Ccs_resil} because the solvers it drives
+    themselves depend on [ccs_resil] for their checkpoints — see
+    DESIGN.md, "Cancellation contract". *)
 
 type rung = Exact | Ptas | Approx | Fallback
 
@@ -40,8 +39,8 @@ type 'a solved = { schedule : 'a; makespan : Rat.t; rung : rung }
 
 (** [Complete s]: no rung was interrupted; [s] is the answer the ladder's
     strongest applicable rung produces (the exact optimum when the exact
-    rung completed). [Degraded d]: a deadline, kill, or injected fault
-    landed mid-ladder; [d.incumbent] is the best schedule recovered (always
+    rung completed). [Degraded d]: a deadline or an injected fault landed
+    mid-ladder; [d.incumbent] is the best schedule recovered (always
     [Some] — the fallback rung cannot fail), [d.lower_bound] the best
     certificate, and [d.ratio_bound = makespan / lower_bound] a sound bound
     on how far the incumbent can be from this regime's optimum. *)
@@ -75,10 +74,10 @@ val solve_preemptive :
   Ccs.Schedule.preemptive outcome
 
 (** [portfolio] (default false) replaces the exact rung's lone branch &
-    bound with the {!Ccs_exact.Portfolio} race (B&B vs. config-ILP vs.
-    N-fold on the ambient pool) — same deterministic answer at any
-    [--jobs], but palette-style instances that stall the B&B get proven by
-    an ILP member instead of degrading to the PTAS rung. *)
+    bound with the {!Ccs_exact.Portfolio}, which runs B&B, config-ILP and
+    N-fold in turn until one proves the optimum: palette-style instances
+    that stall the B&B get proven by an ILP member instead of degrading to
+    the PTAS rung. *)
 val solve_nonpreemptive :
   ?deadline:Ccs_resil.Deadline.t ->
   ?start:rung ->
@@ -88,12 +87,3 @@ val solve_nonpreemptive :
   ?grace_ms:int ->
   Ccs.Instance.t ->
   Ccs.Schedule.nonpreemptive outcome
-
-(** The greedy last rungs, exposed for tests: job [j] on machine [j] when
-    [m >= n], else everything of class [u] on machine [u mod m] — at most
-    [ceil (C/m) <= c] classes per machine whenever the instance is
-    schedulable, so the output always validates. No checkpoints, no
-    search: these cannot be interrupted or fail. *)
-val fallback_splittable : Ccs.Instance.t -> Ccs.Schedule.splittable
-val fallback_preemptive : Ccs.Instance.t -> Ccs.Schedule.preemptive
-val fallback_nonpreemptive : Ccs.Instance.t -> Ccs.Schedule.nonpreemptive

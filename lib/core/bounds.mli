@@ -15,12 +15,6 @@ val lb_preemptive : Instance.t -> Rat.t
     [sum p_j = max_int]. *)
 val lb_integral : Instance.t -> int
 
-(** A valid class-slot-aware splittable lower bound: the smallest T such
-    that splitting every class into [ceil (P_u / T)] sub-classes fits in
-    [c * m] slots — i.e. exactly the value the advanced binary search of
-    Lemma 2 computes. Combined with {!lb_splittable} this equals the T used
-    by Algorithm 1 and is itself a lower bound on the splittable optimum. *)
-
 (** Upper bound [c * max_u P_u] (Algorithm 1). Computed as a rational to
     survive huge values. *)
 val ub_splittable : Instance.t -> Rat.t

@@ -8,6 +8,14 @@ let param d =
 
 let delta p = Q.of_ints 1 p.d
 
+(* [max_int] is 2^62 - 1 and rounds up to 2^62 as a float, so every float
+   below it converts exactly. *)
+let param_of_epsilon eps =
+  if Float.is_nan eps || eps <= 0. then None
+  else
+    let d = Float.ceil (1. /. eps) in
+    if d >= Float.of_int max_int then None else Some { d = max 1 (int_of_float d) }
+
 let class_members inst =
   let offsets, ids = Instance.class_jobs_csr inst in
   Array.init (Instance.num_classes inst) (fun u ->
@@ -80,9 +88,8 @@ type row = { coeffs : (int * int) list; cmp : Lp.cmp; rhs : int }
 
 let row_eq coeffs rhs = { coeffs; cmp = Lp.Eq; rhs }
 let row_le coeffs rhs = { coeffs; cmp = Lp.Le; rhs }
-let row_ge coeffs rhs = { coeffs; cmp = Lp.Ge; rhs }
 
-let solve_int_feasibility ?(max_nodes = 50_000) ?warm ?basis_out ~nvars ~upper rows =
+let solve_int_feasibility ?(max_nodes = 50_000) ~nvars ~upper rows =
   let to_q = Q.of_int in
   (* Rows go over unmerged: the LP model merges duplicate variable indices
      itself, with exact sums, once per ILP. *)
@@ -101,23 +108,12 @@ let solve_int_feasibility ?(max_nodes = 50_000) ?warm ?basis_out ~nvars ~upper r
   Ccs_obs.Recorder.phase "ptas.ilp"
     ~fields:Ccs_obs.Jsonx.[ ("nvars", Int nvars); ("rows", Int (List.length constraints)) ]
   @@ fun () ->
-  match Ilp.solve ~max_nodes ~feasibility:true ?warm ?basis_out (Ilp.all_integer lp) with
+  match Ilp.solve ~max_nodes ~feasibility:true (Ilp.all_integer lp) with
   | Ilp.Optimal { solution; _ } ->
       Some (Array.map (fun v -> Bigint.to_int_exn (Q.num v)) solution)
   | Ilp.Infeasible -> None
   | Ilp.Node_limit -> raise Budget_exceeded
   | Ilp.Unbounded -> None
-
-let warm_oracle oracle =
-  let calls = ref 0 and warm = ref None in
-  let orc t =
-    incr calls;
-    let basis_out = ref None in
-    let r = oracle ~warm:!warm ~basis_out t in
-    if Option.is_none !warm then warm := !basis_out;
-    r
-  in
-  (orc, calls)
 
 type 'a progress = {
   mutable accepted : ('a * Q.t) option;
@@ -125,12 +121,6 @@ type 'a progress = {
 }
 
 let progress () = { accepted = None; rejected = None }
-
-type 'a anytime = {
-  result : ('a * Q.t) option;
-  refuted : Q.t option;
-  complete : bool;
-}
 
 let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
   if Q.(ub < lb) then invalid_arg "geometric_search: ub < lb";

@@ -12,6 +12,12 @@ type param = { d : int  (** 1/delta; d >= 1 *) }
 val param : int -> param
 val delta : param -> Rat.t
 
+(** The accuracy a command line's epsilon asks for: delta =
+    1/ceil(1/epsilon), so every epsilon >= 1 (infinity included) gives
+    delta = 1. [None] for an epsilon that maps to no delta: NaN, <= 0, or
+    so small that ceil(1/epsilon) exceeds [max_int]. *)
+val param_of_epsilon : float -> param option
+
 (** The jobs of each class as [(job, p_job)] pairs, in increasing job
     order: the input of the PTASs' per-class grouping. *)
 val class_members : Instance.t -> (int * int) list array
@@ -47,12 +53,9 @@ type row = { coeffs : (int * int) list; cmp : Lp.cmp; rhs : int }
 
 val row_eq : (int * int) list -> int -> row
 val row_le : (int * int) list -> int -> row
-val row_ge : (int * int) list -> int -> row
 
 val solve_int_feasibility :
   ?max_nodes:int ->
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
   nvars:int ->
   upper:int option array ->
   row list ->
@@ -62,15 +65,6 @@ val solve_int_feasibility :
     registry (histograms [ptas.large_classes], [ptas.small_size_groups] and
     [ptas.configs]); every PTAS variant calls this once per guess. *)
 val observe_rounding : large:int -> small_groups:int -> configs:int -> unit
-
-(** [warm_oracle oracle] wraps a PTAS oracle for {!geometric_search}: it
-    counts the calls (the returned ref), and starts every later ILP from
-    the root basis of the first call that produced one — normally the
-    search's lower-bound probe. A basis of another shape is safe: the LP
-    checks it and falls back to a cold start. *)
-val warm_oracle :
-  (warm:Lp.basis option -> basis_out:Lp.basis option ref -> Rat.t -> 'a option) ->
-  (Rat.t -> 'a option) * int ref
 
 (** Live progress of a {!geometric_search}, for recovering a certified
     partial answer when the search is cancelled mid-flight: [accepted] is
@@ -84,16 +78,6 @@ type 'a progress = {
 }
 
 val progress : unit -> 'a progress
-
-(** Outcome of an interruptible PTAS run (see [solve_anytime] in the three
-    variant modules): the best accepted witness with its guess, the highest
-    refuted guess, and whether the search actually finished (in which case
-    [result] is the same answer [solve] returns). *)
-type 'a anytime = {
-  result : ('a * Rat.t) option;
-  refuted : Rat.t option;
-  complete : bool;
-}
 
 (** [geometric_search ~lb ~ub ~delta ~oracle] finds the smallest grid point
     [T = lb * (1+delta)^i] (clamped to [ub]) accepted by the oracle and

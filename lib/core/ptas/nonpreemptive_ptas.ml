@@ -353,7 +353,7 @@ let construct inst rounded layout sol =
     assignment;
   assignment
 
-let oracle ?warm ?basis_out (p : Common.param) inst t =
+let oracle (p : Common.param) inst t =
   if Q.(Q.of_int (Instance.pmax inst) > t) then None
   else
     Ccs_obs.Recorder.phase "nonpreemptive.oracle"
@@ -367,7 +367,7 @@ let oracle ?warm ?basis_out (p : Common.param) inst t =
       ~configs:(Array.length layout.configs);
     let rows = build_rows inst rounded layout in
     let upper = Array.make layout.nvars None in
-    match Common.solve_int_feasibility ?warm ?basis_out ~nvars:layout.nvars ~upper rows with
+    match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
     | None -> None
     | Some sol ->
         let assignment =
@@ -392,8 +392,10 @@ let solve ?progress p inst =
           [ ("variant", Str "nonpreemptive"); ("n", Int n); ("m", Int (Instance.m inst));
             ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
     @@ fun () ->
-    let orc, calls =
-      Common.warm_oracle (fun ~warm ~basis_out t -> oracle ?warm ~basis_out p inst t)
+    let calls = ref 0 in
+    let orc t =
+      incr calls;
+      oracle p inst t
     in
     let lb = Q.of_int (Bounds.lb_integral inst) in
     (* the 7/3 schedule's makespan is achievable, hence an accepted guess *)
@@ -419,16 +421,3 @@ let abstract p inst t =
     a_large_hists = List.map (fun (_, hist, _) -> hist) rounded.large;
     a_smalls = List.map (fun (s, cls) -> (s, List.length cls)) rounded.smalls_by_size;
   }
-
-(* Anytime entry; see Splittable_ptas.solve_anytime. *)
-let solve_anytime p inst =
-  let prog = Common.progress () in
-  match solve ~progress:prog p inst with
-  | sched, stats ->
-      { Common.result = Some (sched, stats.t_accepted);
-        refuted = prog.Common.rejected;
-        complete = true }
-  | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = Option.map (fun ((sched, _), t) -> (sched, t)) prog.Common.accepted;
-        refuted = prog.Common.rejected;
-        complete = false }

@@ -483,7 +483,7 @@ let construct (p : Common.param) inst rounded layout sol =
     layout.hb_groups;
   Array.map (fun r -> List.rev !r) sched
 
-let oracle ?warm ?basis_out (p : Common.param) inst t =
+let oracle (p : Common.param) inst t =
   if Q.(Q.of_int (Instance.pmax inst) > t) then None
   else
     Ccs_obs.Recorder.phase "preemptive.oracle"
@@ -497,7 +497,7 @@ let oracle ?warm ?basis_out (p : Common.param) inst t =
       ~configs:(Array.length layout.configs);
     let rows = build_rows p inst rounded layout in
     let upper = Array.make layout.nvars None in
-    match Common.solve_int_feasibility ?warm ?basis_out ~nvars:layout.nvars ~upper rows with
+    match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
     | None -> None
     | Some sol ->
         let sched =
@@ -523,8 +523,10 @@ let solve ?progress p inst =
           [ ("variant", Str "preemptive"); ("n", Int n); ("m", Int (Instance.m inst));
             ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
     @@ fun () ->
-    let orc, calls =
-      Common.warm_oracle (fun ~warm ~basis_out t -> oracle ?warm ~basis_out p inst t)
+    let calls = ref 0 in
+    let orc t =
+      incr calls;
+      oracle p inst t
     in
     let lb = Bounds.lb_preemptive inst in
     (* the preemptive 2-approximation provides an achievable upper bound *)
@@ -535,16 +537,3 @@ let solve ?progress p inst =
       Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
     in
     (sched, { t_accepted; oracle_calls = !calls; ilp_vars; layers })
-
-(* Anytime entry; see Splittable_ptas.solve_anytime. *)
-let solve_anytime p inst =
-  let prog = Common.progress () in
-  match solve ~progress:prog p inst with
-  | sched, stats ->
-      { Common.result = Some (sched, stats.t_accepted);
-        refuted = prog.Common.rejected;
-        complete = true }
-  | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = Option.map (fun ((sched, _, _), t) -> (sched, t)) prog.Common.accepted;
-        refuted = prog.Common.rejected;
-        complete = false }

@@ -38,21 +38,18 @@ type stats = {
     (1+3delta)(1+delta^2)T + delta^2*T + delta*T. *)
 val guarantee : Common.param -> Rat.t -> Rat.t
 
+(** As {!Splittable_ptas.solve}. With [m >= n] it returns one job per
+    machine without a search, and [progress] stays empty. *)
 val solve :
   ?progress:(Schedule.preemptive * int * int) Common.progress ->
   Common.param ->
   Instance.t ->
   Schedule.preemptive * stats
 
-(** Deadline-tolerant variant; see {!Splittable_ptas.solve_anytime}. *)
-val solve_anytime : Common.param -> Instance.t -> Schedule.preemptive Common.anytime
-
 (** Feasibility oracle for one guess (exposed for tests): the schedule, the
     variable count of the configuration ILP that produced it, and |L| at
     the guess. *)
 val oracle :
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
   Common.param ->
   Instance.t ->
   Rat.t ->

@@ -382,7 +382,7 @@ let construct inst rounded layout sol ~explicit_limit =
 
 (* ---------------------------------------------------------------- *)
 
-let oracle ?(explicit_limit = 4096) ?warm ?basis_out (p : Common.param) inst t =
+let oracle ?(explicit_limit = 4096) (p : Common.param) inst t =
   Ccs_obs.Recorder.phase "splittable.oracle" ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
   @@ fun () ->
   let rounded, configs =
@@ -404,7 +404,7 @@ let oracle ?(explicit_limit = 4096) ?warm ?basis_out (p : Common.param) inst t =
   in
   let rows = build_rows inst rounded layout ~cardinality_cap in
   let upper = Array.make layout.nvars None in
-  match Common.solve_int_feasibility ?warm ?basis_out ~nvars:layout.nvars ~upper rows with
+  match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
   | None -> None
   | Some sol ->
       let sched =
@@ -424,9 +424,10 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
         [ ("variant", Str "splittable"); ("n", Int (Instance.n inst));
           ("m", Int (Instance.m inst)); ("c", Int (Instance.c inst)); ("d", Int p.Common.d) ]
   @@ fun () ->
-  let orc, calls =
-    Common.warm_oracle (fun ~warm ~basis_out t ->
-        oracle ~explicit_limit ?warm ~basis_out p inst t)
+  let calls = ref 0 in
+  let orc t =
+    incr calls;
+    oracle ~explicit_limit p inst t
   in
   let lb = Bounds.lb_splittable inst in
   let ub = Q.max lb (Bounds.ub_splittable inst) in
@@ -440,18 +441,3 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
       compressed = Instance.m inst > explicit_limit;
       ilp_vars;
     } )
-
-(* Anytime entry: run the full PTAS, but on cancellation salvage the best
-   accepted witness (already a validated schedule) and the highest refuted
-   guess from the search's progress record instead of losing the run. *)
-let solve_anytime ?explicit_limit p inst =
-  let prog = Common.progress () in
-  match solve ?explicit_limit ~progress:prog p inst with
-  | sched, stats ->
-      { Common.result = Some (sched, stats.t_accepted);
-        refuted = prog.Common.rejected;
-        complete = true }
-  | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = Option.map (fun ((sched, _), t) -> (sched, t)) prog.Common.accepted;
-        refuted = prog.Common.rejected;
-        complete = false }

@@ -35,7 +35,10 @@ type stats = {
 (** [solve param inst] runs the full PTAS (binary search + oracle). The
     returned schedule is already validated against the original instance.
     Raises [Invalid_argument] on unschedulable instances and
-    [Common.Too_many] if the configuration space for this delta explodes. *)
+    [Common.Too_many] if the configuration space for this delta explodes.
+    [progress] is the search's live record ({!Common.geometric_search}):
+    when a deadline cancels the solve, it still holds the best accepted
+    witness and the highest refuted guess. *)
 val solve :
   ?explicit_limit:int ->
   ?progress:(Schedule.splittable * int) Common.progress ->
@@ -43,20 +46,11 @@ val solve :
   Instance.t ->
   Schedule.splittable * stats
 
-(** Deadline-tolerant variant: never raises
-    {!Ccs_resil.Deadline.Cancelled}; on cancellation the best accepted
-    witness so far (if any) and the highest refuted guess are returned with
-    [complete = false]. *)
-val solve_anytime :
-  ?explicit_limit:int -> Common.param -> Instance.t -> Schedule.splittable Common.anytime
-
 (** The feasibility oracle for one guess (exposed for tests): [None] means
     provably no schedule with makespan T exists; otherwise the schedule and
     the variable count of the configuration ILP that produced it. *)
 val oracle :
   ?explicit_limit:int ->
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
   Common.param ->
   Instance.t ->
   Rat.t ->

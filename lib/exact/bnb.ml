@@ -497,11 +497,6 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
     end
   end
 
-let solve_status ?node_limit inst =
-  Option.map
-    (fun r -> (r.makespan, r.assignment, r.status))
-    (solve_result ?node_limit inst)
-
 let solve ?node_limit inst =
   match solve_result ?node_limit inst with
   | None -> None

@@ -58,12 +58,6 @@ val solve_result :
     incumbent instead. *)
 val solve : ?node_limit:int -> Ccs.Instance.t -> (int * Ccs.Schedule.nonpreemptive) option
 
-(** Anytime variant: always returns the best incumbent together with its
-    status ([None] only for unschedulable instances). Never raises on
-    cancellation — the degradation ladder consumes the incumbent. *)
-val solve_status :
-  ?node_limit:int -> Ccs.Instance.t -> (int * Ccs.Schedule.nonpreemptive * status) option
-
 (** Exhaustive reference (every class-feasible assignment, no makespan
     pruning) for cross-checking the pruned search on tiny instances. Loads
     and class counts are maintained incrementally and a deadline checkpoint

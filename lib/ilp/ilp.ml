@@ -233,7 +233,7 @@ let propagate st lo hi seed =
    repeated solves can be regrouped before asserting a trace decreases. *)
 let solve_ids = Atomic.make 0
 
-let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
+let solve ?(max_nodes = max_int) ?(feasibility = false) p =
   Ccs_obs.Recorder.phase "ilp" @@ fun () ->
   let ord = Atomic.fetch_and_add solve_ids 1 in
   let nodes = ref 0 and prunes = ref 0 in
@@ -323,11 +323,10 @@ let solve ?(max_nodes = max_int) ?(feasibility = false) ?warm ?basis_out p =
     end
   in
   let result =
-    match Lp.solve_model ?warm model ~lower:p.lp.Lp.lower ~upper:p.lp.Lp.upper with
+    match Lp.solve_model model ~lower:p.lp.Lp.lower ~upper:p.lp.Lp.upper with
     | Lp.Unbounded _ -> Unbounded
     | Lp.Infeasible _ -> Infeasible
-    | Lp.Optimal { basis = root_basis; _ } as root -> (
-        (match basis_out with Some r -> r := Some root_basis | None -> ());
+    | Lp.Optimal _ as root -> (
         let lo, hi = implied_bounds p in
         match
           (try

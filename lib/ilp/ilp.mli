@@ -17,14 +17,11 @@ type result =
   | Unbounded
   | Node_limit  (** search aborted after [max_nodes] B&B nodes *)
 
-(** [solve ?max_nodes ?feasibility ?warm ?basis_out p] minimizes. With
-    [~feasibility:true] the search stops at the first integral feasible
-    point (use a zero objective for pure feasibility questions, as the
-    PTAS oracles do). [warm] seeds the root relaxation with a basis from a
-    previous same-shape solve; inside the tree each node warm-starts its
-    children from its own optimal basis. [basis_out], when given, receives
-    the root relaxation's optimal basis — callers reuse it to warm later
-    solves of the same configuration-LP shape.
+(** [solve ?max_nodes ?feasibility p] minimizes. With [~feasibility:true]
+    the search stops at the first integral feasible point (use a zero
+    objective for pure feasibility questions, as the PTAS oracles do). The
+    root relaxation starts cold; inside the tree each node warm-starts its
+    children from its own optimal basis.
 
     Before a node solves its LP, integer bound propagation over the rows
     whose coefficients and rhs are native ints may show that the node's
@@ -34,8 +31,6 @@ type result =
 val solve :
   ?max_nodes:int ->
   ?feasibility:bool ->
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
   problem ->
   result
 

@@ -18,9 +18,6 @@ let of_budget_ms ms = make (Mono.now_ns () + Mono.ns_of_ms ms)
 let of_limit_ns limit = make limit
 let limit_ns t = if t.dlimit_ns = max_int then None else Some t.dlimit_ns
 
-let remaining_ns t =
-  if t.dlimit_ns = max_int then None else Some (t.dlimit_ns - Mono.now_ns ())
-
 let expired t = t.dlimit_ns <> max_int && Mono.now_ns () >= t.dlimit_ns
 let child t = make t.dlimit_ns
 let cancelled t = Atomic.get t.tripped || expired t

@@ -37,9 +37,6 @@ val of_limit_ns : int -> t
 val limit_ns : t -> int option
 (** The token's expiry instant, [None] for {!never}. *)
 
-val remaining_ns : t -> int option
-(** Time to expiry ([None] = unlimited); negative once expired. *)
-
 val expired : t -> bool
 
 val cancelled : t -> bool

@@ -20,7 +20,6 @@ let m_injected = Ccs_obs.Metrics.counter "resil.faults_injected"
    executes", whichever domain gets there. *)
 let state : plan option Atomic.t = Atomic.make None
 let ord = Atomic.make 0
-let injected = Atomic.make 0
 
 let arm plan =
   Atomic.set ord 0;
@@ -29,10 +28,8 @@ let arm plan =
 let disarm () = Atomic.set state None
 let armed () = Atomic.get state <> None
 let ordinal () = Atomic.get ord
-let injected_total () = Atomic.get injected
 
 let hit site k what =
-  Atomic.incr injected;
   Ccs_obs.Metrics.incr m_injected;
   if Ccs_obs.Recorder.active () then
     Ccs_obs.Recorder.emit "fault"

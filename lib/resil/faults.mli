@@ -50,7 +50,3 @@ val decide : string -> [ `Nothing | `Cancel ]
 val ordinal : unit -> int
 (** Checkpoints executed since the last {!arm} — running a workload once
     with a no-op plan measures how many injection points it has. *)
-
-val injected_total : unit -> int
-(** Faults injected since program start (also in metrics as
-    [resil.faults_injected]). *)

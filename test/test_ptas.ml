@@ -306,10 +306,31 @@ let test_int_feasibility_duplicates () =
     (C.solve_int_feasibility ~nvars:1 ~upper [ C.row_eq [ (0, 3); (0, -1) ] 2 ]
     = Some [| 1 |])
 
+(* delta = 1/ceil(1/epsilon), defined only while ceil(1/epsilon) is a
+   native int: 2^62 is the first float at or above [max_int]. *)
+let test_param_of_epsilon () =
+  let d eps = Option.map (fun p -> p.C.d) (C.param_of_epsilon eps) in
+  let check what want eps = Alcotest.(check (option int)) what want (d eps) in
+  check "0.5" (Some 2) 0.5;
+  check "0.34" (Some 3) 0.34;
+  check "1" (Some 1) 1.0;
+  check "5" (Some 1) 5.0;
+  check "infinity" (Some 1) Float.infinity;
+  check "0" None 0.0;
+  check "-0" None (-0.0);
+  check "-3" None (-3.0);
+  check "-infinity" None Float.neg_infinity;
+  check "nan" None Float.nan;
+  check "1/epsilon overflows to infinity" None 4.9e-324;
+  check "ceil(1/epsilon) = 2^62" None (Float.ldexp 1.0 (-62));
+  check "ceil(1/epsilon) = 2^62 - 1024" (Some ((1 lsl 62) - 1024))
+    (Float.ldexp (Float.succ 1.0) (-62))
+
 let () =
   Alcotest.run "ptas"
     [ ( "common",
         [ Alcotest.test_case "multiset enumeration" `Quick test_common_multisets;
+          Alcotest.test_case "delta of an epsilon" `Quick test_param_of_epsilon;
           Alcotest.test_case "geometric search" `Quick test_geometric_search;
           QCheck_alcotest.to_alcotest prop_geometric_search_order;
           Alcotest.test_case "ILP node budget" `Quick test_int_feasibility_budget;

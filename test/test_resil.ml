@@ -86,13 +86,18 @@ let test_expired_stops_solvers () =
   Alcotest.(check bool) "nonpreemptive approx" true
     (cancelled (under (fun () -> Ccs.Approx.Nonpreemptive.solve inst)))
 
-(* The anytime PTAS under an expired token: clean partial result. *)
+(* The ladder's PTAS rung under an expired token: the search is cancelled
+   before its first guess, so the ladder degrades, and the incumbent comes
+   from a later rung. *)
 let test_ptas_anytime_interrupted () =
-  let a =
-    Deadline.with_token (Deadline.of_budget_ms 0) (fun () ->
-        Ccs.Ptas.Splittable_ptas.solve_anytime param inst)
-  in
-  Alcotest.(check bool) "not complete" false a.Ccs.Ptas.Common.complete
+  match
+    Driver.solve_splittable ~deadline:(Deadline.of_budget_ms 0) ~start:Driver.Ptas ~param inst
+  with
+  | Outcome.Complete _ -> Alcotest.fail "complete under an expired token"
+  | Outcome.Degraded d -> (
+      match d.Outcome.incumbent with
+      | None -> Alcotest.fail "degraded without incumbent"
+      | Some s -> Alcotest.(check bool) "not from the ptas rung" true (s.Driver.rung <> Driver.Ptas))
 
 (* ---------- the At-ordinal sweep ---------- *)
 
