@@ -519,8 +519,10 @@ let cmd =
   let exits =
     Cmd.Exit.info 1 ~doc:"on an unreadable instance or one the chosen algorithm cannot solve."
     :: Cmd.Exit.info 2
-         ~doc:"on a bad option value: $(b,--jobs) below 1, or a $(b,--trace-out), \
-               $(b,--record) or $(b,--metrics-out) file that cannot be written."
+         ~doc:"on a bad option value: $(b,--jobs) below 1, an $(b,--epsilon) that \
+               maps to no accuracy (NaN, 0 or less, or ceil(1/epsilon) above \
+               max_int), or a $(b,--trace-out), $(b,--record) or $(b,--metrics-out) \
+               file that cannot be written."
     :: Cmd.Exit.info 3
          ~doc:"when a computed schedule fails validation (a solver bug; the validator's \
                reason is printed)."

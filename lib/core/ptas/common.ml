@@ -30,7 +30,19 @@ let chk_guess = Ccs_resil.Deadline.site "ptas.guess"
 
 exception Too_many
 
-let multisets ?(limit = 200_000) ~parts ~max_sum ~max_count () =
+let enum_limit = 200_000
+
+let check_parts n = if n > enum_limit then raise Too_many
+
+let units factors =
+  List.fold_left
+    (fun acc f ->
+      if f < 1 then invalid_arg "Ptas.Common.units: need positive factors";
+      if acc > max_int / f then raise Too_many;
+      acc * f)
+    1 factors
+
+let multisets ?(limit = enum_limit) ~parts ~max_sum ~max_count () =
   let parts = List.sort_uniq (fun a b -> compare b a) parts in
   let out = ref [] in
   let count = ref 0 in
@@ -51,7 +63,7 @@ let multisets ?(limit = 200_000) ~parts ~max_sum ~max_count () =
   (* dedupe: the DFS emits each prefix once per skipped part *)
   List.sort_uniq compare !out
 
-let bounded_multisets ?(limit = 200_000) ~parts ~max_sum ~max_count () =
+let bounded_multisets ?(limit = enum_limit) ~parts ~max_sum ~max_count () =
   let parts = List.sort (fun (a, _) (b, _) -> compare b a) parts in
   let out = ref [] in
   let count = ref 0 in
@@ -115,6 +127,39 @@ let solve_int_feasibility ?(max_nodes = 50_000) ~nvars ~upper rows =
   | Ilp.Node_limit -> raise Budget_exceeded
   | Ilp.Unbounded -> None
 
+type rung = Rung of int | Paper
+
+exception Unrealizable of string
+
+(* Smallest budget first: (1+k delta)T for k = 1, 2, 4, ... below the
+   paper's budget, then the paper's. Doubling holds a rejected guess to a
+   handful of ILPs; a lower rung's configurations are a subset of the
+   paper's, so Too_many and cancellation propagate from any rung. *)
+let budget_ladder (p : param) ~paper t attempt =
+  let try_rung rung budget =
+    let answer =
+      match attempt rung with
+      | answer -> answer
+      | exception (Budget_exceeded | Unrealizable _) when rung <> Paper -> None
+      | exception Unrealizable msg -> failwith msg
+    in
+    if Ccs_obs.Recorder.active () then
+      Ccs_obs.Recorder.emit "ptas.rung"
+        Ccs_obs.Jsonx.
+          [ ("t", Str (Q.to_string t)); ("budget", Str (Q.to_string budget));
+            ("paper", Bool (rung = Paper)); ("accepted", Bool (answer <> None)) ];
+    answer
+  in
+  let rec climb k =
+    let budget = Q.add Q.one (Q.of_ints k p.d) in
+    if Q.(budget >= paper) then try_rung Paper paper
+    else
+      match try_rung (Rung k) budget with
+      | Some _ as found -> found
+      | None -> climb (2 * k)
+  in
+  climb 1
+
 type 'a progress = {
   mutable accepted : ('a * Q.t) option;
   mutable rejected : Q.t option;
@@ -137,13 +182,6 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
     answer
   in
   let step = Q.add Q.one delta in
-  (* grid index of the first point >= ub *)
-  let rec grid_size i t = if Q.(t >= ub) then i else grid_size (i + 1) (Q.mul t step) in
-  let imax = grid_size 0 lb in
-  let point i =
-    let rec go acc k = if k = 0 then acc else go (Q.mul acc step) (k - 1) in
-    Q.min ub (go lb i)
-  in
   let record_reject t =
     match prog with
     | None -> ()
@@ -161,6 +199,18 @@ let geometric_search ?progress:prog ~lb ~ub ~delta ~oracle () =
   | Some w -> accept w lb
   | None -> (
       record_reject lb;
+      (* The grid is built only now: at a fine delta its exact powers grow
+         long, and an accepted LB never needs them. [imax] is the index of
+         the first point >= ub. *)
+      let rec grid_size i t =
+        Ccs_resil.Deadline.check chk_guess;
+        if Q.(t >= ub) then i else grid_size (i + 1) (Q.mul t step)
+      in
+      let imax = grid_size 0 lb in
+      let point i =
+        let rec go acc k = if k = 0 then acc else go (Q.mul acc step) (k - 1) in
+        Q.min ub (go lb i)
+      in
       (* bisection for the smallest accepted grid index in [1, imax]; imax
          is taken as accepted until a probe there says otherwise *)
       let best = ref None in

@@ -24,11 +24,25 @@ val class_members : Instance.t -> (int * int) list array
 
 (** All multisets (as sorted-descending lists) over the given distinct part
     values, with sum <= [max_sum] and at most [max_count] parts. Includes
-    the empty multiset. Raises [Too_many] beyond [limit] (default 200000) —
-    the configuration spaces of Section 4 are exponential in 1/delta, and
-    exceeding the cap means the requested accuracy is out of practical
-    reach. *)
+    the empty multiset. Raises [Too_many] beyond [limit] (default
+    {!enum_limit}) — the configuration spaces of Section 4 are exponential
+    in 1/delta, and exceeding the cap means the requested accuracy is out
+    of practical reach. *)
 exception Too_many
+
+(** The enumeration cap, 200000 multisets. *)
+val enum_limit : int
+
+(** Raises [Too_many] when a list of [n] parts alone exceeds
+    {!enum_limit}. Every single part is itself a multiset of the
+    enumeration, so the check changes no answer; it only refuses before
+    the parts are allocated. *)
+val check_parts : int -> unit
+
+(** [units factors] is the product of positive ints, for the PTASs' sizes
+    in base units. Raises [Too_many] where the product would overflow a
+    native int: such a delta is far beyond the enumeration cap anyway. *)
+val units : int list -> int
 
 val multisets :
   ?limit:int -> parts:int list -> max_sum:int -> max_count:int -> unit -> int list list
@@ -61,10 +75,40 @@ val solve_int_feasibility :
   row list ->
   int array option
 
-(** Record the shape of one oracle call's rounded instance into the metrics
+(** Record the shape of one rung's rounded instance into the metrics
     registry (histograms [ptas.large_classes], [ptas.small_size_groups] and
-    [ptas.configs]); every PTAS variant calls this once per guess. *)
+    [ptas.configs]); every PTAS variant calls this once per rung it tries. *)
 val observe_rounding : large:int -> small_groups:int -> configs:int -> unit
+
+(** {2 The configuration budget}
+
+    Each oracle call decides a configuration ILP whose machines may load up
+    to a budget Tbar. The paper's Tbar (Theorems 10, 14 and 19) is needed
+    for completeness only, where a guess is rejected. Every bound on an
+    accepted schedule's makespan grows with Tbar, and so do the
+    configurations, the module sizes and the room left for small classes.
+    So a witness at a smaller budget is a schedule within the paper's
+    guarantee, and a guess that a smaller budget accepts is one the
+    paper's accepts too. *)
+
+(** [Rung k] is the budget (1 + k*delta)T; [Paper] is the paper's Tbar. *)
+type rung = Rung of int | Paper
+
+(** Raised by an attempt whose ILP witness could not be realized as a
+    schedule (the preemptive PTAS's layer realization, which Lemma 16
+    guarantees only at the paper's budget). *)
+exception Unrealizable of string
+
+(** [budget_ladder p ~paper t attempt] tries the budgets smallest first:
+    [attempt (Rung k)] for k = 1, 2, 4, ... while 1 + k*delta < [paper]
+    (the paper's Tbar/T), then [attempt Paper]. It returns the first
+    witness. Only the paper rung may answer [None]: below it, [None],
+    {!Budget_exceeded} and {!Unrealizable} fall through to the next rung.
+    At the paper rung {!Unrealizable} becomes [Failure], a solver bug.
+    [Too_many] and [Ccs_resil.Deadline.Cancelled] propagate from every
+    rung. Each rung tried emits a [ptas.rung] recorder event ([t],
+    [budget] = Tbar/T as a rational, [paper], [accepted]). *)
+val budget_ladder : param -> paper:Rat.t -> Rat.t -> (rung -> 'a option) -> 'a option
 
 (** Live progress of a {!geometric_search}, for recovering a certified
     partial answer when the search is cancelled mid-flight: [accepted] is
@@ -88,11 +132,12 @@ val progress : unit -> 'a progress
     current while the search runs.
 
     Probe order: [lb] (grid point 0) first, and an accepted [lb] ends the
-    search after one oracle call. Otherwise the search bisects over grid
-    indices [1, imax] (imax the index of [ub]) and probes [ub] only when
-    every lower point was rejected, as the fallback witness. A rejected
-    [lb] thus costs at most ceil(log2 imax) + 2 calls, typically one more
-    than a search that starts at [ub]. *)
+    search after one oracle call, before any other grid point is computed.
+    Otherwise the search bisects over grid indices [1, imax] (imax the
+    index of [ub]) and probes [ub] only when every lower point was
+    rejected, as the fallback witness. A rejected [lb] thus costs at most
+    ceil(log2 imax) + 2 calls, typically one more than a search that
+    starts at [ub]. *)
 val geometric_search :
   ?progress:'a progress ->
   lb:Rat.t ->

@@ -10,7 +10,7 @@ type built = { program : Nfold.t; n_configs : int; n_modules : int; n_hb : int }
    [.. +nhb-1]                 slack for the (2) slot rows
    [.. +nhb-1]                 slack for the (3) space rows *)
 let build_splittable p inst t =
-  let rounded = Sp.round_instance p inst t in
+  let rounded = Sp.round_instance ~rung:Common.Paper p inst t in
   let configs = Array.of_list (Sp.configurations p inst rounded) in
   let nk = Array.length configs in
   let module_sizes = Array.of_list rounded.Sp.module_sizes in

@@ -2,13 +2,11 @@ module Q = Rat
 
 type stats = { t_accepted : Q.t; oracle_calls : int; ilp_vars : int }
 
-let guarantee (p : Common.param) t =
+let paper_budget (p : Common.param) =
   let delta = Common.delta p in
-  Q.add
-    (Q.mul
-       (Q.mul (Q.add Q.one (Q.mul (Q.of_int 3) delta)) (Q.add Q.one (Q.mul (Q.of_int 2) delta)))
-       t)
-    (Q.mul delta t)
+  Q.mul (Q.add Q.one (Q.mul (Q.of_int 3) delta)) (Q.add Q.one (Q.mul (Q.of_int 2) delta))
+
+let guarantee p t = Q.add (Q.mul (paper_budget p) t) (Q.mul (Common.delta p) t)
 
 (* A grouped job: total (original, un-rounded) size and the original job ids
    it carries. In the non-preemptive case all of them go to one machine. *)
@@ -61,11 +59,17 @@ type rounded = {
   smalls_by_size : (int * int list) list;  (* rounded size -> gclass indices *)
 }
 
-let round_instance (p : Common.param) inst t =
+(* Tbar in base units: c*d*(d+k) at rung k, c*(d+3)*(d+2) at the
+   paper's. *)
+let round_instance ~rung (p : Common.param) inst t =
   let d = p.Common.d in
   let c = Instance.c inst in
+  let tbar =
+    match rung with
+    | Common.Rung k -> Common.units [ c; d; d + k ]
+    | Common.Paper -> Common.units [ c; d + 3; d + 2 ]
+  in
   let unit_q = Q.div t (Q.of_int (c * d * d)) in
-  let tbar = c * (d + 3) * (d + 2) in
   let delta_t = Q.div t (Q.of_int d) in
   let gclasses = Array.map (group_class ~delta_t) (Common.class_members inst) in
   let large = ref [] and smalls = Hashtbl.create 8 in
@@ -353,29 +357,36 @@ let construct inst rounded layout sol =
     assignment;
   assignment
 
-let oracle (p : Common.param) inst t =
-  if Q.(Q.of_int (Instance.pmax inst) > t) then None
+let too_long inst t = Q.(Q.of_int (Instance.pmax inst) > t)
+
+let attempt rung p inst t =
+  let rounded = Ccs_obs.Recorder.phase "ptas.round" (fun () -> round_instance ~rung p inst t) in
+  let layout = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded) in
+  Common.observe_rounding
+    ~large:(List.length rounded.large)
+    ~small_groups:(List.length rounded.smalls_by_size)
+    ~configs:(Array.length layout.configs);
+  let rows = build_rows inst rounded layout in
+  let upper = Array.make layout.nvars None in
+  match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
+  | None -> None
+  | Some sol ->
+      let assignment =
+        Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct inst rounded layout sol)
+      in
+      (match Schedule.validate_nonpreemptive inst assignment with
+      | Ok _ -> Some (assignment, layout.nvars)
+      | Error e -> failwith ("Nonpreemptive_ptas: constructed invalid schedule: " ^ e))
+
+let oracle_at rung p inst t = if too_long inst t then None else attempt rung p inst t
+
+let oracle p inst t =
+  if too_long inst t then None
   else
     Ccs_obs.Recorder.phase "nonpreemptive.oracle"
       ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
     @@ fun () ->
-    let rounded = Ccs_obs.Recorder.phase "ptas.round" (fun () -> round_instance p inst t) in
-    let layout = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded) in
-    Common.observe_rounding
-      ~large:(List.length rounded.large)
-      ~small_groups:(List.length rounded.smalls_by_size)
-      ~configs:(Array.length layout.configs);
-    let rows = build_rows inst rounded layout in
-    let upper = Array.make layout.nvars None in
-    match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
-    | None -> None
-    | Some sol ->
-        let assignment =
-          Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct inst rounded layout sol)
-        in
-        (match Schedule.validate_nonpreemptive inst assignment with
-        | Ok _ -> Some (assignment, layout.nvars)
-        | Error e -> failwith ("Nonpreemptive_ptas: constructed invalid schedule: " ^ e))
+    Common.budget_ladder p ~paper:(paper_budget p) t (fun rung -> attempt rung p inst t)
 
 let solve ?progress p inst =
   if not (Instance.schedulable inst) then
@@ -414,7 +425,7 @@ type abstract = {
 }
 
 let abstract p inst t =
-  let rounded = round_instance p inst t in
+  let rounded = round_instance ~rung:Common.Paper p inst t in
   {
     a_tbar = rounded.tbar;
     a_cstar = rounded.cstar;

@@ -14,6 +14,13 @@
     groups, and grouped jobs are expanded back to the original jobs (all on
     the same machine — nothing was ever actually split).
 
+    The oracle tries smaller budgets first ({!Common.budget_ladder}): Tbar
+    = (1+k*delta)T for k = 1, 2, 4, ... below the paper's
+    (1+3delta)(1+2delta)T, then the paper's, with c* = min(Tbar/(delta*T),
+    c) at each. It returns the first rung's witness, and only the paper's
+    rung may reject, so the accepted guesses and the guarantee below stay
+    the paper's.
+
     Implementation notes: modules are enumerated per class as sub-multisets
     of that class's rounded size histogram (the only modules a class can
     fill), which keeps the variable count far below the paper's generic
@@ -49,8 +56,21 @@ val oracle :
 
 (** {2 Internals exposed for the N-fold form ({!Nfold_form}) and tests} *)
 
-(** Distilled view of the grouped + rounded instance at a guess: everything
-    the duplicated N-fold needs, in base units of delta^2*T/c. *)
+(** The paper's budget over the guess, Tbar/T = (1+3delta)(1+2delta). *)
+val paper_budget : Common.param -> Rat.t
+
+(** One rung of {!oracle}: the configuration ILP at that rung's budget
+    alone. At {!Common.Paper} it is the paper's oracle. *)
+val oracle_at :
+  Common.rung ->
+  Common.param ->
+  Instance.t ->
+  Rat.t ->
+  (Schedule.nonpreemptive * int) option
+
+(** Distilled view of the grouped + rounded instance at a guess, at the
+    paper's budget: everything the duplicated N-fold needs, in base units
+    of delta^2*T/c. *)
 type abstract = {
   a_tbar : int;
   a_cstar : int;

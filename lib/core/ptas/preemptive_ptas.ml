@@ -2,14 +2,13 @@ module Q = Rat
 
 type stats = { t_accepted : Q.t; oracle_calls : int; ilp_vars : int; layers : int }
 
-let guarantee (p : Common.param) t =
+let paper_budget (p : Common.param) =
   let delta = Common.delta p in
-  let tbar =
-    Q.mul
-      (Q.mul (Q.add Q.one (Q.mul (Q.of_int 3) delta)) (Q.add Q.one (Q.mul delta delta)))
-      t
-  in
-  Q.add tbar (Q.add (Q.mul delta t) (Q.mul (Q.mul delta delta) t))
+  Q.mul (Q.add Q.one (Q.mul (Q.of_int 3) delta)) (Q.add Q.one (Q.mul delta delta))
+
+let guarantee p t =
+  let delta = Common.delta p in
+  Q.add (Q.mul (paper_budget p) t) (Q.add (Q.mul delta t) (Q.mul (Q.mul delta delta) t))
 
 type gjob = { gsize : int; members : int list }
 
@@ -52,13 +51,20 @@ type rounded = {
   smalls_by_size : (int * int list) list;  (* size in delta^2*T/c units *)
 }
 
-let round_instance (p : Common.param) inst t =
+(* Tbar in units of delta^2*T/(c*d): c*d^2*(d+k) at rung k, and
+   c*(d+3)*(d^2+1) at the paper's (1+3delta)(1+delta^2)T. *)
+let round_instance ~rung (p : Common.param) inst t =
   let d = p.Common.d in
   let c = Instance.c inst in
+  let tbar_u1 =
+    match rung with
+    | Common.Rung k -> Common.units [ c; d; d; d + k ]
+    | Common.Paper -> Common.units [ c; d + 3; Common.units [ d; d ] + 1 ]
+  in
+  (* |L| = floor(Tbar / layer) + 1, a layer being c*d units *)
+  let layers = (tbar_u1 / (c * d)) + 1 in
+  Common.check_parts layers;
   let layer_q = Q.div t (Q.of_int (d * d)) in
-  (* |L| = floor(Tbar / layer) + 1 with Tbar = (1+3delta)(1+delta^2)T *)
-  let layers = ((d + 3) * (d * d + 1) / d) + 1 in
-  let tbar_u1 = c * (d + 3) * ((d * d) + 1) in
   let delta_t = Q.div t (Q.of_int d) in
   let gclasses = Array.map (group_class ~delta_t) (Common.class_members inst) in
   let large = ref [] and smalls = Hashtbl.create 8 in
@@ -294,9 +300,10 @@ let construct (p : Common.param) inst rounded layout sol =
       done;
       let v = Flow.max_flow g ~source ~sink in
       if v <> demand then
-        failwith
-          (Printf.sprintf "Preemptive_ptas: layer realization failed for class %d (%d/%d)"
-             (fst large.(li)) v demand);
+        raise
+          (Common.Unrealizable
+             (Printf.sprintf "Preemptive_ptas: layer realization failed for class %d (%d/%d)"
+                (fst large.(li)) v demand));
       let per_layer = Array.make nlayers [] in
       for ji = 0 to njobs - 1 do
         for l = 0 to nlayers - 1 do
@@ -483,29 +490,36 @@ let construct (p : Common.param) inst rounded layout sol =
     layout.hb_groups;
   Array.map (fun r -> List.rev !r) sched
 
-let oracle (p : Common.param) inst t =
-  if Q.(Q.of_int (Instance.pmax inst) > t) then None
+let too_long inst t = Q.(Q.of_int (Instance.pmax inst) > t)
+
+let attempt rung p inst t =
+  let rounded = Ccs_obs.Recorder.phase "ptas.round" (fun () -> round_instance ~rung p inst t) in
+  let layout = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded) in
+  Common.observe_rounding
+    ~large:(List.length rounded.large)
+    ~small_groups:(List.length rounded.smalls_by_size)
+    ~configs:(Array.length layout.configs);
+  let rows = build_rows p inst rounded layout in
+  let upper = Array.make layout.nvars None in
+  match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
+  | None -> None
+  | Some sol ->
+      let sched =
+        Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct p inst rounded layout sol)
+      in
+      (match Schedule.validate_preemptive inst sched with
+      | Ok _ -> Some (sched, layout.nvars, rounded.layers)
+      | Error e -> failwith ("Preemptive_ptas: constructed invalid schedule: " ^ e))
+
+let oracle_at rung p inst t = if too_long inst t then None else attempt rung p inst t
+
+let oracle p inst t =
+  if too_long inst t then None
   else
     Ccs_obs.Recorder.phase "preemptive.oracle"
       ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
     @@ fun () ->
-    let rounded = Ccs_obs.Recorder.phase "ptas.round" (fun () -> round_instance p inst t) in
-    let layout = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded) in
-    Common.observe_rounding
-      ~large:(List.length rounded.large)
-      ~small_groups:(List.length rounded.smalls_by_size)
-      ~configs:(Array.length layout.configs);
-    let rows = build_rows p inst rounded layout in
-    let upper = Array.make layout.nvars None in
-    match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
-    | None -> None
-    | Some sol ->
-        let sched =
-          Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct p inst rounded layout sol)
-        in
-        (match Schedule.validate_preemptive inst sched with
-        | Ok _ -> Some (sched, layout.nvars, rounded.layers)
-        | Error e -> failwith ("Preemptive_ptas: constructed invalid schedule: " ^ e))
+    Common.budget_ladder p ~paper:(paper_budget p) t (fun rung -> attempt rung p inst t)
 
 let solve ?progress p inst =
   if not (Instance.schedulable inst) then

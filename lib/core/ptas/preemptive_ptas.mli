@@ -25,7 +25,17 @@
     most delta*T.
 
     DESIGN.md discusses why the symmetrization preserves the algorithm's
-    guarantees. *)
+    guarantees.
+
+    The oracle tries smaller budgets first ({!Common.budget_ladder}): Tbar
+    = (1+k*delta)T for k = 1, 2, 4, ... below the paper's
+    (1+3delta)(1+delta^2)T, with d(d+k)+1 layers and c* = min(c, |L|) at
+    rung k, then the paper's. It returns the first rung's witness, and
+    only the paper's rung may reject, so the accepted guesses and the
+    guarantee below stay the paper's. Lemma 16 guarantees the layer
+    realization only at the paper's budget: a smaller rung whose
+    realization fails falls through to the next one, while a failure at
+    the paper's rung stays a loud error. *)
 
 type stats = {
   t_accepted : Rat.t;
@@ -48,8 +58,24 @@ val solve :
 
 (** Feasibility oracle for one guess (exposed for tests): the schedule, the
     variable count of the configuration ILP that produced it, and |L| at
-    the guess. *)
+    the accepted rung. *)
 val oracle :
+  Common.param ->
+  Instance.t ->
+  Rat.t ->
+  (Schedule.preemptive * int * int) option
+
+(** {2 Internals exposed for tests} *)
+
+(** The paper's budget over the guess, Tbar/T = (1+3delta)(1+delta^2). *)
+val paper_budget : Common.param -> Rat.t
+
+(** One rung of {!oracle}: the configuration ILP at that rung's budget
+    alone. At {!Common.Paper} it is the paper's oracle. A failed layer
+    realization raises {!Common.Unrealizable} at any rung; {!oracle} falls
+    through it below the paper's. *)
+val oracle_at :
+  Common.rung ->
   Common.param ->
   Instance.t ->
   Rat.t ->

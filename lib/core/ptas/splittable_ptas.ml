@@ -8,8 +8,9 @@ type stats = {
 }
 
 (* All sizes below live in "base units" of delta^2*T/c, so every quantity in
-   the ILP is an integer: modules have size l*c for l in [d, d(d+4)], the
-   makespan bound Tbar is c*d*(d+4), small classes have sizes in [1, c*d]. *)
+   the ILP is an integer: the budget Tbar is c*d*(d+k) at rung k, and the
+   paper's (1+4delta)T is rung 4; modules have size l*c for l in
+   [d, d(d+k)], small classes have sizes in [1, c*d]. *)
 
 type rounded = {
   unit_q : Q.t;  (* delta^2*T/c as a rational *)
@@ -19,11 +20,16 @@ type rounded = {
   smalls_by_size : (int * int list) list;  (* (rounded size, class ids) *)
 }
 
-let round_instance (p : Common.param) inst t =
+let paper_budget p = Q.add Q.one (Q.mul (Q.of_int 4) (Common.delta p))
+
+let round_instance ~rung (p : Common.param) inst t =
   let d = p.Common.d in
   let c = Instance.c inst in
+  let k = match rung with Common.Rung k -> k | Common.Paper -> 4 in
+  let tbar = Common.units [ c; d; d + k ] in
+  let lmax = tbar / c in
+  Common.check_parts (lmax - d + 1);
   let unit_q = Q.div t (Q.of_int (c * d * d)) in
-  let tbar = c * d * (d + 4) in
   let delta_t = Q.div t (Q.of_int d) in
   let loads = Instance.class_load inst in
   let large = ref [] and smalls = Hashtbl.create 8 in
@@ -42,7 +48,7 @@ let round_instance (p : Common.param) inst t =
         Hashtbl.replace smalls s (u :: prev)
       end)
     loads;
-  let module_sizes = List.init (((d * (d + 4)) - d) + 1) (fun i -> (d + i) * c) |> List.rev in
+  let module_sizes = List.init (lmax - d + 1) (fun i -> (lmax - i) * c) in
   {
     unit_q;
     tbar;
@@ -51,9 +57,11 @@ let round_instance (p : Common.param) inst t =
     smalls_by_size = Hashtbl.fold (fun s cls acc -> (s, cls) :: acc) smalls [];
   }
 
-(* Configurations: multisets of module sizes, total <= tbar, count <= c*. *)
+(* Configurations: multisets of module sizes, total <= tbar, count <= c* =
+   min(Tbar/(delta T), c), as each module is at least delta*T. *)
 let configurations (p : Common.param) inst rounded =
-  let cstar = min (p.Common.d + 4) (Instance.c inst) in
+  let c = Instance.c inst in
+  let cstar = min (rounded.tbar / (c * p.Common.d)) c in
   Common.multisets ~parts:rounded.module_sizes ~max_sum:rounded.tbar ~max_count:cstar ()
 
 type ilp_layout = {
@@ -382,12 +390,10 @@ let construct inst rounded layout sol ~explicit_limit =
 
 (* ---------------------------------------------------------------- *)
 
-let oracle ?(explicit_limit = 4096) (p : Common.param) inst t =
-  Ccs_obs.Recorder.phase "splittable.oracle" ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
-  @@ fun () ->
+let oracle_at ?(explicit_limit = 4096) rung (p : Common.param) inst t =
   let rounded, configs =
     Ccs_obs.Recorder.phase "ptas.round" (fun () ->
-        let rounded = round_instance p inst t in
+        let rounded = round_instance ~rung p inst t in
         (rounded, configurations p inst rounded))
   in
   let layout =
@@ -414,6 +420,12 @@ let oracle ?(explicit_limit = 4096) (p : Common.param) inst t =
       (match Schedule.validate_splittable inst sched with
       | Ok _ -> Some (sched, layout.nvars)
       | Error e -> failwith ("Splittable_ptas: constructed invalid schedule: " ^ e))
+
+let oracle ?explicit_limit p inst t =
+  Ccs_obs.Recorder.phase "splittable.oracle" ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
+  @@ fun () ->
+  Common.budget_ladder p ~paper:(paper_budget p) t (fun rung ->
+      oracle_at ?explicit_limit rung p inst t)
 
 let solve ?(explicit_limit = 4096) ?progress p inst =
   if not (Instance.schedulable inst) then

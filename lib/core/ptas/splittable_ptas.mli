@@ -12,6 +12,16 @@
     most Tbar + delta*T = (1+5*delta)*T, small classes placed by round robin
     within (size, slot-count) machine groups.
 
+    The oracle tries smaller budgets first ({!Common.budget_ladder}): Tbar
+    = (1+delta)T, then (1+2delta)T, then the paper's (1+4delta)T, with
+    modules up to Tbar and c* = min(Tbar/(delta*T), c) at each. It returns
+    the first rung's witness, and only the paper's rung may reject. A
+    smaller rung's schedule keeps the (1+5*delta)T guarantee, and a guess
+    a smaller rung accepts is one the paper's accepts, so the accepted
+    guesses stay the paper's. (With m above [explicit_limit] the Theorem
+    11 cap below follows the rung's full module, and DESIGN.md notes why
+    that implication is not shown there.)
+
     The implementation solves the ILP in the aggregated form (the paper's
     per-class duplication exists only to expose N-fold structure and "has no
     meaning itself"); small classes of equal rounded size are interchangeable
@@ -58,6 +68,19 @@ val oracle :
 
 (** {2 Internals exposed for the N-fold form ({!Nfold_form}) and tests} *)
 
+(** The paper's budget over the guess, Tbar/T = 1 + 4*delta. *)
+val paper_budget : Common.param -> Rat.t
+
+(** One rung of {!oracle}: the configuration ILP at that rung's budget
+    alone. At {!Common.Paper} it is the paper's oracle. *)
+val oracle_at :
+  ?explicit_limit:int ->
+  Common.rung ->
+  Common.param ->
+  Instance.t ->
+  Rat.t ->
+  (Schedule.splittable * int) option
+
 type rounded = {
   unit_q : Rat.t;  (** delta^2*T/c *)
   tbar : int;  (** Tbar in base units *)
@@ -66,5 +89,9 @@ type rounded = {
   smalls_by_size : (int * int list) list;  (** (rounded size, class ids) *)
 }
 
-val round_instance : Common.param -> Instance.t -> Rat.t -> rounded
+(** The rounded instance at a rung's budget. Raises [Common.Too_many]
+    when the module sizes alone exceed the enumeration cap or the budget
+    overflows a native int. *)
+val round_instance : rung:Common.rung -> Common.param -> Instance.t -> Rat.t -> rounded
+
 val configurations : Common.param -> Instance.t -> rounded -> int list list

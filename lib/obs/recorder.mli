@@ -16,10 +16,13 @@
       ("driver", "ilp", "bnb"), a per-source [solve] ordinal, and the
       bound [value]; the gap-over-time trace.
     - decisions, through {!emit}: [ptas.guess] ([t], [accepted]) per
-      guess of a PTAS search; [border_search.done] ([t_star], [probes])
-      per 2-approximation border search; [bnb.done] ([nodes], [nogoods],
-      [nogood_resets], [restarts], [prunes_area], [complete]) per exact
-      B&B solve; [fault] ([site], [ordinal], [what]) per injected fault.
+      guess of a PTAS search; [ptas.rung] ([t], [budget], [paper],
+      [accepted]) per configuration budget a PTAS oracle tried at that
+      guess, [budget] being Tbar/T as a rational; [border_search.done]
+      ([t_star], [probes]) per 2-approximation border search; [bnb.done]
+      ([nodes], [nogoods], [nogood_resets], [restarts], [prunes_area],
+      [complete]) per exact B&B solve; [fault] ([site], [ordinal],
+      [what]) per injected fault.
       Emitters guard them with {!active}, so a run without recording
       builds no fields.
     - [phase_start] / [phase_end] — paired by [id], tagged with the

@@ -286,6 +286,144 @@ let prop_geometric_search_order =
           && (match prog.C.accepted with Some (w', t') -> Q.equal w' w && Q.equal t' t | None -> false)
           && Option.equal Q.equal prog.C.rejected highest_rejected)
 
+(* ---------- the configuration budget ladder ---------- *)
+
+module Sp = Ccs.Ptas.Splittable_ptas
+module Np = Ccs.Ptas.Nonpreemptive_ptas
+module Pre = Ccs.Ptas.Preemptive_ptas
+
+(* Each PTAS's ladder accepts exactly the guesses that its paper rung
+   alone accepts (only the paper rung may reject, and a smaller budget's
+   witness implies the paper's), and an accepted schedule keeps the
+   paper's guarantee at that guess. The guesses are grid points around
+   each variant's lower bound, one of them below it. *)
+let prop_ladder_matches_paper_rung =
+  let gen = QCheck.Gen.(pair (int_range 0 1_000_000) (oneofl [ 1; 2; 3 ])) in
+  let print (seed, d) = Printf.sprintf "seed=%d d=%d" seed d in
+  QCheck.Test.make ~name:"budget ladder accepts = paper rung accepts, within guarantee"
+    ~count:30 (QCheck.make ~print gen) (fun (seed, d) ->
+      let p = C.param d in
+      let inst = random_instance ~max_n:8 ~max_p:20 seed in
+      let step = Q.add Q.one (C.delta p) in
+      let check what ~lb ~ladder ~paper ~makespan ~guarantee =
+        List.iter
+          (fun t ->
+            (* a paper ILP out of nodes gives no verdict to compare *)
+            match (ladder t, paper t) with
+            | exception C.Budget_exceeded -> ()
+            | Some w, Some _ ->
+                let mk = makespan w in
+                if Q.(mk > guarantee p t) then
+                  QCheck.Test.fail_reportf "%s at T=%s: makespan %s above the guarantee" what
+                    (Q.to_string t) (Q.to_string mk)
+            | None, None -> ()
+            | l, _ ->
+                QCheck.Test.fail_reportf "%s %s T=%s, unlike its paper rung" what
+                  (if Option.is_none l then "rejects" else "accepts")
+                  (Q.to_string t))
+          [ Q.div lb step; lb; Q.mul lb step; Q.mul lb (Q.mul step step) ]
+      in
+      check "splittable" ~lb:(Ccs.Bounds.lb_splittable inst)
+        ~ladder:(Sp.oracle p inst) ~paper:(Sp.oracle_at C.Paper p inst)
+        ~makespan:(fun (s, _) -> Result.get_ok (S.validate_splittable inst s))
+        ~guarantee:splittable_guarantee;
+      check "non-preemptive" ~lb:(Q.of_int (Ccs.Bounds.lb_integral inst))
+        ~ladder:(Np.oracle p inst) ~paper:(Np.oracle_at C.Paper p inst)
+        ~makespan:(fun (a, _) -> Q.of_int (Result.get_ok (S.validate_nonpreemptive inst a)))
+        ~guarantee:Np.guarantee;
+      check "preemptive" ~lb:(Ccs.Bounds.lb_preemptive inst)
+        ~ladder:(Pre.oracle p inst) ~paper:(Pre.oracle_at C.Paper p inst)
+        ~makespan:(fun (s, _, _) -> Result.get_ok (S.validate_preemptive inst s))
+        ~guarantee:Pre.guarantee;
+      true)
+
+(* The rungs a ladder tries, and what it returns, for a scripted attempt. *)
+let run_ladder ?(d = 1) ~paper script =
+  let tried = ref [] in
+  let result =
+    C.budget_ladder (C.param d) ~paper Q.one (fun rung ->
+        tried := rung :: !tried;
+        script rung)
+  in
+  (List.rev !tried, result)
+
+let rung_list = Alcotest.testable (fun ppf rungs ->
+    List.iter
+      (function
+        | C.Rung k -> Format.fprintf ppf "Rung %d; " k
+        | C.Paper -> Format.fprintf ppf "Paper")
+      rungs) ( = )
+
+let test_ladder_rungs () =
+  let reject _ = None in
+  (* np at delta = 1: the paper's budget is 12T, so k doubles up to 8 *)
+  Alcotest.(check rung_list) "np, delta = 1" [ C.Rung 1; C.Rung 2; C.Rung 4; C.Rung 8; C.Paper ]
+    (fst (run_ladder ~paper:(Np.paper_budget (C.param 1)) reject));
+  (* split's paper budget is rung 4 itself *)
+  Alcotest.(check rung_list) "split, delta = 1/2" [ C.Rung 1; C.Rung 2; C.Paper ]
+    (fst (run_ladder ~d:2 ~paper:(Sp.paper_budget (C.param 2)) reject));
+  Alcotest.(check rung_list) "pre, delta = 1/3" [ C.Rung 1; C.Rung 2; C.Paper ]
+    (fst (run_ladder ~d:3 ~paper:(Pre.paper_budget (C.param 3)) reject));
+  let tried, result = run_ladder ~paper:(Q.of_int 5) (function C.Rung 2 -> Some 2 | _ -> None) in
+  Alcotest.(check rung_list) "stops at the first witness" [ C.Rung 1; C.Rung 2 ] tried;
+  Alcotest.(check (option int)) "that rung's witness" (Some 2) result
+
+let test_ladder_fall_through () =
+  let paper = Q.of_int 4 in
+  (* below the paper rung, an undecided ILP and an unrealizable witness
+     move on to the next rung *)
+  let tried, result =
+    run_ladder ~paper (function
+      | C.Rung 1 -> raise C.Budget_exceeded
+      | C.Rung 2 -> raise (C.Unrealizable "layers")
+      | _ -> Some ())
+  in
+  Alcotest.(check rung_list) "both fall through" [ C.Rung 1; C.Rung 2; C.Paper ] tried;
+  Alcotest.(check (option unit)) "paper witness" (Some ()) result;
+  (* at the paper rung an undecided ILP propagates, and an unrealizable
+     witness is the solver bug Lemma 16 rules out there *)
+  Alcotest.check_raises "paper: undecided ILP" C.Budget_exceeded (fun () ->
+      ignore (run_ladder ~paper (function C.Paper -> raise C.Budget_exceeded | _ -> None)));
+  Alcotest.check_raises "paper: unrealizable is a solver bug" (Failure "layers") (fun () ->
+      ignore
+        (run_ladder ~paper (function C.Paper -> raise (C.Unrealizable "layers") | _ -> None)));
+  (* a lower rung's configurations are a subset of the paper's: a blown
+     enumeration or a cancellation ends the ladder where it happens *)
+  let cancelled =
+    Ccs_resil.Deadline.Cancelled { site = "ptas.enum"; reason = Ccs_resil.Deadline.Expired }
+  in
+  List.iter
+    (fun (what, exn) ->
+      let attempts = ref 0 in
+      Alcotest.check_raises what exn (fun () ->
+          ignore
+            (C.budget_ladder (C.param 1) ~paper Q.one (fun _ ->
+                 incr attempts;
+                 raise exn)));
+      Alcotest.(check int) (what ^ " at the first rung") 1 !attempts)
+    [ ("too many configurations", C.Too_many); ("cancelled", cancelled) ]
+
+(* At a fine delta the module sizes (split), the layers (pre) or the
+   budget products (all three) alone exceed the enumeration cap or a
+   native int: the oracle refuses before it allocates them. *)
+let test_fine_delta_refused () =
+  let inst = I.make ~machines:2 ~slots:2 [ (9, 0); (7, 1); (5, 2); (4, 3); (2, 0) ] in
+  let t = Q.of_int 14 in
+  List.iter
+    (fun d ->
+      let p = C.param d in
+      let refuses what f =
+        Alcotest.check_raises (Printf.sprintf "%s, d = %d" what d) C.Too_many (fun () ->
+            ignore (f ()))
+      in
+      refuses "splittable" (fun () -> Sp.oracle p inst t);
+      refuses "preemptive" (fun () -> Pre.oracle p inst t);
+      if d > 1_000_000_000 then refuses "non-preemptive" (fun () -> Np.oracle p inst t))
+    [ 1_000; 1_000_000; 10_000_000_000; 1_000_000_000_000_000_000 ];
+  Alcotest.check_raises "units overflow" C.Too_many (fun () ->
+      ignore (C.units [ 3; 1 lsl 31; 1 lsl 31 ]));
+  Alcotest.(check int) "units" 60 (C.units [ 3; 4; 5 ])
+
 (* x0 + x1 = 1 and x0 = x1 meet only at (1/2, 1/2): the root relaxation is
    fractional, so deciding the ILP takes branching. One node is not enough
    and must not be mistaken for "infeasible". *)
@@ -335,7 +473,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_geometric_search_order;
           Alcotest.test_case "ILP node budget" `Quick test_int_feasibility_budget;
           Alcotest.test_case "ILP rows sum duplicates" `Quick
-            test_int_feasibility_duplicates ] );
+            test_int_feasibility_duplicates;
+          Alcotest.test_case "budget ladder rungs" `Quick test_ladder_rungs;
+          Alcotest.test_case "budget ladder fall-through" `Quick test_ladder_fall_through;
+          Alcotest.test_case "fine delta refused before allocating" `Quick
+            test_fine_delta_refused ] );
       ( "unit",
         [ Alcotest.test_case "splittable huge m (Thm 11)" `Quick test_splittable_ptas_huge_m;
           Alcotest.test_case "N-fold block shape" `Quick test_nfold_form_shape;
@@ -348,4 +490,4 @@ let () =
             prop_oracle_matches_nfold_form; prop_np_oracle_matches_nfold_form;
             prop_nonpreemptive_ptas_valid;
             prop_nonpreemptive_ptas_vs_exact; prop_preemptive_ptas_valid;
-            prop_preemptive_ptas_vs_split_opt ] ) ]
+            prop_preemptive_ptas_vs_split_opt; prop_ladder_matches_paper_rung ] ) ]
