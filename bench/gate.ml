@@ -188,7 +188,7 @@ let counter_names =
      pins the streaming lexer's behavior on a fixed 10^6-job file, the
      probe count pins the border / binary searches, the solve count every
      2-approximation run of this block (the XL solves and the PTAS and B&B
-     warm starts), and the byte gauge pins the instance at exactly 16
+     warm starts), and the byte counter pins the instance at exactly 16
      bytes per job. *)
   if xl_enabled then
     [ "io.stream_tokens"; "border_search.probes"; "approx.solves"; "xl.flat_bytes" ]

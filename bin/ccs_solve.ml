@@ -11,34 +11,13 @@ open Cmdliner
 module Q = Rat
 
 type variant = Splittable | Preemptive | Nonpreemptive
-type algo = Approx | Ptas | Exact | Nfold
+type algo = Approx | Ptas | Exact
 
-let variant_conv =
-  let parse = function
-    | "splittable" | "split" -> Ok Splittable
-    | "preemptive" | "pre" -> Ok Preemptive
-    | "nonpreemptive" | "np" -> Ok Nonpreemptive
-    | s -> Error (`Msg (Printf.sprintf "unknown variant %S" s))
-  in
-  let print fmt v =
-    Format.pp_print_string fmt
-      (match v with Splittable -> "splittable" | Preemptive -> "preemptive" | Nonpreemptive -> "nonpreemptive")
-  in
-  Arg.conv (parse, print)
+let variants =
+  [ ("splittable", Splittable); ("split", Splittable); ("preemptive", Preemptive);
+    ("pre", Preemptive); ("nonpreemptive", Nonpreemptive); ("np", Nonpreemptive) ]
 
-let algo_conv =
-  let parse = function
-    | "approx" -> Ok Approx
-    | "ptas" -> Ok Ptas
-    | "exact" -> Ok Exact
-    | "nfold" -> Ok Nfold
-    | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
-  in
-  let print fmt a =
-    Format.pp_print_string fmt
-      (match a with Approx -> "approx" | Ptas -> "ptas" | Exact -> "exact" | Nfold -> "nfold")
-  in
-  Arg.conv (parse, print)
+let algos = [ ("approx", Approx); ("ptas", Ptas); ("exact", Exact) ]
 
 (* The printers write straight into the output buffer: a million-job
    schedule prints without a string, a [Printf] or a [Rat] per job. *)
@@ -210,10 +189,32 @@ let print_preemptive_compressed buf inst sched =
    reported with the validator's reason and exit code 3. *)
 exception Rejected of string * string
 
-let validated variant validate =
-  match Ccs_obs.Recorder.phase "schedule" validate with
-  | Ok makespan -> makespan
-  | Error msg -> raise (Rejected (variant, msg))
+(* One variant's output: its name in messages, its validator and its
+   printer. Both paths print through [emit], so no schedule is printed
+   before its validator has accepted it. *)
+type 'a emitter = { name : string; validate : 'a -> (Q.t, string) result; print : 'a -> unit }
+
+let splittable out inst =
+  { name = "splittable"; validate = Ccs.Schedule.validate_splittable inst;
+    print = print_splittable out }
+
+let preemptive out inst ~compress =
+  { name = "preemptive"; validate = Ccs.Schedule.validate_preemptive inst;
+    print = (if compress then print_preemptive_compressed out inst else print_preemptive out) }
+
+let nonpreemptive out inst ~compress =
+  { name = "non-preemptive";
+    validate = (fun a -> Result.map Q.of_int (Ccs.Schedule.validate_nonpreemptive inst a));
+    print = (if compress then print_nonpreemptive_compressed else print_nonpreemptive) out inst }
+
+(* Validate [sched] in the "schedule" phase, then write the summary line
+   that [summary] makes of its makespan and, unless [quiet], the schedule. *)
+let emit e ~quiet sched summary =
+  match Ccs_obs.Recorder.phase "schedule" (fun () -> e.validate sched) with
+  | Error msg -> raise (Rejected (e.name, msg))
+  | Ok makespan ->
+      summary makespan;
+      if not quiet then e.print sched
 
 (* Anytime mode (--deadline-ms / --anytime): run the degradation ladder
    starting at the requested algorithm's rung. A deadline never fails the
@@ -223,50 +224,34 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
     ~node_limit =
   let module D = Ccs_anytime.Driver in
   let module O = Ccs_resil.Outcome in
-  let start =
-    match algo with
-    | Exact -> D.Exact
-    | Ptas | Nfold -> D.Ptas (* the ladder has one accuracy rung; nfold shares it *)
-    | Approx -> D.Approx
-  in
+  let start = match algo with Exact -> D.Exact | Ptas -> D.Ptas | Approx -> D.Approx in
   let deadline = Option.map Ccs_resil.Deadline.of_budget_ms deadline_ms in
-  let finish : 'a. string -> ('a -> (Q.t, string) result) -> ('a -> unit) -> 'a D.solved O.t -> unit =
-   fun name validate print o ->
+  let finish : 'a. 'a emitter -> 'a D.solved O.t -> unit =
+   fun e o ->
     match o with
     | O.Complete s ->
-        let mk = validated name (fun () -> validate s.D.schedule) in
-        Printf.bprintf out "%s anytime: makespan %s (complete, %s rung)\n" name (Q.to_string mk)
-          (D.rung_name s.D.rung);
-        if not quiet then print s.D.schedule
+        emit e ~quiet s.D.schedule (fun mk ->
+            Printf.bprintf out "%s anytime: makespan %s (complete, %s rung)\n" e.name
+              (Q.to_string mk) (D.rung_name s.D.rung))
     | O.Degraded dg ->
         (* The fallback rung cannot fail, so a degraded outcome always
            carries an incumbent. *)
         let s = Option.get dg.O.incumbent in
-        let mk = validated name (fun () -> validate s.D.schedule) in
-        Printf.bprintf out
-          "%s anytime: degraded at %s rung: incumbent makespan %s (%s rung), lower bound %s%s\n"
-          name dg.O.phase_reached (Q.to_string mk) (D.rung_name s.D.rung)
-          (Q.to_string dg.O.lower_bound)
-          (match dg.O.ratio_bound with
-          | Some r -> Printf.sprintf ", ratio <= %.4g" (Q.to_float r)
-          | None -> "");
-        if not quiet then print s.D.schedule
+        emit e ~quiet s.D.schedule (fun mk ->
+            Printf.bprintf out
+              "%s anytime: degraded at %s rung: incumbent makespan %s (%s rung), lower bound %s%s\n"
+              e.name dg.O.phase_reached (Q.to_string mk) (D.rung_name s.D.rung)
+              (Q.to_string dg.O.lower_bound)
+              (match dg.O.ratio_bound with
+              | Some r -> Printf.sprintf ", ratio <= %.4g" (Q.to_float r)
+              | None -> ""))
   in
   match variant with
-  | Splittable ->
-      finish "splittable"
-        (Ccs.Schedule.validate_splittable inst)
-        (print_splittable out)
-        (D.solve_splittable ?deadline ~start ~param inst)
+  | Splittable -> finish (splittable out inst) (D.solve_splittable ?deadline ~start ~param inst)
   | Preemptive ->
-      finish "preemptive"
-        (Ccs.Schedule.validate_preemptive inst)
-        (if compress then print_preemptive_compressed out inst else print_preemptive out)
-        (D.solve_preemptive ?deadline ~start ~param inst)
+      finish (preemptive out inst ~compress) (D.solve_preemptive ?deadline ~start ~param inst)
   | Nonpreemptive ->
-      finish "non-preemptive"
-        (fun a -> Result.map Q.of_int (Ccs.Schedule.validate_nonpreemptive inst a))
-        ((if compress then print_nonpreemptive_compressed else print_nonpreemptive) out inst)
+      finish (nonpreemptive out inst ~compress)
         (D.solve_nonpreemptive ?deadline ~start ~param ?node_limit ~portfolio inst)
 
 (* Solve one instance, accumulating stdout/stderr text into the buffers.
@@ -279,123 +264,93 @@ let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~com
       Printf.bprintf err "error: %s\n" e;
       1
   | Ok inst -> (
-      let print_np = if compress then print_nonpreemptive_compressed else print_nonpreemptive in
-      let print_pre buf s =
-        if compress then print_preemptive_compressed buf inst s else print_preemptive buf s
-      in
       Printf.bprintf out "instance: n=%d m=%d c=%d C=%d\n" (Ccs.Instance.n inst)
         (Ccs.Instance.m inst) (Ccs.Instance.c inst) (Ccs.Instance.num_classes inst);
-      let d = param.Ccs.Ptas.Common.d in
+      (* the summary lines shared by the variants *)
+      let approx e t_guess mk =
+        Printf.bprintf out "%s 2-approx: makespan %s (guess T=%s, <= 2T)\n" e.name
+          (Q.to_string mk) (Q.to_string t_guess)
+      in
+      let ptas e t_accepted mk =
+        Printf.bprintf out "%s PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" e.name
+          param.Ccs.Ptas.Common.d (Q.to_string mk) (Q.to_string t_accepted)
+      in
+      let optimum e opt _ = Printf.bprintf out "%s exact optimum: %s\n" e.name opt in
+      let no_optimum () =
+        Printf.bprintf out "exact solver out of budget or instance too large\n"
+      in
       try
-        if anytime || deadline_ms <> None then begin
+        if anytime || deadline_ms <> None then
           solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress
-            ~portfolio ~node_limit;
-          0
-        end
+            ~portfolio ~node_limit
         else begin
-        (match (variant, algo) with
-        | Splittable, Approx ->
-            let sched, stats = Ccs.Approx.Splittable.solve inst in
-            let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
-            Printf.bprintf out "splittable 2-approx: makespan %s (guess T=%s, <= 2T)\n"
-              (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Splittable.t_guess);
-            if not quiet then print_splittable out sched
-        | Splittable, Ptas ->
-            let sched, stats = Ccs.Ptas.Splittable_ptas.solve param inst in
-            let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
-            Printf.bprintf out "splittable PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
-              (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Splittable_ptas.t_accepted);
-            if not quiet then print_splittable out sched
-        | Splittable, Nfold ->
-            (* Dual-approximation search driven by the paper's literal
-               N-fold formulation (Section 4.1): each guess is decided on
-               the duplicated N-fold program, and the witness schedule for
-               the accepted guess is recovered from the aggregated oracle —
-               the two decide the same rounded program by construction. *)
-            let delta = Ccs.Ptas.Common.delta param in
-            let lb = Ccs.Bounds.lb_splittable inst in
-            let ub = Q.max lb (Ccs.Bounds.ub_splittable inst) in
-            let oracle t =
-              if Ccs.Ptas.Nfold_form.feasible_splittable param inst t then
-                match Ccs.Ptas.Splittable_ptas.oracle param inst t with
-                | Some (sched, _) -> Some sched
-                | None ->
-                    failwith
-                      "nfold backend accepted a guess the aggregated oracle rejects"
-              else None
-            in
-            let sched, t_acc =
-              Ccs.Ptas.Common.geometric_search ~lb ~ub ~delta ~oracle ()
-            in
-            let mk = validated "splittable" (fun () -> Ccs.Schedule.validate_splittable inst sched) in
-            Printf.bprintf out
-              "splittable N-fold (delta=1/%d): makespan %s (accepted T=%s)\n" d
-              (Q.to_string mk) (Q.to_string t_acc);
-            if not quiet then print_splittable out sched
-        | (Preemptive | Nonpreemptive), Nfold ->
-            Printf.bprintf out
-              "no N-fold backend for this variant (splittable only; see DESIGN.md)\n"
-        | Splittable, Exact -> (
-            match Ccs_exact.Splittable_opt.solve_schedule inst with
-            | Some (opt, sched) ->
-                Printf.bprintf out "splittable exact optimum: %s\n" (Q.to_string opt);
-                if not quiet then print_splittable out sched
-            | None -> Printf.bprintf out "exact solver out of budget or instance too large\n")
-        | Preemptive, Approx ->
-            let sched, stats = Ccs.Approx.Preemptive.solve inst in
-            let mk = validated "preemptive" (fun () -> Ccs.Schedule.validate_preemptive inst sched) in
-            Printf.bprintf out "preemptive 2-approx: makespan %s (guess T=%s, <= 2T)\n"
-              (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Preemptive.t_guess);
-            if not quiet then print_pre out sched
-        | Preemptive, Ptas ->
-            let sched, stats = Ccs.Ptas.Preemptive_ptas.solve param inst in
-            let mk = validated "preemptive" (fun () -> Ccs.Schedule.validate_preemptive inst sched) in
-            Printf.bprintf out "preemptive PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
-              (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Preemptive_ptas.t_accepted);
-            if not quiet then print_pre out sched
-        | Preemptive, Exact ->
-            Printf.bprintf out "no exact preemptive solver (see DESIGN.md); lower bound: %s\n"
-              (Q.to_string (Ccs.Bounds.lb_preemptive inst))
-        | Nonpreemptive, Approx ->
-            let sched, stats = Ccs.Approx.Nonpreemptive.solve inst in
-            let mk = validated "non-preemptive" (fun () -> Ccs.Schedule.validate_nonpreemptive inst sched) in
-            Printf.bprintf out "non-preemptive 7/3-approx: makespan %d (guess T=%d, <= 7/3 T)\n" mk
-              stats.Ccs.Approx.Nonpreemptive.t_guess;
-            if not quiet then print_np out inst sched
-        | Nonpreemptive, Ptas ->
-            let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
-            let mk = validated "non-preemptive" (fun () -> Ccs.Schedule.validate_nonpreemptive inst sched) in
-            Printf.bprintf out "non-preemptive PTAS (delta=1/%d): makespan %d (accepted T=%s)\n" d mk
-              (Q.to_string stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted);
-            if not quiet then print_np out inst sched
-        | Nonpreemptive, Exact when portfolio -> (
-            match Ccs_exact.Portfolio.solve ?node_limit inst with
-            | Some o when o.Ccs_exact.Portfolio.proved ->
-                Printf.bprintf out "non-preemptive exact optimum: %d (portfolio winner: %s)\n"
-                  o.Ccs_exact.Portfolio.makespan o.Ccs_exact.Portfolio.winner;
-                if not quiet then print_np out inst o.Ccs_exact.Portfolio.assignment
-            | Some o ->
-                (* Every member abstained: mirror the anytime Degraded
-                   contract — surface the incumbent plus the proven bound
-                   instead of dropping them. *)
-                Printf.bprintf out
-                  "exact search out of budget: incumbent %d, proven lower bound %d\n"
-                  o.Ccs_exact.Portfolio.makespan o.Ccs_exact.Portfolio.lower_bound;
-                if not quiet then print_np out inst o.Ccs_exact.Portfolio.assignment
-            | None -> Printf.bprintf out "instance is not schedulable\n")
-        | Nonpreemptive, Exact -> (
-            match Ccs_exact.Bnb.solve_result ?node_limit inst with
-            | Some { Ccs_exact.Bnb.status = Complete; makespan; assignment; _ } ->
-                Printf.bprintf out "non-preemptive exact optimum: %d\n" makespan;
-                if not quiet then print_np out inst assignment
-            | Some r ->
-                Printf.bprintf out
-                  "exact search out of budget: incumbent %d, proven lower bound %d\n"
-                  r.Ccs_exact.Bnb.makespan r.Ccs_exact.Bnb.lower_bound;
-                if not quiet then print_np out inst r.Ccs_exact.Bnb.assignment
-            | None -> Printf.bprintf out "instance is not schedulable\n"));
+          match variant with
+          | Splittable -> (
+              let e = splittable out inst in
+              match algo with
+              | Approx ->
+                  let sched, stats = Ccs.Approx.Splittable.solve inst in
+                  emit e ~quiet sched (approx e stats.Ccs.Approx.Splittable.t_guess)
+              | Ptas ->
+                  let sched, stats = Ccs.Ptas.Splittable_ptas.solve param inst in
+                  emit e ~quiet sched (ptas e stats.Ccs.Ptas.Splittable_ptas.t_accepted)
+              | Exact -> (
+                  match Ccs_exact.Splittable_opt.solve_schedule inst with
+                  | Some (opt, sched) -> emit e ~quiet sched (optimum e (Q.to_string opt))
+                  | None -> no_optimum ()))
+          | Preemptive -> (
+              let e = preemptive out inst ~compress in
+              match algo with
+              | Approx ->
+                  let sched, stats = Ccs.Approx.Preemptive.solve inst in
+                  emit e ~quiet sched (approx e stats.Ccs.Approx.Preemptive.t_guess)
+              | Ptas ->
+                  let sched, stats = Ccs.Ptas.Preemptive_ptas.solve param inst in
+                  emit e ~quiet sched (ptas e stats.Ccs.Ptas.Preemptive_ptas.t_accepted)
+              | Exact -> (
+                  match Ccs_exact.Preemptive_opt.solve inst with
+                  | Some (opt, sched) -> emit e ~quiet sched (optimum e (Q.to_string opt))
+                  | None -> no_optimum ()))
+          | Nonpreemptive -> (
+              let e = nonpreemptive out inst ~compress in
+              match algo with
+              | Approx ->
+                  let sched, stats = Ccs.Approx.Nonpreemptive.solve inst in
+                  emit e ~quiet sched (fun mk ->
+                      Printf.bprintf out "%s 7/3-approx: makespan %s (guess T=%d, <= 7/3 T)\n"
+                        e.name (Q.to_string mk) stats.Ccs.Approx.Nonpreemptive.t_guess)
+              | Ptas ->
+                  let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
+                  emit e ~quiet sched (ptas e stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted)
+              | Exact ->
+                  (* Out of budget, the search still surfaces its incumbent
+                     and the proven bound, as the anytime Degraded outcome
+                     does, instead of dropping them. *)
+                  let out_of_budget incumbent lb _ =
+                    Printf.bprintf out
+                      "exact search out of budget: incumbent %d, proven lower bound %d\n"
+                      incumbent lb
+                  in
+                  let module P = Ccs_exact.Portfolio in
+                  let module B = Ccs_exact.Bnb in
+                  if portfolio then
+                    match P.solve ?node_limit inst with
+                    | Some o when o.P.proved ->
+                        emit e ~quiet o.P.assignment
+                          (optimum e
+                             (Printf.sprintf "%d (portfolio winner: %s)" o.P.makespan o.P.winner))
+                    | Some o ->
+                        emit e ~quiet o.P.assignment (out_of_budget o.P.makespan o.P.lower_bound)
+                    | None -> Printf.bprintf out "instance is not schedulable\n"
+                  else
+                    match B.solve_result ?node_limit inst with
+                    | Some { B.status = Complete; makespan; assignment; _ } ->
+                        emit e ~quiet assignment (optimum e (string_of_int makespan))
+                    | Some r ->
+                        emit e ~quiet r.B.assignment (out_of_budget r.B.makespan r.B.lower_bound)
+                    | None -> Printf.bprintf out "instance is not schedulable\n")
+        end;
         0
-        end
       with
       | Rejected (variant, msg) ->
           Printf.bprintf err "error: %s schedule failed validation: %s\n" variant msg;
@@ -457,13 +412,11 @@ let cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"INSTANCE"
            ~doc:"Instance file(s) (ccs_gen format); several files form a batch.")
   in
-  let variant = Arg.(value & opt variant_conv Nonpreemptive & info [ "variant" ] ~doc:"splittable, preemptive or nonpreemptive.") in
-  let algo =
-    Arg.(value & opt algo_conv Approx
-           & info [ "algo" ]
-               ~doc:"approx, ptas, exact, or nfold (the paper's literal N-fold \
-                     formulation; splittable variant only).")
+  let variant =
+    Arg.(value & opt (enum variants) Nonpreemptive
+           & info [ "variant" ] ~doc:"splittable, preemptive or nonpreemptive (split, pre or np).")
   in
+  let algo = Arg.(value & opt (enum algos) Approx & info [ "algo" ] ~doc:"approx, ptas or exact.") in
   let epsilon = Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"PTAS accuracy (delta = 1/ceil(1/epsilon)), greater than 0.") in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Do not print the schedule.") in
   let jobs =

@@ -42,45 +42,31 @@ let units factors =
       acc * f)
     1 factors
 
-let multisets ?(limit = enum_limit) ~parts ~max_sum ~max_count () =
-  let parts = List.sort_uniq (fun a b -> compare b a) parts in
+let bounded_multisets ?(limit = enum_limit) ~parts ~max_sum ~max_count () =
+  let parts = Array.of_list (List.sort (fun (a, _) (b, _) -> compare b a) parts) in
   let out = ref [] in
   let count = ref 0 in
-  (* DFS over parts in descending order; [current] is built descending. *)
-  let rec go parts current sum cnt =
+  (* DFS over the parts in descending order: [taken] copies of part [i]
+     are in [current], which holds the multiset in ascending order. *)
+  let rec go i taken current sum cnt =
     Ccs_resil.Deadline.check chk_enum;
     incr count;
     if !count > limit then raise Too_many;
     out := List.rev current :: !out;
-    match parts with
-    | [] -> ()
-    | v :: rest ->
-        if cnt < max_count && sum + v <= max_sum then
-          go parts (v :: current) (sum + v) (cnt + 1);
-        go rest current sum cnt
+    if i < Array.length parts then begin
+      let v, mult = parts.(i) in
+      if taken < mult && cnt < max_count && sum + v <= max_sum then
+        go i (taken + 1) (v :: current) (sum + v) (cnt + 1);
+      go (i + 1) 0 current sum cnt
+    end
   in
-  go parts [] 0 0;
+  go 0 0 [] 0 0;
   (* dedupe: the DFS emits each prefix once per skipped part *)
   List.sort_uniq compare !out
 
-let bounded_multisets ?(limit = enum_limit) ~parts ~max_sum ~max_count () =
-  let parts = List.sort (fun (a, _) (b, _) -> compare b a) parts in
-  let out = ref [] in
-  let count = ref 0 in
-  let rec go parts current sum cnt =
-    Ccs_resil.Deadline.check chk_enum;
-    incr count;
-    if !count > limit then raise Too_many;
-    out := List.rev current :: !out;
-    match parts with
-    | [] -> ()
-    | (v, mult) :: rest ->
-        if mult > 0 && cnt < max_count && sum + v <= max_sum then
-          go ((v, mult - 1) :: rest) (v :: current) (sum + v) (cnt + 1);
-        go rest current sum cnt
-  in
-  ignore (go parts [] 0 0);
-  List.sort_uniq compare !out
+let multisets ?limit ~parts ~max_sum ~max_count () =
+  let parts = List.map (fun v -> (v, max_count)) (List.sort_uniq compare parts) in
+  bounded_multisets ?limit ~parts ~max_sum ~max_count ()
 
 exception Budget_exceeded
 

@@ -22,12 +22,6 @@ val param_of_epsilon : float -> param option
     order: the input of the PTASs' per-class grouping. *)
 val class_members : Instance.t -> (int * int) list array
 
-(** All multisets (as sorted-descending lists) over the given distinct part
-    values, with sum <= [max_sum] and at most [max_count] parts. Includes
-    the empty multiset. Raises [Too_many] beyond [limit] (default
-    {!enum_limit}) — the configuration spaces of Section 4 are exponential
-    in 1/delta, and exceeding the cap means the requested accuracy is out
-    of practical reach. *)
 exception Too_many
 
 (** The enumeration cap, 200000 multisets. *)
@@ -44,14 +38,21 @@ val check_parts : int -> unit
     native int: such a delta is far beyond the enumeration cap anyway. *)
 val units : int list -> int
 
-val multisets :
-  ?limit:int -> parts:int list -> max_sum:int -> max_count:int -> unit -> int list list
-
-(** Like {!multisets} but each part value [v] has a limited multiplicity
-    [mult v] (used to enumerate the sub-multisets of one class's job-size
-    histogram in the non-preemptive PTAS). *)
+(** All multisets (as sorted-descending lists) over the [(v, mult)] parts,
+    each value [v] at most [mult] times, with sum <= [max_sum] and at most
+    [max_count] parts. Includes the empty multiset. Raises [Too_many] when
+    the search visits more than [limit] (default {!enum_limit}) nodes — the
+    configuration spaces of Section 4 are exponential in 1/delta, and
+    exceeding the cap means the requested accuracy is out of practical
+    reach. The non-preemptive PTAS enumerates the sub-multisets of one
+    class's job-size histogram with it. *)
 val bounded_multisets :
   ?limit:int -> parts:(int * int) list -> max_sum:int -> max_count:int -> unit -> int list list
+
+(** {!bounded_multisets} with multiplicity [max_count] on each distinct
+    value of [parts]: the configurations of Section 4. *)
+val multisets :
+  ?limit:int -> parts:int list -> max_sum:int -> max_count:int -> unit -> int list list
 
 (** Raised when the branch & bound exhausts its node budget: the answer is
     unknown, and silently reporting "infeasible" would break the PTAS

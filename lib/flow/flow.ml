@@ -24,8 +24,6 @@ let create n =
     original_cap = Hashtbl.create 16;
   }
 
-let node_count t = t.n
-
 let ensure_capacity t =
   if t.edge_count + 2 > Array.length t.edge_to then begin
     let len = 2 * Array.length t.edge_to in
@@ -141,8 +139,3 @@ let min_cut t ~source =
       adj.(v)
   done;
   reachable
-
-let out_capacity t v =
-  Hashtbl.fold
-    (fun id cap acc -> if t.edge_to.(id lxor 1) = v then acc + cap else acc)
-    t.original_cap 0

@@ -12,8 +12,6 @@ type edge_id = int
 (** [create n] makes an empty graph on nodes [0 .. n-1]. *)
 val create : int -> t
 
-val node_count : t -> int
-
 (** [add_edge t ~src ~dst ~cap] adds a directed edge and returns its id.
     Capacities must be non-negative. Parallel edges are allowed. *)
 val add_edge : t -> src:int -> dst:int -> cap:int -> edge_id
@@ -29,6 +27,3 @@ val flow_on : t -> edge_id -> int
 (** Source side of a minimum cut after {!max_flow}: [reachable.(v)] iff [v]
     is reachable from the source in the residual graph. *)
 val min_cut : t -> source:int -> bool array
-
-(** Total capacity leaving [source]; handy upper bound in tests. *)
-val out_capacity : t -> int -> int

@@ -1,5 +1,4 @@
 type counter = { mutable count : int }
-type gauge = { mutable gval : float; mutable gset : bool }
 
 type histogram = {
   mutable samples : float array;  (* filled prefix of length [len] *)
@@ -29,7 +28,6 @@ type log_histogram = {
 
 type entry =
   | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
   | Log_histogram of log_histogram
 
@@ -49,7 +47,6 @@ let locked f =
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
   | Log_histogram _ -> "log_histogram"
 
@@ -119,13 +116,6 @@ let counter ?help name =
       (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
-let gauge ?help name =
-  register name help
-    (fun () ->
-      let g = { gval = 0.0; gset = false } in
-      (g, Gauge g))
-    (function Gauge g -> Some g | _ -> None)
-
 let histogram ?help name =
   register name help
     (fun () ->
@@ -146,13 +136,6 @@ let log_histogram ?help name =
 let incr c = locked (fun () -> c.count <- c.count + 1)
 let add c n = locked (fun () -> c.count <- c.count + n)
 let counter_value c = locked (fun () -> c.count)
-
-let set_gauge g v =
-  locked @@ fun () ->
-  g.gval <- v;
-  g.gset <- true
-
-let gauge_value g = locked (fun () -> if g.gset then Some g.gval else None)
 
 let observe h x =
   locked @@ fun () ->
@@ -220,9 +203,6 @@ let reset () =
     (fun _ r ->
       match r.entry with
       | Counter c -> c.count <- 0
-      | Gauge g ->
-          g.gval <- 0.0;
-          g.gset <- false
       | Histogram h -> h.len <- 0
       | Log_histogram h ->
           Array.fill h.lbuckets 0 (Array.length h.lbuckets) 0;
@@ -247,9 +227,6 @@ let dump_table () =
       match r.entry with
       | Counter c ->
           Ccs_util.Tables.add_row t [ name; "counter"; string_of_int c.count; "-"; "-"; "-" ]
-      | Gauge g ->
-          let v = if g.gset then fnum g.gval else "unset" in
-          Ccs_util.Tables.add_row t [ name; "gauge"; v; "-"; "-"; "-" ]
       | Histogram h ->
           if h.len = 0 then
             Ccs_util.Tables.add_row t [ name; "histogram"; "n=0"; "-"; "-"; "-" ]
@@ -275,7 +252,6 @@ let dump_table () =
 
 let entry_json = function
   | Counter c -> Jsonx.Int c.count
-  | Gauge g -> if g.gset then Jsonx.Float g.gval else Jsonx.Null
   | Histogram h ->
       if h.len = 0 then Jsonx.Obj [ ("count", Jsonx.Int 0) ]
       else
@@ -297,7 +273,6 @@ let entry_json = function
 
 let active = function
   | Counter c -> c.count <> 0
-  | Gauge g -> g.gset
   | Histogram h -> h.len > 0
   | Log_histogram h -> h.lcount > 0
 
@@ -305,9 +280,6 @@ let snapshot ?(all = false) () =
   sorted_entries ()
   |> List.filter_map (fun (name, r) ->
          if all || active r.entry then Some (name, entry_json r.entry) else None)
-
-let dump_json () =
-  Jsonx.Obj (sorted_entries () |> List.map (fun (name, r) -> (name, entry_json r.entry)))
 
 (* ---------------- OpenMetrics text exposition ---------------- *)
 
@@ -352,12 +324,6 @@ let to_openmetrics () =
       | Counter c ->
           om_meta buf n "counter" r.help unit;
           Printf.bprintf buf "%s_total %d\n" n (locked (fun () -> c.count))
-      | Gauge g -> (
-          match gauge_value g with
-          | None -> ()  (* never set: no samples, so no family *)
-          | Some v ->
-              om_meta buf n "gauge" r.help unit;
-              Printf.bprintf buf "%s %s\n" n (om_float v))
       | Histogram h ->
           let samples = locked (fun () -> filled h) in
           let nb = Array.length log_bounds in

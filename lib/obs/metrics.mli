@@ -1,9 +1,9 @@
-(** Process-wide metrics registry: named counters, gauges and histograms.
+(** Process-wide metrics registry: named counters and histograms.
 
     Handles are obtained once (typically at module initialization) and
     updated with plain mutable-field writes, so the hot-path cost of an
     increment is a couple of nanoseconds — no hashtable lookup, no
-    allocation. [dump_table]/[dump_json] render the whole registry;
+    allocation. [dump_table] renders the whole registry;
     [reset] zeroes every value but keeps the handles valid, which is what
     the bench harness does between runs.
 
@@ -17,7 +17,6 @@
     exactly one spelling per unit. Dimensionless counts carry no suffix. *)
 
 type counter
-type gauge
 type histogram
 
 (** Fixed-bucket histogram over log-spaced bounds (1 / 2.5 / 5 per decade,
@@ -34,18 +33,12 @@ type log_histogram
     OpenMetrics [# HELP] line; the first registration wins. *)
 val counter : ?help:string -> string -> counter
 
-val gauge : ?help:string -> string -> gauge
 val histogram : ?help:string -> string -> histogram
 val log_histogram : ?help:string -> string -> log_histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-
-val set_gauge : gauge -> float -> unit
-
-(** [None] until the first [set_gauge]. *)
-val gauge_value : gauge -> float option
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
@@ -72,7 +65,7 @@ val log_histogram_quantile : log_histogram -> float -> float
 (** The shared bucket upper bounds, exposed for the exposition tests. *)
 val log_bounds : float array
 
-(** Zero all counters, unset all gauges, clear all histogram samples.
+(** Zero all counters and clear all histogram samples.
     Registrations (and outstanding handles) survive. *)
 val reset : unit -> unit
 
@@ -80,22 +73,18 @@ val reset : unit -> unit
     sorted by name: columns metric / kind / value / p50 / p95 / max. *)
 val dump_table : unit -> string
 
-(** One object keyed by metric name; counters as ints, gauges as floats
-    (or null), histograms as
-    [{"count":..,"mean":..,"p50":..,"p95":..,"max":..}]. *)
-val dump_json : unit -> Jsonx.t
-
-(** [(name, value)] pairs as in {!dump_json}. With [~all:false] (default)
-    only metrics that saw activity — nonzero counters, set gauges,
-    non-empty histograms — are included. *)
+(** [(name, value)] pairs, one per registered metric: counters as ints,
+    histograms as [{"count":..,"mean":..,"p50":..,"p95":..,"max":..}]
+    (log histograms carry ["sum"] instead of ["mean"]). With [~all:false]
+    (default) only metrics that saw activity — nonzero counters, non-empty
+    histograms — are included. *)
 val snapshot : ?all:bool -> unit -> (string * Jsonx.t) list
 
 (** OpenMetrics text exposition of the whole registry, terminated by
     [# EOF]. Dotted names become underscore names under a [ccs_]
     namespace ([lp.pivots] → [ccs_lp_pivots]); counters expose a
     [_total] sample; both histogram kinds expose cumulative [le] buckets
-    over {!log_bounds} plus [+Inf], [_count] and [_sum]; never-set gauges
-    are omitted. Ready for ROADMAP item 3's [/metrics] endpoint. *)
+    over {!log_bounds} plus [+Inf], [_count] and [_sum]. *)
 val to_openmetrics : unit -> string
 
 (** Write {!to_openmetrics} to [path] (the [--metrics-out] backend). *)

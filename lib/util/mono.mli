@@ -18,4 +18,3 @@ val elapsed_s : since:int -> float
 (** Seconds elapsed since the [now_ns] reading [since]. *)
 
 val ns_of_ms : int -> int
-val ms_of_ns : int -> float

@@ -386,70 +386,6 @@ let prop_shared_model_warm_chain =
       let ok, warm = step None lo hi in
       ok && chain (int_in 1 8) warm lo hi)
 
-(* ---------- LST rounding (Lemmas 8/12/15's rounding step) ---------- *)
-
-let test_lst_simple () =
-  (* 3 parts of size 2 on 2 machines, cap 3: fractional LP feasible
-     (loads 3,3), integral must fit within cap + max = 5. *)
-  let sizes = Array.make 3 (qi 2) in
-  let allowed = Array.make 3 [ 0; 1 ] in
-  match Lst_rounding.round ~sizes ~machines:2 ~allowed ~cap:(qi 3) with
-  | None -> Alcotest.fail "expected roundable"
-  | Some assignment ->
-      let loads = Array.make 2 Q.zero in
-      Array.iteri (fun j i -> loads.(i) <- Q.add loads.(i) sizes.(j)) assignment;
-      Array.iter
-        (fun l -> Alcotest.(check bool) "load <= cap + max" true Q.(l <= qi 5))
-        loads
-
-let test_lst_infeasible () =
-  (* one part that fits nowhere fractionally: size 5, cap 3 *)
-  let sizes = [| qi 5 |] in
-  match Lst_rounding.round ~sizes ~machines:1 ~allowed:[| [ 0 ] |] ~cap:(qi 3) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected infeasible"
-
-let test_lst_respects_allowed () =
-  let sizes = [| qi 1; qi 1 |] in
-  let allowed = [| [ 0 ]; [ 1 ] |] in
-  match Lst_rounding.round ~sizes ~machines:2 ~allowed ~cap:(qi 1) with
-  | Some a ->
-      Alcotest.(check int) "part 0" 0 a.(0);
-      Alcotest.(check int) "part 1" 1 a.(1)
-  | None -> Alcotest.fail "expected feasible"
-
-let prop_lst_rounding =
-  QCheck.Test.make ~name:"LST: loads <= cap + max size, allowed respected" ~count:150
-    (QCheck.int_range 0 1_000_000) (fun seed ->
-      let rng = Ccs_util.Prng.create seed in
-      let machines = Ccs_util.Prng.int_in rng 1 4 in
-      let nparts = Ccs_util.Prng.int_in rng 1 10 in
-      let sizes = Array.init nparts (fun _ -> qi (Ccs_util.Prng.int_in rng 1 9)) in
-      (* plant a feasible integral assignment to define cap *)
-      let planted = Array.init nparts (fun _ -> Ccs_util.Prng.int rng machines) in
-      let loads = Array.make machines Q.zero in
-      Array.iteri (fun j i -> loads.(i) <- Q.add loads.(i) sizes.(j)) planted;
-      let cap = Array.fold_left Q.max Q.zero loads in
-      let allowed =
-        Array.init nparts (fun j ->
-            (* the planted machine plus random extras *)
-            planted.(j)
-            :: List.filter (fun _ -> Ccs_util.Prng.bool rng) (List.init machines Fun.id)
-            |> List.sort_uniq compare)
-      in
-      match Lst_rounding.round ~sizes ~machines ~allowed ~cap with
-      | None -> false (* the planted assignment proves feasibility *)
-      | Some a ->
-          let maxs = Array.fold_left Q.max Q.zero sizes in
-          let loads = Array.make machines Q.zero in
-          let ok = ref true in
-          Array.iteri
-            (fun j i ->
-              if not (List.mem i allowed.(j)) then ok := false;
-              loads.(i) <- Q.add loads.(i) sizes.(j))
-            a;
-          !ok && Array.for_all (fun l -> Q.(l <= Q.add cap maxs)) loads)
-
 let () =
   Alcotest.run "lp"
     [ ( "unit",
@@ -474,10 +410,6 @@ let () =
           Alcotest.test_case "dual repair tie at ratio 1: first |alpha| >= 1" `Quick
             test_dual_repair_tie_positive;
           Alcotest.test_case "fractional data" `Quick test_fractional_data ] );
-      ( "lst-rounding",
-        [ Alcotest.test_case "simple" `Quick test_lst_simple;
-          Alcotest.test_case "infeasible" `Quick test_lst_infeasible;
-          Alcotest.test_case "allowed respected" `Quick test_lst_respects_allowed ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_lps; prop_shared_model_warm_chain; prop_lst_rounding ] ) ]
+          [ prop_random_lps; prop_shared_model_warm_chain ] ) ]

@@ -25,9 +25,9 @@ let test_counters_and_reset () =
 
 let test_kind_mismatch () =
   ignore (Metrics.counter "test.kind");
-  Alcotest.check_raises "re-registering as gauge fails"
+  Alcotest.check_raises "re-registering as histogram fails"
     (Invalid_argument "Metrics: \"test.kind\" is already a counter") (fun () ->
-      ignore (Metrics.gauge "test.kind"))
+      ignore (Metrics.histogram "test.kind"))
 
 let test_histogram_vs_stats () =
   let h = Metrics.histogram "test.histo" in
@@ -71,7 +71,7 @@ let test_name_convention () =
   (* canonical suffixes and dimensionless names register fine *)
   ignore (Metrics.counter "test.nameok.plain");
   ignore (Metrics.histogram "test.nameok.lat_ms");
-  ignore (Metrics.gauge "test.nameok.mem_words");
+  ignore (Metrics.counter "test.nameok.mem_words");
   ignore (Metrics.log_histogram "test.nameok.rung_s");
   (* find-or-create: a second lookup of an accepted name is not re-checked *)
   ignore (Metrics.counter "test.nameok.plain")
@@ -105,13 +105,12 @@ let test_log_histogram () =
    was declared above it, or the final [# EOF]. *)
 let test_openmetrics_lines () =
   let c = Metrics.counter ~help:"Validator fodder" "test.om.reqs" in
-  let g = Metrics.gauge "test.om.load_ratio" in
+  let r = Metrics.histogram "test.om.load_ratio" in
   let h = Metrics.histogram "test.om.lat_s" in
   let lh = Metrics.log_histogram "test.om.rung_s" in
-  ignore (Metrics.gauge "test.om.never_set");
   Metrics.reset ();
   Metrics.add c 3;
-  Metrics.set_gauge g 0.5;
+  Metrics.observe r 0.5;
   List.iter (Metrics.observe h) [ 0.001; 0.02; 3.0 ];
   List.iter (Metrics.observe_log lh) [ 0.004; 7.0 ];
   let text = Metrics.to_openmetrics () in
@@ -147,7 +146,7 @@ let test_openmetrics_lines () =
             if not (name_ok n) then fail "bad family name";
             match kw with
             | "TYPE" ->
-                if not (rest = [ "counter" ] || rest = [ "gauge" ] || rest = [ "histogram" ])
+                if not (rest = [ "counter" ] || rest = [ "histogram" ])
                 then fail "bad TYPE";
                 Hashtbl.replace families n ()
             | "UNIT" ->
@@ -209,8 +208,6 @@ let test_openmetrics_lines () =
     (has "# UNIT ccs_test_om_lat_s s\n");
   Alcotest.(check bool) "ratio unit line" true
     (has "# UNIT ccs_test_om_load_ratio ratio\n");
-  Alcotest.(check bool) "gauge sample" true (has "ccs_test_om_load_ratio 0.5\n");
-  Alcotest.(check bool) "unset gauge omitted" false (has "ccs_test_om_never_set");
   let bucket_counts =
     List.filter_map
       (fun line ->

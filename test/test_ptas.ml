@@ -212,7 +212,18 @@ let test_common_multisets () =
   Alcotest.(check int) "count" 7 (List.length ms);
   let bounded = C.bounded_multisets ~parts:[ (2, 1); (3, 2) ] ~max_sum:8 ~max_count:3 () in
   (* {}, {2}, {3}, {3,2}, {3,3}, {3,3,2} *)
-  Alcotest.(check int) "bounded count" 6 (List.length bounded)
+  Alcotest.(check int) "bounded count" 6 (List.length bounded);
+  (* The DFS's node count, which the enumeration cap and the deadline
+     checkpoints both see: the smallest ~limit that does not raise. *)
+  let nodes enum =
+    let rec go limit = match enum limit with _ -> limit | exception C.Too_many -> go (limit + 1) in
+    go 1
+  in
+  Alcotest.(check int) "nodes" 17
+    (nodes (fun limit -> C.multisets ~limit ~parts:[ 2; 3 ] ~max_sum:6 ~max_count:3 ()));
+  Alcotest.(check int) "bounded nodes" 15
+    (nodes (fun limit ->
+         C.bounded_multisets ~limit ~parts:[ (2, 1); (3, 2) ] ~max_sum:8 ~max_count:3 ()))
 
 let test_geometric_search () =
   let oracle t = if Q.(t >= Q.of_int 10) then Some (Q.to_string t) else None in
