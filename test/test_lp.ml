@@ -280,6 +280,73 @@ let test_fractional_data () =
   Alcotest.check q "x" (qr 15 7) x.(0);
   Alcotest.check q "objective" (Q.add (Q.mul (qr 2 3) (qr 15 7)) (qr 1 7)) obj
 
+(* ---------- the stats record's contract ---------- *)
+
+(* Every pivot happens inside a counted iteration, so on a path that starts
+   no simplex run both counts are zero. *)
+let pivots_within_iterations (s : Lp.stats) =
+  Alcotest.(check bool) "pivots <= iterations" true
+    (s.Lp.pivots <= s.Lp.phase1_iterations + s.Lp.phase2_iterations)
+
+let test_stats_cold () =
+  (* The textbook LP from the slack basis never makes a degenerate pivot:
+     no Bland handover, and nothing warm about a solve given no basis. *)
+  match Lp.solve (textbook ()) with
+  | Lp.Optimal { stats; _ } ->
+      pivots_within_iterations stats;
+      Alcotest.(check bool) "pivoted" true (stats.Lp.pivots >= 1);
+      Alcotest.(check bool) "not warm" false stats.Lp.warm_started;
+      Alcotest.(check bool) "no Bland pivot" false stats.Lp.bland_switched;
+      Alcotest.(check int) "no handover" 0 stats.Lp.pricing_switches
+  | _ -> Alcotest.fail "expected optimal"
+
+let test_stats_crossed_bounds () =
+  (* 3 <= x <= 2 is infeasible before any row is looked at: no phase runs. *)
+  let p =
+    Lp.problem ~lower:[| Some (qi 3) |] ~upper:[| Some (qi 2) |] ~nvars:1
+      ~objective:[| Q.one |]
+      [ Lp.constr [ (0, Q.one) ] Lp.Le (qi 10) ]
+  in
+  match Lp.solve p with
+  | Lp.Infeasible stats ->
+      Alcotest.(check int) "no phase 1" 0 stats.Lp.phase1_iterations;
+      Alcotest.(check int) "no phase 2" 0 stats.Lp.phase2_iterations;
+      Alcotest.(check int) "no pivots" 0 stats.Lp.pivots;
+      Alcotest.(check bool) "not warm" false stats.Lp.warm_started
+  | _ -> Alcotest.fail "expected infeasible"
+
+let test_stats_mismatched_basis () =
+  (* A basis of the 3-row textbook LP offered to a 2-row LP is not adopted:
+     the solve runs cold, reports so, and finds the cold optimum. *)
+  let other =
+    Lp.problem ~nvars:2 ~objective:[| qr 2 3; qr 1 7 |]
+      [ Lp.constr [ (0, Q.one); (1, Q.one) ] Lp.Ge (qr 22 7);
+        Lp.constr [ (1, Q.one) ] Lp.Le Q.one ]
+  in
+  match Lp.solve (textbook ()) with
+  | Lp.Optimal { basis; _ } -> (
+      match (Lp.solve ~warm:basis other, Lp.solve other) with
+      | Lp.Optimal { objective; stats; _ }, Lp.Optimal { objective = cold; _ } ->
+          pivots_within_iterations stats;
+          Alcotest.(check bool) "not warm" false stats.Lp.warm_started;
+          Alcotest.(check bool) "phase 1 ran" true (stats.Lp.phase1_iterations >= 1);
+          Alcotest.check q "matches cold solve" cold objective
+      | _ -> Alcotest.fail "expected optimal on both paths")
+  | _ -> Alcotest.fail "expected optimal"
+
+let test_stats_warm_repair () =
+  (* The warm dual repair's pivots are billed to phase 1, so the same bound
+     holds on the warm path. *)
+  match Lp.solve (textbook ()) with
+  | Lp.Optimal { basis; _ } -> (
+      let p' = { (textbook ()) with Lp.upper = [| None; Some (qi 4) |] } in
+      match Lp.solve ~warm:basis p' with
+      | Lp.Optimal { stats; _ } ->
+          Alcotest.(check bool) "warm adopted" true stats.Lp.warm_started;
+          pivots_within_iterations stats
+      | _ -> Alcotest.fail "expected optimal")
+  | _ -> Alcotest.fail "expected optimal"
+
 (* Random-LP oracle: check (a) solver status sanity, (b) exact feasibility of
    returned points, and (c) optimality against a dense grid of feasible
    sample points — any sampled point beating the "optimum" disproves it. *)
@@ -410,6 +477,15 @@ let () =
           Alcotest.test_case "dual repair tie at ratio 1: first |alpha| >= 1" `Quick
             test_dual_repair_tie_positive;
           Alcotest.test_case "fractional data" `Quick test_fractional_data ] );
+      (* Alcotest cuts long test names to a width set by the longest group
+         label. This label has the 12 characters of the retired
+         lst-rounding group's, so the printed names of the other groups'
+         tests stay as they were. *)
+      ( "solver-stats",
+        [ Alcotest.test_case "cold solve" `Quick test_stats_cold;
+          Alcotest.test_case "crossed bounds" `Quick test_stats_crossed_bounds;
+          Alcotest.test_case "mismatched basis" `Quick test_stats_mismatched_basis;
+          Alcotest.test_case "warm repair" `Quick test_stats_warm_repair ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_lps; prop_shared_model_warm_chain ] ) ]
