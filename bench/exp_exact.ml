@@ -3,19 +3,21 @@
    How large a near-perfect-partition instance can the exact layer close at
    a fixed node budget? The bnb-stress family is the adversarial shape for
    the search (all sizes in a narrow band around p_hi/2, round-robin
-   classes: the area bound is weak and the tree is deep), so the largest n
-   the search completes there is a conservative capability figure. The
-   search effort varies by orders of magnitude between draws of one shape
-   (seed 1234 takes 844k nodes at n = 22 and 1.9k at n = 24), so each size
-   runs several seeds: the conflict-driven B&B alone, then the full
+   classes: the area bound cannot see that a machine takes whole jobs, so
+   the job-count bound does the pruning, and the tree is deep), so the
+   largest n the search completes there is a conservative capability
+   figure. The search effort varies by orders of magnitude between draws
+   of one shape (seed 1236 takes 682k nodes at n = 30 and 41k at n = 32),
+   so the sizes run until some seed stays open, and each size runs
+   several seeds: the conflict-driven B&B alone, then the full
    portfolio race at the same budget. Per size the table gives how many
    seeds closed, the median and max nodes, and the B&B's ns per node; rows
    plus the resulting max_n_complete land in the "exact_sweep" section of
    BENCH_timing.json (merged non-clobbering, like xl_sweep). Node counts
    are deterministic, so a search regression (weaker pruning, lost
    no-goods) moves this table even on a noisy machine. Most of the sweep's
-   ~90 s is the portfolio's ILP members on the n = 26 seeds the B&B leaves
-   open. *)
+   ~55 s is the portfolio's ILP members on the two n = 34 seeds the B&B
+   leaves open (~25 s each, and neither proves them). *)
 
 module U = Bench_util
 module J = Ccs_obs.Jsonx
@@ -24,7 +26,7 @@ module Bnb = Ccs_exact.Bnb
 module Portfolio = Ccs_exact.Portfolio
 
 let node_budget = 1_000_000
-let sizes = [ 10; 12; 14; 16; 18; 20; 22; 24; 26 ]
+let sizes = [ 10; 12; 14; 16; 18; 20; 22; 24; 26; 28; 30; 32; 34 ]
 let seeds = [ 1234; 1235; 1236; 1237; 1238 ]
 
 let spec n =

@@ -73,12 +73,13 @@ let xl_phases () =
        fun () -> ignore (Ccs.Approx.Nonpreemptive.solve (Lazy.force xl_instance)))
     ]
 
-(* The conflict-driven B&B's gate workload: a bnb-stress instance sized so
-   the search visits 92,467 nodes (~0.03 s on a 2-core x86-64 host),
-   enough to exercise no-good learning, probing and a few Luby restarts.
-   The node count is exact and machine-independent, so the counter side of
-   the gate catches a weakened search (lost no-goods, broken symmetry
-   breaking) even where the wall would hide in noise. *)
+(* The conflict-driven B&B's gate workload: a bnb-stress instance on which
+   the search visits 6,805 nodes (~2 ms on a 2-core x86-64 host), enough
+   to exercise no-good learning, probing, the job-count bound and two Luby
+   restarts. The node count is exact and machine-independent, so the
+   counter side of the gate catches a weakened search (lost no-goods, a
+   lost bound, broken symmetry breaking) even where the wall would hide in
+   noise. *)
 let exact_instance =
   Ccs.Generator.generate ~seed:1234
     { Ccs.Generator.n = 18; classes = 4; machines = 4; slots = 2; p_lo = 1;

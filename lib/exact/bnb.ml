@@ -2,6 +2,10 @@ let m_solves = Ccs_obs.Metrics.counter "bnb.solves"
 let m_nodes = Ccs_obs.Metrics.counter "bnb.nodes"
 let m_prune_area = Ccs_obs.Metrics.counter "bnb.prunes_area"
 let m_prune_slots = Ccs_obs.Metrics.counter "bnb.prunes_slots"
+
+let m_prune_count = Ccs_obs.Metrics.counter "bnb.prunes_count"
+    ~help:"Nodes pruned because more jobs remain than the machines can still fit"
+
 let m_incumbents = Ccs_obs.Metrics.counter "bnb.incumbents"
 let m_limit_hits = Ccs_obs.Metrics.counter "bnb.node_limit_hits"
 
@@ -187,6 +191,32 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
         suffix.(d) <- suffix.(d + 1) + bp.(seq.(d))
       done
     in
+    (* Count bound: machine k takes at most f_k of the smallest remaining
+       jobs under best - 1, and the r jobs left need f_0 + ... >= r. The f
+       smallest are the last f of [seq], so their sum is [suffix.(n - f)]
+       only while [seq.(depth..n-1)] is in non-increasing size order: a
+       tail out of order would undercount f_k and cut the optimum. The sum
+       stops once it reaches r, and a machine with room for all the jobs
+       still needed (the smallest r - fit, [suffix.(depth + fit)]) ends it
+       in one step, so a node the bound cannot cut stays cheap. Otherwise
+       the scan stops below r - fit, inside the remaining jobs. *)
+    let too_few_fit depth =
+      let r = n - depth in
+      let fit = ref 0 and k = ref 0 in
+      while !fit < r && !k < m do
+        let room = !best - 1 - loads.(!k) in
+        if suffix.(depth + !fit) <= room then fit := r
+        else begin
+          let f = ref 0 in
+          while suffix.(n - !f - 1) <= room do
+            incr f
+          done;
+          fit := !fit + !f
+        end;
+        incr k
+      done;
+      !fit < r
+    in
     (* ---------------- no-good store ---------------- *)
     (* A state is (canonical machine multiset, remaining job multiset). The
        remaining multiset depends only on the depth of the current order, so
@@ -301,11 +331,30 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
         !infeasible
       end
     in
+    (* Size first, activity as the tiebreak: the area and count bounds need
+       big jobs up front and the count bound needs the whole unforced tail
+       in size order (a pure activity order stalls the search — n=18
+       bnb-stress takes 3x the nodes), but among equal sizes — the common
+       case in the near-partition family — a restart moves conflict-heavy
+       jobs forward. Probing's swaps can leave the tail out of size order,
+       so this also runs once after probing, when every activity is 0 and
+       ties keep the base order. *)
+    let reorder () =
+      let len = n - !forced_len in
+      let tail = Array.sub seq !forced_len len in
+      Array.sort
+        (fun a b ->
+          match compare bp.(b) bp.(a) with
+          | 0 -> ( match compare act.(b) act.(a) with 0 -> compare a b | cmp -> cmp)
+          | cmp -> cmp)
+        tail;
+      Array.blit tail 0 seq !forced_len len
+    in
     (* ---------------- search ---------------- *)
     let nodes = ref 0 in
     let nodes_since = ref 0 in
     let restart_limit = ref 0 in
-    let prunes_area = ref 0 and prunes_slots = ref 0 in
+    let prunes_area = ref 0 and prunes_slots = ref 0 and prunes_count = ref 0 in
     let incumbents = ref 0 in
     let restarts = ref 0 in
     let exception Limit in
@@ -342,6 +391,10 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
           end
           else if !missing > !free_slots then begin
             incr prunes_slots;
+            bump j
+          end
+          else if too_few_fit depth then begin
+            incr prunes_count;
             bump j
           end
           else begin
@@ -415,23 +468,6 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
         free_slots := free0
       in
       let root_max = Array.fold_left max 0 loads in
-      let reorder () =
-        (* Size first, activity as the tiebreak: the area bound needs big
-           jobs up front (a pure activity order stalls the search — n=18
-           bnb-stress takes 3x the nodes), but among equal sizes — the
-           common case in the near-partition family — the restart moves
-           conflict-heavy jobs forward. *)
-        let len = n - !forced_len in
-        let tail = Array.sub seq !forced_len len in
-        Array.sort
-          (fun a b ->
-            match compare bp.(b) bp.(a) with
-            | 0 -> (
-                match compare act.(b) act.(a) with 0 -> compare a b | cmp -> cmp)
-            | cmp -> cmp)
-          tail;
-        Array.blit tail 0 seq !forced_len len
-      in
       let rec run () =
         restart_limit := (if restart_unit <= 0 then 0 else restart_unit * luby (!restarts + 1));
         nodes_since := 0;
@@ -454,6 +490,7 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
       Ccs_obs.Metrics.add m_nodes !nodes;
       Ccs_obs.Metrics.add m_prune_area !prunes_area;
       Ccs_obs.Metrics.add m_prune_slots !prunes_slots;
+      Ccs_obs.Metrics.add m_prune_count !prunes_count;
       Ccs_obs.Metrics.add m_incumbents !incumbents;
       Ccs_obs.Metrics.add m_nogoods !ng_stored;
       Ccs_obs.Metrics.add m_nogood_hits !ng_hits;
@@ -471,7 +508,8 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
           Ccs_obs.Jsonx.
             [ ("nodes", Int !nodes); ("nogoods", Int !ng_stored);
               ("nogood_resets", Int !ng_resets); ("restarts", Int !restarts);
-              ("prunes_area", Int !prunes_area); ("complete", Bool complete) ];
+              ("prunes_area", Int !prunes_area); ("prunes_count", Int !prunes_count);
+              ("complete", Bool complete) ];
       Some
         {
           makespan = !best;
@@ -490,6 +528,7 @@ let solve_result ?(node_limit = 50_000_000) ?(nogood_limit = 1_000_000) ?(restar
       match probe () with
       | true -> finish Complete
       | false ->
+          reorder ();
           compute_suffix ();
           compute_depth_ids ();
           finish (run_search ())

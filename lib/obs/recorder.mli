@@ -21,7 +21,7 @@
       guess, [budget] being Tbar/T as a rational; [border_search.done]
       ([t_star], [probes]) per 2-approximation border search; [bnb.done]
       ([nodes], [nogoods], [nogood_resets], [restarts], [prunes_area],
-      [complete]) per exact B&B solve; [fault] ([site], [ordinal],
+      [prunes_count], [complete]) per exact B&B solve; [fault] ([site], [ordinal],
       [what]) per injected fault.
       Emitters guard them with {!active}, so a run without recording
       builds no fields.

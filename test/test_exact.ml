@@ -1,11 +1,12 @@
 (* The conflict-driven exact search and the solver portfolio. The learned
-   no-goods, root probing, Luby restarts and identical-machine symmetry
-   breaking are pure prunings: none of them may ever cut the optimum, which
-   is pinned against the unpruned brute-force reference across every
-   generator family — including adversarial knob settings that force
-   frequent restarts and no-good store overflows. Each portfolio member's
-   proof must match the brute force too. The no-good store's packed keys
-   and flat set are checked against plain models of the same states. *)
+   no-goods, root probing, Luby restarts, the job-count bound and
+   identical-machine symmetry breaking are pure prunings: none of them may
+   ever cut the optimum, which is pinned against the unpruned brute-force
+   reference across every generator family — including adversarial knob
+   settings that force frequent restarts and no-good store overflows. Each
+   portfolio member's proof must match the brute force too. The no-good
+   store's packed keys and flat set are checked against plain models of
+   the same states. *)
 
 module I = Ccs.Instance
 module S = Ccs.Schedule
@@ -58,6 +59,20 @@ let matches_brute ?nogood_limit ?restart_unit inst =
 let prop_cdcl_matches_brute =
   QCheck.Test.make ~name:"conflict-driven B&B = brute force (all families)" ~count:120
     (QCheck.int_range 0 1_000_000) (fun seed -> matches_brute (random_instance seed))
+
+(* A property whose draws never reach a prune says nothing about that
+   prune: the test case fails when a whole run leaves [counter] where it
+   was. *)
+let fires counter test =
+  let counter = Ccs_obs.Metrics.counter counter in
+  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  ( name,
+    speed,
+    fun () ->
+      let before = Ccs_obs.Metrics.counter_value counter in
+      run ();
+      if Ccs_obs.Metrics.counter_value counter = before then
+        Alcotest.fail "no draw reached the prune" )
 
 let prop_cdcl_adversarial_knobs =
   (* A 16-node Luby unit restarts the search relentlessly and a 32-entry
@@ -336,6 +351,30 @@ let test_probing_proves_optimal () =
       Alcotest.(check int) "no search needed" 0 r.nodes
   | None -> Alcotest.fail "schedulable instance"
 
+let test_count_bound_keeps_optimum () =
+  (* Two optima the job-count bound once cut, each checked against the
+     brute force:
+     - m = 3, c = 1. Probing under 11 (the warm start is 12) forces A7, B7
+       and A5 onto a machine each, then B1 onto B's machine. B1 is the
+       smallest job, so its swap to the front of the order moves A4 behind
+       the two A3s. The bound reads the smallest remaining jobs off the end
+       of the order: on that unsorted tail it finds room for 2 of the 3
+       jobs and cuts the root, losing the optimum 11 (A7+A4, B7+B1,
+       A5+A3+A3).
+     - m = 2, c = 2. The optimum 6 (A4+B2, A3+B2) fills both machines to
+       the last unit: a fit test that wants room to spare cuts it. *)
+  List.iter
+    (fun (machines, slots, jobs, opt) ->
+      let inst = I.make ~machines ~slots jobs in
+      match (Bnb.solve_result inst, Bnb.brute_force inst) with
+      | Some r, Some reference ->
+          Alcotest.(check int) "brute force" opt reference;
+          Alcotest.(check int) "optimal" reference r.makespan;
+          Alcotest.(check int) "proved" reference r.lower_bound
+      | _ -> Alcotest.fail "schedulable instance")
+    [ (3, 1, [ (7, 0); (7, 1); (5, 0); (4, 0); (3, 0); (3, 0); (1, 1) ], 11);
+      (2, 2, [ (4, 0); (3, 0); (2, 1); (2, 1) ], 6) ]
+
 let test_brute_force_deadline () =
   (* The incremental brute force must notice an expired ambient deadline
      instead of hanging (the old version never checked). *)
@@ -354,11 +393,14 @@ let () =
         [ Alcotest.test_case "node limit keeps incumbent" `Quick test_node_limit_keeps_incumbent;
           Alcotest.test_case "solve stays strict" `Quick test_solve_none_on_node_limit;
           Alcotest.test_case "probing closes at the bound" `Quick test_probing_proves_optimal;
+          Alcotest.test_case "count bound keeps the optimum" `Quick
+            test_count_bound_keeps_optimum;
           Alcotest.test_case "brute force honors deadlines" `Quick test_brute_force_deadline ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_cdcl_matches_brute; prop_cdcl_adversarial_knobs; prop_cdcl_five_machines;
-            prop_cdcl_huge_loads; prop_no_restarts_same_answer; prop_portfolio_matches_brute;
-            prop_ilp_members_match_brute; prop_nfold_member_matches_brute ] );
+        fires "bnb.prunes_count" prop_cdcl_matches_brute
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_cdcl_adversarial_knobs; prop_cdcl_five_machines; prop_cdcl_huge_loads;
+               prop_no_restarts_same_answer; prop_portfolio_matches_brute;
+               prop_ilp_members_match_brute; prop_nfold_member_matches_brute ] );
       ( "nogoods",
         List.map QCheck_alcotest.to_alcotest [ prop_nogood_keys; prop_nogood_set ] ) ]
