@@ -74,12 +74,12 @@ let xl_phases () =
     ]
 
 (* The conflict-driven B&B's gate workload: a bnb-stress instance on which
-   the search visits 6,805 nodes (~2 ms on a 2-core x86-64 host), enough
-   to exercise no-good learning, probing, the job-count bound and two Luby
-   restarts. The node count is exact and machine-independent, so the
-   counter side of the gate catches a weakened search (lost no-goods, a
-   lost bound, broken symmetry breaking) even where the wall would hide in
-   noise. *)
+   the search visits 6,805 nodes (~2 ms on a 2-core x86-64 host, so the
+   phase repeats the solve 5 times), enough to exercise no-good learning,
+   probing, the job-count bound and two Luby restarts. The node count is
+   exact and machine-independent, so the counter side of the gate catches
+   a weakened search (lost no-goods, a lost bound, broken symmetry
+   breaking) even where the wall would hide in noise. *)
 let exact_instance =
   Ccs.Generator.generate ~seed:1234
     { Ccs.Generator.n = 18; classes = 4; machines = 4; slots = 2; p_lo = 1;
@@ -118,8 +118,7 @@ let phases =
     ("ptas_preemptive", ptas_preemptive);
     ("ptas_nonpreemptive",
      times 50 (fun () -> ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param small)));
-    ("exact_bnb",
-     fun () -> ignore (Ccs_exact.Bnb.solve_result exact_instance))
+    ("exact_bnb", times 5 (fun () -> ignore (Ccs_exact.Bnb.solve_result exact_instance)))
   ]
   @ xl_phases ()
 

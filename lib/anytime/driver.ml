@@ -318,8 +318,8 @@ let solve_nonpreemptive ?deadline ?(start = Exact) ?(param = Common.param 3)
   check_schedulable "solve_nonpreemptive" inst;
   let exact () =
     if portfolio then
-      (* the first member's proof, or the warm-start incumbent with the
-         root bound when every member abstains *)
+      (* the first member's proof, or the B&B's incumbent with its proven
+         bound when every member abstains *)
       Option.map
         (fun (o : Ccs_exact.Portfolio.outcome) ->
           { sched = o.assignment; value = Q.of_int o.makespan;

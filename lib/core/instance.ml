@@ -33,25 +33,20 @@ let renumber_sparse (cls : arr) =
   List.length ids
 
 (* Dense renumbering in place: distinct original ids sorted ascending map
-   to 0, 1, ... Returns the class count. Ids below 2n index an array: mark
-   the ids present, number them in ascending order, rewrite — O(n), no
-   hashing. Larger ids (sparse ids are a supported input) take the
-   [Hashtbl] path. *)
-let renumber (cls : arr) =
+   to 0, 1, ... Returns the class count. [max_id] is the largest id. Ids
+   below 2n index an array: mark the ids present, number them in ascending
+   order, rewrite — O(n), no hashing. Larger ids (sparse ids are a
+   supported input) take the [Hashtbl] path. *)
+let renumber (cls : arr) max_id =
   let n = A1.dim cls in
-  let max_id = ref 0 in
-  for i = 0 to n - 1 do
-    let u = A1.unsafe_get cls i in
-    if u > !max_id then max_id := u
-  done;
-  if !max_id < 2 * n then begin
+  if max_id < 2 * n then begin
     (* [dense.(u)] is 1 for a present id, then its dense number *)
-    let dense = Array.make (!max_id + 1) 0 in
+    let dense = Array.make (max_id + 1) 0 in
     for i = 0 to n - 1 do
       Array.unsafe_set dense (A1.unsafe_get cls i) 1
     done;
     let next = ref 0 in
-    for u = 0 to !max_id do
+    for u = 0 to max_id do
       if Array.unsafe_get dense u <> 0 then begin
         Array.unsafe_set dense u !next;
         incr next
@@ -72,15 +67,16 @@ let of_bigarrays ~machines ~slots ~(p : arr) ~(cls : arr) =
   if machines <= 0 then invalid_arg "Instance.make: machines must be positive";
   if slots <= 0 then invalid_arg "Instance.make: slots must be positive";
   (* every load the solvers sum is at most the total, so it must fit *)
-  let total = ref 0 and overflow = ref false in
+  let total = ref 0 and overflow = ref false and max_id = ref 0 in
   for i = 0 to n - 1 do
-    let pi = A1.unsafe_get p i in
+    let pi = A1.unsafe_get p i and u = A1.unsafe_get cls i in
     if pi <= 0 then invalid_arg "Instance.make: processing times must be positive";
-    if A1.unsafe_get cls i < 0 then invalid_arg "Instance.make: classes must be non-negative";
+    if u < 0 then invalid_arg "Instance.make: classes must be non-negative";
+    if u > !max_id then max_id := u;
     if pi > max_int - !total then overflow := true else total := !total + pi
   done;
   if !overflow then invalid_arg "Instance.make: total processing time exceeds max_int";
-  let classes = renumber cls in
+  let classes = renumber cls !max_id in
   { p; cls; machines; slots = min slots classes; classes }
 
 let of_arrays ~machines ~slots ~p ~cls =

@@ -39,7 +39,8 @@ val of_arrays : machines:int -> slots:int -> p:int array -> cls:int array -> t
 
 (** Like {!of_arrays} but takes ownership of the Bigarrays — the class
     array is renumbered in place, no copy. This is the entry point of both
-    loaders (text and [ccsb1]). *)
+    loaders (text and [ccsb1]). Its validation pass also finds the largest
+    class id, which renumbering needs. *)
 val of_bigarrays : machines:int -> slots:int -> p:arr -> cls:arr -> t
 
 (** The identity. Kept only because [bench/e2e] still calls it; it goes
@@ -77,7 +78,10 @@ val class_jobs_csr : t -> int array * int array
 (** True iff any schedule exists at all: C <= c * m. *)
 val schedulable : t -> bool
 
-(** Off-heap bytes held by the two Bigarrays (16 per job). *)
+(** Off-heap bytes the two Bigarrays address: 16 per job. A text load's
+    arrays are views of a reservation sized from the file's length (see
+    {!Io}); its tail past the last job is never written, so it is not
+    counted here, and its pages are never made resident by the loader. *)
 val mem_bytes : t -> int
 
 val pp : Format.formatter -> t -> unit

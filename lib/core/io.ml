@@ -43,8 +43,18 @@ let to_string_flat = to_string
    and fields of any other shape become strings; those fields go through
    [int_of_string_opt], so signs, [0x]/[0o]/[0b] prefixes, underscores and
    out-of-range values behave exactly as that function says. Job fields go
-   straight into growable off-heap arrays — no whole-file string, no token
-   list, nothing allocated on the OCaml heap per job line. *)
+   straight into off-heap arrays — no whole-file string, no token list,
+   nothing allocated on the OCaml heap per job line.
+
+   A whole job line gets a faster case still: at a line start, a line of
+   the form [job] blank+ digits blank+ digits blank* [# comment] newline
+   that lies inside the current chunk, with plain fields of at most 18
+   digits and a positive p, is read in one scan ([whole_job_line]) and
+   counted as the 3 tokens and 1 line the byte loop would count. Any other
+   line (a sign, a prefix, a 19th digit, p = 0, a wrong field count, a
+   line cut by the chunk end) is refused before anything is stored, and
+   the byte loop reads it from its start, so the byte loop alone decides
+   every input the fast case does not take. *)
 
 type parser_state = {
   mutable lineno : int;
@@ -63,15 +73,25 @@ type parser_state = {
   mutable njobs : int;
   mutable ntokens : int; (* tokens not yet added to [io.stream_tokens] *)
   mutable error : string option;
+  mutable bol : bool; (* the next chunk starts a line *)
+  mutable field : int; (* the value [digit_run] read last *)
 }
 
 let new_arr n : Instance.arr = A1.create Bigarray.int Bigarray.c_layout n
 
-let new_state () =
+(* The most job entries reserved up front from an input's length: 128 MB
+   per array. Longer inputs grow by doubling past it. *)
+let max_reserve = 1 lsl 24
+
+(* An input of [len] bytes holds at most [len / 8 + 1] job lines, since the
+   shortest, "job 1 0\n", is 8 bytes; without a length (a pipe) the arrays
+   start at 1024 entries and double. *)
+let new_state ?len () =
+  let cap = match len with Some len -> min max_reserve ((len / 8) + 1) | None -> 1024 in
   { lineno = 1; ntok = 0; job_line = false; tok = Array.make 2 ""; line_p = 0;
     line_cls = 0; fields_ok = true; in_comment = false; pending = Buffer.create 32;
-    machines = None; slots = None; jp = new_arr 1024; jcls = new_arr 1024; njobs = 0;
-    ntokens = 0; error = None }
+    machines = None; slots = None; jp = new_arr cap; jcls = new_arr cap; njobs = 0;
+    ntokens = 0; error = None; bol = true; field = 0 }
 
 let failed st = match st.error with None -> false | Some _ -> true
 
@@ -167,17 +187,89 @@ let end_line st =
   dispatch_line st;
   st.lineno <- st.lineno + 1
 
+let[@inline] is_blank = function ' ' | '\t' | '\r' | '\012' -> true | _ -> false
+
+(* The end of the blank run that starts at [j], or -1 if it is empty. *)
+let blank_run buf j len =
+  let k = ref j in
+  while !k < len && is_blank (Bytes.unsafe_get buf !k) do
+    incr k
+  done;
+  if !k = j then -1 else !k
+
+(* The end of the run of 1 to 18 digits that starts at [j], its value left
+   in [st.field]; -1 if the run is empty or longer. *)
+let digit_run st buf j len =
+  let k = ref j and v = ref 0 in
+  while
+    !k < len
+    && match Bytes.unsafe_get buf !k with '0' .. '9' -> true | _ -> false
+  do
+    v := (10 * !v) + (Char.code (Bytes.unsafe_get buf !k) - 48);
+    incr k
+  done;
+  if !k = j || !k - j > 18 then -1
+  else begin
+    st.field <- !v;
+    !k
+  end
+
+(* The index after the line's newline, past blanks and an optional
+   comment from [j]; -1 if another byte or the chunk's end comes first. *)
+let line_end buf j len =
+  let k = ref j in
+  while !k < len && is_blank (Bytes.unsafe_get buf !k) do
+    incr k
+  done;
+  if !k < len && Bytes.unsafe_get buf !k = '#' then
+    while !k < len && Bytes.unsafe_get buf !k <> '\n' do
+      incr k
+    done;
+  if !k < len && Bytes.unsafe_get buf !k = '\n' then !k + 1 else -1
+
+(* The whole-line fast case (see the header comment) for the line that
+   starts at [i]: pushes its job and returns the index after its newline,
+   or returns -1 with nothing stored or counted. *)
+let whole_job_line st buf i len =
+  if
+    i + 8 > len
+    || Bytes.unsafe_get buf i <> 'j'
+    || Bytes.unsafe_get buf (i + 1) <> 'o'
+    || Bytes.unsafe_get buf (i + 2) <> 'b'
+  then -1
+  else
+    let j = blank_run buf (i + 3) len in
+    let j = if j < 0 then j else digit_run st buf j len in
+    let p = st.field in
+    let j = if j < 0 then j else blank_run buf j len in
+    let j = if j < 0 then j else digit_run st buf j len in
+    let j = if j < 0 then j else line_end buf j len in
+    if j < 0 || p = 0 then -1
+    else begin
+      push_job st p st.field;
+      st.ntokens <- st.ntokens + 3;
+      st.lineno <- st.lineno + 1;
+      j
+    end
+
+(* Whole job lines from the line start [i] on, unless the parse has
+   failed; the start of the first line the fast case refuses. *)
+let rec job_lines st buf i len =
+  if failed st then i
+  else match whole_job_line st buf i len with -1 -> i | j -> job_lines st buf j len
+
 let feed st buf len =
   Ccs_obs.Metrics.add m_stream_bytes len;
-  let i = ref 0 in
+  let i = ref (if st.bol then job_lines st buf 0 len else 0) in
   while !i < len && not (failed st) do
     let ch = Bytes.unsafe_get buf !i in
     if st.in_comment then begin
       if ch = '\n' then begin
         st.in_comment <- false;
-        end_line st
-      end;
-      incr i
+        end_line st;
+        i := job_lines st buf (!i + 1) len
+      end
+      else incr i
     end
     else
       match ch with
@@ -187,7 +279,7 @@ let feed st buf len =
       | '\n' ->
           flush_pending st;
           end_line st;
-          incr i
+          i := job_lines st buf (!i + 1) len
       | '#' ->
           flush_pending st;
           st.in_comment <- true;
@@ -215,6 +307,7 @@ let feed st buf len =
           else add_token st buf s e (if !plain && e - s <= 18 then !v else -1);
           i := e
   done;
+  st.bol <- Bytes.unsafe_get buf (len - 1) = '\n';
   flush_token_count st
 
 let finish st =
@@ -230,16 +323,17 @@ let finish st =
   | None, _, None, _ -> Error "missing 'slots' line"
   | None, _, _, 0 -> Error "no jobs"
   | None, Some machines, Some slots, n -> (
-      (* exact-length copies: the instance keeps 16 bytes per job *)
-      let p = resized st.jp n n and cls = resized st.jcls n n in
+      (* exact-length views: the instance addresses 16 bytes per job *)
+      let p = A1.sub st.jp 0 n and cls = A1.sub st.jcls 0 n in
       try Ok (Instance.of_bigarrays ~machines ~slots ~p ~cls)
       with Invalid_argument msg -> Error msg)
 
 let default_chunk = 65536
 
-(* [read buf] fills [buf] and returns the byte count, 0 at end of input. *)
-let parse_stream ~chunk read =
-  let st = new_state () in
+(* [read buf] fills [buf] and returns the byte count, 0 at end of input;
+   [len] is the input's length in bytes, when it has one. *)
+let parse_stream ?len ~chunk read =
+  let st = new_state ?len () in
   let buf = Bytes.create chunk in
   let rec loop () =
     match read buf with
@@ -259,7 +353,7 @@ let of_string ?(chunk = default_chunk) text =
     pos := !pos + k;
     k
   in
-  parse_stream ~chunk read
+  parse_stream ~len:(String.length text) ~chunk read
 
 (* ---------------- binary flat format ----------------
 
@@ -370,6 +464,8 @@ let parse_channel ?(chunk = default_chunk) ic =
   if got = String.length flat_magic && Bytes.to_string prefix = flat_magic then
     read_flat_body ic
   else begin
+    (* a pipe has no length *)
+    let len = try Some (Int64.to_int (In_channel.length ic)) with Sys_error _ -> None in
     let served = ref 0 in
     let read buf =
       if !served < got then begin
@@ -380,7 +476,7 @@ let parse_channel ?(chunk = default_chunk) ic =
       end
       else In_channel.input ic buf 0 (Bytes.length buf)
     in
-    parse_stream ~chunk read
+    parse_stream ?len ~chunk read
   end
 
 let load path =

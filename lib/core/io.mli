@@ -19,6 +19,24 @@
     18 digits) are parsed by [int_of_string_opt]. A total processing time
     above [max_int] is rejected with an error, like any malformed input.
 
+    Whole job lines take a fast case: at a line start, a line
+    {v job <blank>+ <digits> <blank>+ <digits> <blank>* [# comment] \n v}
+    that lies inside the current chunk, where a blank is a space, tab, CR
+    or form feed, each field is a plain run of at most 18 digits and p is
+    positive, is read in one scan and stored directly. Every other line —
+    a sign or prefix, a 19th digit, p = 0, a wrong field count, leading
+    blanks, a line cut by the chunk's end — falls back to the byte-by-byte
+    tokenizer from its first byte, which alone decides those inputs, so the
+    fast case changes neither results, nor error messages, nor the
+    [io.stream_tokens] count (3 tokens per job line on either path).
+
+    The job arrays are sized once from the input's length when it has one
+    (a regular file, or the string given to {!of_string}): [len / 8 + 1]
+    entries, since the shortest job line, ["job 1 0\n"], is 8 bytes, and at
+    most 2{^24} entries, beyond which they double. An input without a length
+    (a pipe) starts at 1024 entries and doubles. The instance gets
+    exact-length views of these arrays, not copies.
+
     There is also a binary flat format (magic ["ccsb1\n"], int64
     little-endian header [n, machines, slots] followed by the [p] and [cls]
     arrays) that loads a million-job instance with two bulk reads. {!load}

@@ -6,8 +6,9 @@
    with one brick per machine. Each member either returns a *proof* — an
    optimal assignment — or abstains ([None]) when its budget is exhausted;
    the first proof in member order wins and later members never run.
-   Incumbent-quality (unproven) answers never win: only the fallback
-   reports them, when every member abstained. *)
+   Incumbent-quality (unproven) answers never win: only the fallback, the
+   B&B's best incumbent and proven lower bound, reports them, when every
+   member abstained. *)
 
 module Q = Rat
 
@@ -282,53 +283,34 @@ let solve ?(node_limit = 50_000_000) ?(max_configs = 4_000) ?(ilp_nodes = 200_00
   else begin
     let ord = Atomic.fetch_and_add solve_ids 1 in
     Ccs_obs.Metrics.incr m_races;
-    (* The fallback when every member abstains: the 7/3 warm start plus the
-       root lower bound — the portfolio only ever trades it up for a proof. *)
-    let warm, _ = Ccs.Approx.Nonpreemptive.solve inst in
-    let ub0 = Ccs.Schedule.nonpreemptive_makespan inst warm in
-    let lb0 = Ccs.Bounds.lb_integral inst in
-    let run i =
-      let res =
-        match i with
-        | 0 -> (
-            match Bnb.solve_result ~node_limit inst with
-            | Some { status = Bnb.Complete; makespan; assignment; _ } ->
-                Some (makespan, assignment)
-            | _ -> None)
-        | 1 -> config_ilp ~max_configs ~ilp_nodes inst
-        | _ -> nfold_member ~ilp_nodes inst
-      in
-      match res with
-      | Some (mk, asg) ->
-          Ccs_obs.Recorder.incumbent ~src:("portfolio." ^ member_names.(i)) ~solve:ord
-            (float_of_int mk);
-          Ccs_obs.Recorder.lower_bound ~src:("portfolio." ^ member_names.(i)) ~solve:ord
-            (float_of_int mk);
-          Some (i, mk, asg)
-      | None -> None
+    let proof i (mk, asg) =
+      Ccs_obs.Recorder.incumbent ~src:("portfolio." ^ member_names.(i)) ~solve:ord
+        (float_of_int mk);
+      Ccs_obs.Recorder.lower_bound ~src:("portfolio." ^ member_names.(i)) ~solve:ord
+        (float_of_int mk);
+      Ccs_obs.Metrics.incr m_winner.(i);
+      { makespan = mk; assignment = asg; winner = member_names.(i); proved = true;
+        lower_bound = mk }
     in
     Ccs_obs.Recorder.phase "portfolio.solve"
       ~fields:[ ("n", Ccs_obs.Jsonx.Int (Ccs.Instance.n inst)) ]
       (fun () ->
-        match List.find_map run [ 0; 1; 2 ] with
-        | Some (i, mk, asg) ->
-            Ccs_obs.Metrics.incr m_winner.(i);
-            Some
-              {
-                makespan = mk;
-                assignment = asg;
-                winner = member_names.(i);
-                proved = true;
-                lower_bound = mk;
-              }
-        | None ->
-            Ccs_obs.Metrics.incr m_winner_none;
-            Some
-              {
-                makespan = ub0;
-                assignment = warm;
-                winner = "none";
-                proved = false;
-                lower_bound = lb0;
-              })
+        (* A B&B out of budget still holds its best incumbent and proven
+           lower bound: they are the fallback when every member abstains,
+           and only a later member's proof trades them up. *)
+        Option.map
+          (fun (b : Bnb.result) ->
+            match b.status with
+            | Bnb.Complete -> proof 0 (b.makespan, b.assignment)
+            | Bnb.Node_limit | Bnb.Interrupted _ -> (
+                match config_ilp ~max_configs ~ilp_nodes inst with
+                | Some r -> proof 1 r
+                | None -> (
+                    match nfold_member ~ilp_nodes inst with
+                    | Some r -> proof 2 r
+                    | None ->
+                        Ccs_obs.Metrics.incr m_winner_none;
+                        { makespan = b.makespan; assignment = b.assignment; winner = "none";
+                          proved = false; lower_bound = b.lower_bound })))
+          (Bnb.solve_result ~node_limit inst))
   end

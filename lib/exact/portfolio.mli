@@ -17,9 +17,10 @@ type outcome = {
   assignment : Ccs.Schedule.nonpreemptive;
   winner : string;
       (** ["bnb"], ["config_ilp"], ["nfold"], or ["none"] when every member
-          abstained (the warm-start incumbent is returned) *)
+          abstained (the B&B's best incumbent is returned) *)
   proved : bool;
-  lower_bound : int;  (** best proven bound; [= makespan] iff [proved] *)
+  lower_bound : int;
+      (** the B&B's proven bound, or [makespan] when [proved] *)
 }
 
 (** [None] only for unschedulable instances. [node_limit] budgets the B&B

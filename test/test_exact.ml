@@ -329,6 +329,30 @@ let test_node_limit_keeps_incumbent () =
       | Error e -> Alcotest.fail ("invalid incumbent: " ^ e))
   | None -> Alcotest.fail "schedulable instance"
 
+let test_portfolio_keeps_bnb_incumbent () =
+  (* Every member abstains: 100 B&B nodes, one configuration, one ILP node.
+     The answer is the B&B's budgeted incumbent (152 here) with its proven
+     bound, not the 7/3 warm start it started from (199). *)
+  let inst =
+    Ccs.Generator.generate ~seed:1
+      { Ccs.Generator.n = 12; classes = 4; machines = 4; slots = 2; p_lo = 1; p_hi = 100;
+        family = Ccs.Generator.Bnb_stress }
+  in
+  match
+    (Portfolio.solve ~node_limit:100 ~max_configs:1 ~ilp_nodes:1 inst,
+     Bnb.solve_result ~node_limit:100 inst)
+  with
+  | Some o, Some b -> (
+      Alcotest.(check string) "every member abstained" "none" o.winner;
+      Alcotest.(check bool) "not proved" false o.proved;
+      Alcotest.(check bool) "B&B out of budget" true (b.status = Bnb.Node_limit);
+      Alcotest.(check int) "the B&B's incumbent" b.makespan o.makespan;
+      Alcotest.(check int) "the B&B's lower bound" b.lower_bound o.lower_bound;
+      match S.validate_nonpreemptive inst o.assignment with
+      | Ok mk -> Alcotest.(check int) "assignment makespan" o.makespan mk
+      | Error e -> Alcotest.fail ("invalid assignment: " ^ e))
+  | _ -> Alcotest.fail "schedulable instance"
+
 let test_solve_none_on_node_limit () =
   (* [solve] keeps its strict contract: no proof, no answer. *)
   let spec =
@@ -392,6 +416,8 @@ let () =
     [ ( "bnb",
         [ Alcotest.test_case "node limit keeps incumbent" `Quick test_node_limit_keeps_incumbent;
           Alcotest.test_case "solve stays strict" `Quick test_solve_none_on_node_limit;
+          Alcotest.test_case "portfolio keeps the B&B incumbent" `Quick
+            test_portfolio_keeps_bnb_incumbent;
           Alcotest.test_case "probing closes at the bound" `Quick test_probing_proves_optimal;
           Alcotest.test_case "count bound keeps the optimum" `Quick
             test_count_bound_keeps_optimum;

@@ -2,7 +2,12 @@
    2-approximation cores against their list-based references: the
    tokenizer must be invariant under chunking (every token boundary
    exercised), with the same results AND error messages, and each
-   production core must be bit-identical to [Approx_ref]. *)
+   production core must be bit-identical to [Approx_ref].
+
+   A chunk of at most 7 bytes cannot hold a whole job line (the shortest,
+   "job 1 0\n", is 8 bytes), so parses at such chunks never take the
+   tokenizer's whole-line fast case: they are the reference that the
+   default chunk and the mid-sized ones, which do take it, must match. *)
 
 module I = Ccs.Instance
 module S = Ccs.Schedule
@@ -26,6 +31,29 @@ let parse_agree r1 r2 =
   | Ok a, Ok b -> inst_equal a b
   | Error e1, Error e2 -> String.equal e1 e2
   | _ -> false
+
+let m_tokens = Ccs_obs.Metrics.counter "io.stream_tokens"
+
+(* [Io.of_string] and the number of tokens it added to [io.stream_tokens] *)
+let parse_counted ?chunk text =
+  let before = Ccs_obs.Metrics.counter_value m_tokens in
+  let r = Io.of_string ?chunk text in
+  (r, Ccs_obs.Metrics.counter_value m_tokens - before)
+
+(* The generic-path reference and chunks that take the fast case: 8 holds
+   exactly one shortest line, the others cut lines at varied places. *)
+let reference_chunk = 7
+let fast_chunks = [ None; Some 8; Some 9; Some 13; Some 16; Some 64 ]
+
+(* Every fast-case chunk gives the reference's instance or error, and its
+   token count. *)
+let agrees_with_reference text =
+  let r, tokens = parse_counted ~chunk:reference_chunk text in
+  List.for_all
+    (fun chunk ->
+      let r', tokens' = parse_counted ?chunk text in
+      parse_agree r r' && tokens = tokens')
+    fast_chunks
 
 let canonical = "ccs 1\nmachines 31\nslots 2\njob 128 10\njob 7 3\njob 3000 10\n"
 
@@ -93,8 +121,9 @@ let test_huge_processing_times () =
    its [int_of_string_opt] fallback must agree with that function on every
    shape, whole or cut by a chunk boundary. *)
 let numeric_tokens =
-  [ "007"; "+5"; "-0"; "-3"; "0x1f"; "0o17"; "0b101"; "1_000"; "12a";
-    "123456789012345678"; "4611686018427387903"; "4611686018427387904";
+  [ "0"; "007"; "+5"; "-0"; "-3"; "0x1f"; "0o17"; "0b101"; "1_000"; "12a";
+    "123456789012345678"; String.make 18 '9'; "1000000000000000000";
+    "4611686018427387903"; "4611686018427387904";
     (* 19 nines: summed in native ints it would wrap to a positive value *)
     String.make 19 '9'; String.make 24 '0' ^ "1" ]
 
@@ -105,12 +134,15 @@ let test_numeric_token_shapes () =
       (fun chunk ->
         let label = Printf.sprintf "%s, chunk %s" label
             (match chunk with Some c -> string_of_int c | None -> "default") in
-        match (Io.of_string ?chunk text, expect) with
+        let r, tokens = parse_counted ?chunk text in
+        Alcotest.(check int) (label ^ ", tokens")
+          (snd (parse_counted ~chunk:reference_chunk text)) tokens;
+        match (r, expect) with
         | Ok f, Ok check -> check label f
         | Error e, Error want -> Alcotest.(check string) label want e
         | Ok _, Error want -> Alcotest.fail (label ^ ": accepted, want " ^ want)
         | Error e, Ok _ -> Alcotest.fail (label ^ ": rejected: " ^ e))
-      [ Some 1; Some 2; Some 3; Some 5; None ]
+      ([ Some 1; Some 2; Some 3; Some 5 ] @ fast_chunks)
   in
   let bad = Error "line 4: bad job line" in
   List.iter
@@ -132,6 +164,48 @@ let test_numeric_token_shapes () =
             Ok (fun label f -> Alcotest.(check int) label 1 (I.num_classes f))
         | _ -> bad))
     numeric_tokens
+
+(* Job lines the whole-line fast case takes, and lines it must refuse and
+   leave to the byte loop: each between two plain job lines, so that a
+   wrong line count or a misplaced next line shows in the error, the
+   instance or the token count. *)
+let job_line_shapes =
+  [ (* taken *)
+    "job 5 1\n"; "job\t5\t1\n"; "job  \t 5 \t\t 1\n"; "job 5 1\r\n"; "job\r5\r1\r\r\n";
+    "job 5 1 \t \n"; "job 5 1\012\n"; "job 5 1 # a comment\n"; "job 5 1#c\n";
+    "job 5 1#\n"; "job 007 000\n"; "job 123456789012345678 1\n";
+    "job 5 123456789012345678\n";
+    (* refused: 19 digits, p = 0, other numeric shapes *)
+    "job 1234567890123456789 1\n"; "job 5 1234567890123456789\n";
+    "job 9999999999999999999 1\n"; "job 0 1\n"; "job 000 1\n"; "job +5 1\n";
+    "job 5 +1\n"; "job 0x1f 1\n"; "job 5 0x1f\n"; "job 1_000 1\n"; "job -5 1\n";
+    "job 5 -1\n"; "job 5a 1\n"; "job 5 1a\n"; "job 5\0111\n";
+    (* refused: field counts, keyword, leading blanks, separators *)
+    "job 5\n"; "job\n"; "job 5 1 7\n"; "job 5 1 7 8\n"; "jobs 5 1\n"; "jo 5 1\n";
+    "Job 5 1\n"; " job 5 1\n"; "\tjob 5 1\n"; "\r\njob 5 1\n"; "job5 1\n";
+    "job 5#1\n"; "job 5 1"; "# job 5 1\n"; "\n" ]
+
+let test_job_line_shapes () =
+  List.iter
+    (fun line ->
+      let text = Printf.sprintf "ccs 1\nmachines 3\nslots 2\njob 3 0\n%sjob 4 1\n" line in
+      Alcotest.(check bool) (Printf.sprintf "%S agrees with the reference" line) true
+        (agrees_with_reference text))
+    job_line_shapes
+
+(* A last chunk shorter than the buffer leaves the previous chunk's bytes
+   behind it: here "job 5" ends the input, and the stale " 1\n" after it
+   would complete a job line for a scan that ran past the chunk's end. *)
+let test_stale_bytes_past_chunk_end () =
+  let header = "ccs 1\nmachines 3\nslots 2\n#12345\n" in
+  assert (String.length header = 32);
+  let text = header ^ "job 5 1\njob 5 1\njob 5" in
+  List.iter
+    (fun chunk ->
+      match Io.of_string ~chunk text with
+      | Error e -> Alcotest.(check string) "truncated last line" "line 7: unrecognized line" e
+      | Ok f -> Alcotest.fail (Printf.sprintf "chunk %d: accepted %d jobs" chunk (I.n f)))
+    [ 8; 16; reference_chunk ]
 
 (* [job] is matched byte for byte; near misses are not job lines *)
 let test_job_keyword () =
@@ -194,16 +268,22 @@ let grammar_gen =
               "job 007 +5\n"; "job 1_000 0x1f\n"; "job 5 -0\n"; "job -3 1\n";
               "0o17 "; "0b101 "; "12a "; "123456789012345678 ";
               "4611686018427387903 "; "4611686018427387904 "; "9999999999999999999 ";
-              "0000000000000000000000001 " ])))
+              "0000000000000000000000001 ";
+              (* whole lines the fast case takes, and near misses it refuses *)
+              "job 5 0\n"; "job  5\t\t0 \r\n"; "job 5 0 # c\n"; "job\t17\t3#x\n";
+              "job 123456789012345678 2\n"; "job 1234567890123456789 2\n"; "job 0 2\n";
+              "job +5 0\n"; "job 5 0x1f\n"; "job 1_000 1\n"; "job 5 0 7\n"; "jobs 5 0\n";
+              " job 5 0\n"; "\tjob 5 0\n" ])))
 
 let prop_chunking_invariant =
   QCheck.Test.make ~name:"chunked parses agree with default (incl. errors)"
     ~count:500
     (QCheck.make grammar_gen ~print:(fun s -> s))
     (fun s ->
-      let d = Io.of_string s in
-      parse_agree d (Io.of_string ~chunk:1 s)
-      && parse_agree d (Io.of_string ~chunk:3 s))
+      let reference = Io.of_string ~chunk:reference_chunk s in
+      agrees_with_reference s
+      && parse_agree reference (Io.of_string ~chunk:1 s)
+      && parse_agree reference (Io.of_string ~chunk:3 s))
 
 let spec_of_seed seed =
   {
@@ -372,6 +452,9 @@ let () =
           Alcotest.test_case "truncated final record" `Quick test_truncated_final_record;
           Alcotest.test_case "10^12 processing times" `Quick test_huge_processing_times;
           Alcotest.test_case "numeric token shapes" `Quick test_numeric_token_shapes;
+          Alcotest.test_case "whole job line shapes" `Quick test_job_line_shapes;
+          Alcotest.test_case "stale bytes past the chunk end" `Quick
+            test_stale_bytes_past_chunk_end;
           Alcotest.test_case "job keyword" `Quick test_job_keyword;
           Alcotest.test_case "chunk validation" `Quick test_chunk_validation ] );
       ( "binary",
