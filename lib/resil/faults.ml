@@ -44,7 +44,7 @@ let apply site k = function
       raise (Injected (Printf.sprintf "fault injected at %s (checkpoint %d)" site k))
   | Delay s ->
       hit site k "delay";
-      Unix.sleepf s;
+      Ccs_util.Mono.sleep_ns (int_of_float (s *. 1e9));
       `Nothing
 
 let decide site =

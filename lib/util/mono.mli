@@ -18,3 +18,7 @@ val elapsed_s : since:int -> float
 (** Seconds elapsed since the [now_ns] reading [since]. *)
 
 val ns_of_ms : int -> int
+
+val sleep_ns : int -> unit
+(** Sleep this many nanoseconds (none if [<= 0]), resuming after signals.
+    Other domains run, and collect, while the caller sleeps. *)

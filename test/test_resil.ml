@@ -11,6 +11,7 @@
      [fault] event naming the ordinal that fired.
    - Determinism after chaos: a clean run after an interrupted one still
      produces the baseline answer (no corrupted global state).
+   - A Delay fault sleeps at its checkpoint and returns to it.
    - The checkpoint counter is exact and deterministic for a fixed
      workload (the bench regression gate depends on this).
    - A deadline set on the submitting domain reaches pool workers. *)
@@ -185,6 +186,32 @@ let ordinal_sweep action regime () =
            (Ccs_obs.Recorder.events ())))
     (sweep_points total)
 
+(* A Delay fault sleeps at its checkpoint and then returns to the site:
+   no exception, one injected fault counted and recorded. *)
+let test_delay_at_checkpoint () =
+  let site = Deadline.site "test.delay" in
+  let injected = Ccs_obs.Metrics.counter "resil.faults_injected" in
+  let before = Ccs_obs.Metrics.counter_value injected in
+  Ccs_obs.Recorder.start ();
+  Fun.protect ~finally:Ccs_obs.Recorder.stop @@ fun () ->
+  Faults.arm (Faults.At { ordinal = 1; action = Faults.Delay 0.01 });
+  let t0 = Mono.now_ns () in
+  Fun.protect ~finally:Faults.disarm (fun () ->
+      for _ = 0 to 2 do
+        Deadline.check site
+      done);
+  let slept_ns = Mono.now_ns () - t0 in
+  Alcotest.(check bool) "slept at least 10 ms" true (slept_ns >= 10_000_000);
+  Alcotest.(check int) "one fault injected" (before + 1)
+    (Ccs_obs.Metrics.counter_value injected);
+  Alcotest.(check bool) "delay recorded" true
+    (List.exists
+       (fun e ->
+         e.Ccs_obs.Recorder.kind = "fault"
+         && List.assoc_opt "what" e.fields = Some (Ccs_obs.Jsonx.Str "delay")
+         && List.assoc_opt "ordinal" e.fields = Some (Ccs_obs.Jsonx.Int 1))
+       (Ccs_obs.Recorder.events ()))
+
 (* ---------- determinism after chaos ---------- *)
 
 let makespan_of = function
@@ -252,7 +279,8 @@ let () =
           Alcotest.test_case "cancel@every-k preemptive" `Slow (ordinal_sweep Faults.Cancel `Pre);
           Alcotest.test_case "cancel@every-k nonpreemptive" `Slow (ordinal_sweep Faults.Cancel `Nonpre);
           Alcotest.test_case "raise@every-k nonpreemptive" `Slow (ordinal_sweep Faults.Raise `Nonpre);
-          Alcotest.test_case "clean run after chaos" `Quick test_clean_after_chaos ] );
+          Alcotest.test_case "clean run after chaos" `Quick test_clean_after_chaos;
+          Alcotest.test_case "delay at a checkpoint" `Quick test_delay_at_checkpoint ] );
       ( "stats",
         [ Alcotest.test_case "checkpoint counter" `Quick test_check_counter_deterministic ] );
       ( "pool",
