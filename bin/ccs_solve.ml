@@ -1,11 +1,14 @@
 (* Solver CLI: read one or more instances, run a chosen algorithm, print and
    validate the schedules. Every algorithm of the paper is reachable from
    here. With --jobs N the instances are solved as a parallel batch on a
-   Ccs_par pool (each solve itself is sequential); each instance's output
-   is buffered and flushed in input order, so the bytes printed are
-   identical at any job count. Load, validation and emit run as
-   flight-recorder phases (io, schedule, emit), so --trace-out and --record
-   cover the CLI's own time. *)
+   Ccs_par pool (each solve itself is sequential). Each instance prints
+   into its own buffer, which is written out in input order as soon as the
+   instance and every earlier one are done; the instance next in that order
+   writes its buffer to stdout in chunks while it is still printing. The
+   bytes printed are therefore identical at any job count, and a batch
+   holds the whole text only of instances that wait for an earlier one.
+   Load, validation and emit run as flight-recorder phases (io, schedule,
+   emit), so --trace-out and --record cover the CLI's own time. *)
 
 open Cmdliner
 module Q = Rat
@@ -19,6 +22,22 @@ let variants =
 
 let algos = [ ("approx", Approx); ("ptas", Ptas); ("exact", Exact) ]
 
+(* One instance's stdout: the text printed so far and not yet written, the
+   instance's place in the batch, and the batch's next place to write. *)
+type out = { buf : Buffer.t; index : int; turn : int Atomic.t }
+
+(* The stdout channel's buffer size. *)
+let chunk = 65_536
+
+(* Called after each printed line: once the instance is next to write (every
+   earlier one is written whole), a chunk's worth of text goes to stdout
+   instead of waiting for the instance to finish. *)
+let spill out =
+  if Buffer.length out.buf >= chunk && Atomic.get out.turn = out.index then begin
+    Buffer.output_buffer stdout out.buf;
+    Buffer.clear out.buf
+  end
+
 (* The printers write straight into the output buffer: a million-job
    schedule prints without a string, a [Printf] or a [Rat] per job. *)
 let rec add_digits buf i =
@@ -27,8 +46,9 @@ let rec add_digits buf i =
 
 let add_int buf i = if i < 0 then Buffer.add_string buf (string_of_int i) else add_digits buf i
 
-let print_nonpreemptive buf inst assignment =
+let print_nonpreemptive out inst assignment =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
+  let buf = out.buf in
   Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
       let load = ref 0 in
       for i = lo to hi - 1 do load := !load + Ccs.Instance.job_p inst jobs.(i) done;
@@ -41,10 +61,12 @@ let print_nonpreemptive buf inst assignment =
         Buffer.add_string buf " j";
         add_int buf jobs.(i)
       done;
-      Buffer.add_char buf '\n')
+      Buffer.add_char buf '\n';
+      spill out)
 
-let print_splittable buf sched =
+let print_splittable out sched =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
+  let buf = out.buf in
   List.iter
     (fun b ->
       Buffer.add_string buf "machines ";
@@ -55,7 +77,8 @@ let print_splittable buf sched =
       add_int buf b.Ccs.Schedule.cls;
       Buffer.add_string buf ", ";
       Q.add_to_buffer buf b.Ccs.Schedule.per_machine;
-      Buffer.add_string buf " each\n")
+      Buffer.add_string buf " each\n";
+      spill out)
     sched.Ccs.Schedule.blocks;
   List.iter
     (fun (mi, loads) ->
@@ -69,11 +92,13 @@ let print_splittable buf sched =
           Buffer.add_string buf ": ";
           Q.add_to_buffer buf l)
         loads;
-      Buffer.add_char buf '\n')
+      Buffer.add_char buf '\n';
+      spill out)
     sched.Ccs.Schedule.explicit_machines
 
-let print_preemptive buf sched =
+let print_preemptive out sched =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
+  let buf = out.buf in
   Array.iteri
     (fun mi pieces ->
       if pieces <> [] then begin
@@ -90,7 +115,8 @@ let print_preemptive buf sched =
             Q.add_to_buffer buf (Q.add pc.Ccs.Schedule.start pc.Ccs.Schedule.len);
             Buffer.add_char buf ')')
           pieces;
-        Buffer.add_char buf '\n'
+        Buffer.add_char buf '\n';
+        spill out
       end)
     sched
 
@@ -131,8 +157,9 @@ let tally_iteri t f =
   t.classes <- [];
   List.iteri f classes
 
-let print_nonpreemptive_compressed buf inst assignment =
+let print_nonpreemptive_compressed out inst assignment =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
+  let buf = out.buf in
   let t = tally inst 0 and desc = Buffer.create 64 in
   (* the pending run of identical consecutive machines: first, last, load, summary *)
   let run = ref None in
@@ -141,7 +168,8 @@ let print_nonpreemptive_compressed buf inst assignment =
     | None -> ()
     | Some (first, last, load, d) ->
         if first = last then Printf.bprintf buf "machine %d (load %d): %s\n" first load d
-        else Printf.bprintf buf "machines %d..%d (load %d each): %s\n" first last load d
+        else Printf.bprintf buf "machines %d..%d (load %d each): %s\n" first last load d;
+        spill out
   in
   Ccs.Schedule.iter_machines assignment (fun mi jobs lo hi ->
       for i = lo to hi - 1 do
@@ -163,8 +191,9 @@ let print_nonpreemptive_compressed buf inst assignment =
           run := Some (mi, mi, !load, d));
   flush ()
 
-let print_preemptive_compressed buf inst sched =
+let print_preemptive_compressed out inst sched =
   Ccs_obs.Recorder.phase "emit" @@ fun () ->
+  let buf = out.buf in
   let t = tally inst Q.zero in
   Array.iteri
     (fun mi pieces ->
@@ -181,7 +210,8 @@ let print_preemptive_compressed buf inst sched =
             if k > 0 then Buffer.add_string buf ", ";
             Printf.bprintf buf "class %d: %d pieces, time %s" u t.count.(u)
               (Q.to_string t.total.(u)));
-        Buffer.add_char buf '\n'
+        Buffer.add_char buf '\n';
+        spill out
       end)
     sched
 
@@ -231,14 +261,14 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
     match o with
     | O.Complete s ->
         emit e ~quiet s.D.schedule (fun mk ->
-            Printf.bprintf out "%s anytime: makespan %s (complete, %s rung)\n" e.name
+            Printf.bprintf out.buf "%s anytime: makespan %s (complete, %s rung)\n" e.name
               (Q.to_string mk) (D.rung_name s.D.rung))
     | O.Degraded dg ->
         (* The fallback rung cannot fail, so a degraded outcome always
            carries an incumbent. *)
         let s = Option.get dg.O.incumbent in
         emit e ~quiet s.D.schedule (fun mk ->
-            Printf.bprintf out
+            Printf.bprintf out.buf
               "%s anytime: degraded at %s rung: incumbent makespan %s (%s rung), lower bound %s%s\n"
               e.name dg.O.phase_reached (Q.to_string mk) (D.rung_name s.D.rung)
               (Q.to_string dg.O.lower_bound)
@@ -254,8 +284,8 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
       finish (nonpreemptive out inst ~compress)
         (D.solve_nonpreemptive ?deadline ~start ~param ?node_limit ~portfolio inst)
 
-(* Solve one instance, accumulating stdout/stderr text into the buffers.
-   Returns the exit code. *)
+(* Solve one instance, printing its stdout text into [out] and its stderr
+   text into [err]. Returns the exit code. *)
 let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~compress
     ~portfolio ~node_limit =
   (* text or ccsb1 binary, auto-detected *)
@@ -264,20 +294,20 @@ let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~com
       Printf.bprintf err "error: %s\n" e;
       1
   | Ok inst -> (
-      Printf.bprintf out "instance: n=%d m=%d c=%d C=%d\n" (Ccs.Instance.n inst)
+      Printf.bprintf out.buf "instance: n=%d m=%d c=%d C=%d\n" (Ccs.Instance.n inst)
         (Ccs.Instance.m inst) (Ccs.Instance.c inst) (Ccs.Instance.num_classes inst);
       (* the summary lines shared by the variants *)
       let approx e t_guess mk =
-        Printf.bprintf out "%s 2-approx: makespan %s (guess T=%s, <= 2T)\n" e.name
+        Printf.bprintf out.buf "%s 2-approx: makespan %s (guess T=%s, <= 2T)\n" e.name
           (Q.to_string mk) (Q.to_string t_guess)
       in
       let ptas e t_accepted mk =
-        Printf.bprintf out "%s PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" e.name
+        Printf.bprintf out.buf "%s PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" e.name
           param.Ccs.Ptas.Common.d (Q.to_string mk) (Q.to_string t_accepted)
       in
-      let optimum e opt _ = Printf.bprintf out "%s exact optimum: %s\n" e.name opt in
+      let optimum e opt _ = Printf.bprintf out.buf "%s exact optimum: %s\n" e.name opt in
       let no_optimum () =
-        Printf.bprintf out "exact solver out of budget or instance too large\n"
+        Printf.bprintf out.buf "exact solver out of budget or instance too large\n"
       in
       try
         if anytime || deadline_ms <> None then
@@ -317,7 +347,7 @@ let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~com
               | Approx ->
                   let sched, stats = Ccs.Approx.Nonpreemptive.solve inst in
                   emit e ~quiet sched (fun mk ->
-                      Printf.bprintf out "%s 7/3-approx: makespan %s (guess T=%d, <= 7/3 T)\n"
+                      Printf.bprintf out.buf "%s 7/3-approx: makespan %s (guess T=%d, <= 7/3 T)\n"
                         e.name (Q.to_string mk) stats.Ccs.Approx.Nonpreemptive.t_guess)
               | Ptas ->
                   let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
@@ -327,7 +357,7 @@ let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~com
                      and the proven bound, as the anytime Degraded outcome
                      does, instead of dropping them. *)
                   let out_of_budget incumbent lb _ =
-                    Printf.bprintf out
+                    Printf.bprintf out.buf
                       "exact search out of budget: incumbent %d, proven lower bound %d\n"
                       incumbent lb
                   in
@@ -341,14 +371,14 @@ let solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime ~com
                              (Printf.sprintf "%d (portfolio winner: %s)" o.P.makespan o.P.winner))
                     | Some o ->
                         emit e ~quiet o.P.assignment (out_of_budget o.P.makespan o.P.lower_bound)
-                    | None -> Printf.bprintf out "instance is not schedulable\n"
+                    | None -> Printf.bprintf out.buf "instance is not schedulable\n"
                   else
                     match B.solve_result ?node_limit inst with
                     | Some { B.status = Complete; makespan; assignment; _ } ->
                         emit e ~quiet assignment (optimum e (string_of_int makespan))
                     | Some r ->
                         emit e ~quiet r.B.assignment (out_of_budget r.B.makespan r.B.lower_bound)
-                    | None -> Printf.bprintf out "instance is not schedulable\n")
+                    | None -> Printf.bprintf out.buf "instance is not schedulable\n")
         end;
         0
       with
@@ -383,27 +413,26 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime (_ : [ `Text |
            the pool never outnumbers the files it can work on. *)
         Ccs_par.set_jobs (min jobs (List.length files));
         let many = List.length files > 1 in
-        let results =
-          Ccs_par.parallel_map
-            (fun file ->
-              let out = Buffer.create 256 and err = Buffer.create 64 in
-              if many then Printf.bprintf out "=== %s ===\n" file;
-              let code =
-                solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime
-                  ~compress ~portfolio ~node_limit
-              in
-              (out, err, code))
-            (Array.of_list files)
-        in
-        Ccs_obs.Recorder.phase "emit" @@ fun () ->
-        (* a batch exits with its highest code, except that a failed
-           validation (3, a solver bug) is never hidden behind a 4 *)
-        Array.fold_left
-          (fun acc (out, err, code) ->
+        let turn = Atomic.make 0 and code = ref 0 in
+        Ccs_par.parallel_emit
+          (fun index file ->
+            let out = { buf = Buffer.create 256; index; turn } and err = Buffer.create 64 in
+            if many then Printf.bprintf out.buf "=== %s ===\n" file;
+            let code =
+              solve_one ~out ~err file variant algo param quiet ~deadline_ms ~anytime
+                ~compress ~portfolio ~node_limit
+            in
+            (out.buf, err, code))
+          ~emit:(fun index (out, err, c) ->
+            Ccs_obs.Recorder.phase "emit" @@ fun () ->
             Buffer.output_buffer stdout out;
             Buffer.output_buffer stderr err;
-            if acc = 3 || code = 3 then 3 else max acc code)
-          0 results
+            (* a batch exits with its highest code, except that a failed
+               validation (3, a solver bug) is never hidden behind a 4 *)
+            code := if !code = 3 || c = 3 then 3 else max !code c;
+            Atomic.set turn (index + 1))
+          (Array.of_list files);
+        !code
 
 let cmd =
   let files =

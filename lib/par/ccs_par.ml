@@ -5,9 +5,10 @@
    order; the caller drains the cursor itself and enqueues at most
    [size - 1] helper tasks, so a batch never *depends* on pool workers
    being free — nested fan-out cannot deadlock, it only loses parallelism.
-   Determinism comes from keeping all merge steps index-ordered: results
-   land in slot [i] and the surviving exception is the lowest-index one,
-   which is precisely what the sequential left-to-right loop observes. *)
+   Determinism comes from delivering results in index order: result [i]
+   waits in slot [i] until [0..i-1] are delivered, and delivery stops at
+   the lowest-index exception, which is precisely what the sequential
+   left-to-right loop observes. *)
 
 let m_batches = Ccs_obs.Metrics.counter "par.batches"
 let m_tasks = Ccs_obs.Metrics.counter "par.tasks"
@@ -149,22 +150,51 @@ let run_batch pool n step =
 
 let resolve_pool = function Some p -> p | None -> ambient ()
 
-let parallel_mapi ?pool f arr =
+(* [slots.(i)] holds result [i] from the end of its task to its delivery.
+   [mu] guards [slots], [next] (the lowest undelivered index) and [failed].
+   The domain that ends a task delivers every result from [next] on that is
+   ready. It runs [emit k] outside [mu], after emptying slot [k] and before
+   moving [next] past it, so a domain that ends a task meanwhile finds slot
+   [next] empty and leaves the delivery to it: calls never overlap. Delivery
+   ends for good at the first failure in index order, which is the lowest
+   raising index. *)
+let parallel_emit ?pool ~emit f arr =
   let pool = resolve_pool pool in
   let n = Array.length arr in
-  if n <= 1 || Pool.size pool = 1 then Array.mapi f arr
+  if n <= 1 || Pool.size pool = 1 then Array.iteri (fun i x -> emit i (f i x)) arr
   else begin
-    let results = Array.make n None in
-    let errors = Array.make n None in
+    let slots = Array.make n None in
+    let next = ref 0 and failed = ref None in
+    let mu = Mutex.create () in
     run_batch pool n (fun i ->
-        match
-          Deadline.check chk_task;
-          f i arr.(i)
-        with
-        | r -> results.(i) <- Some r
-        | exception e -> errors.(i) <- Some e);
-    Array.iter (function Some e -> raise e | None -> ()) errors;
-    Array.map (function Some r -> r | None -> assert false) results
+        let r =
+          match
+            Deadline.check chk_task;
+            f i arr.(i)
+          with
+          | r -> Ok r
+          | exception e -> Error e
+        in
+        Mutex.lock mu;
+        slots.(i) <- Some r;
+        while Option.is_none !failed && !next < n && Option.is_some slots.(!next) do
+          let k = !next in
+          let r = Option.get slots.(k) in
+          slots.(k) <- None;
+          Mutex.unlock mu;
+          let delivered =
+            match r with Ok r -> (try Ok (emit k r) with e -> Error e) | Error e -> Error e
+          in
+          Mutex.lock mu;
+          match delivered with Ok () -> next := k + 1 | Error e -> failed := Some e
+        done;
+        Mutex.unlock mu);
+    Option.iter raise !failed
   end
+
+let parallel_mapi ?pool f arr =
+  let results = Array.make (Array.length arr) None in
+  parallel_emit ?pool ~emit:(fun i r -> results.(i) <- Some r) f arr;
+  Array.map Option.get results
 
 let parallel_map ?pool f arr = parallel_mapi ?pool (fun _ x -> f x) arr

@@ -5,12 +5,13 @@
     batch, a [ccs_fuzz] sweep, repeated bench instances. The paper's
     searches inside one solve run sequentially.
 
-    Every combinator is sequential-equivalent: results are gathered by input
-    index, and the exception that escapes a batch is the one the sequential
-    loop would have hit first. A seeded run therefore produces bit-identical
-    output at any pool size, provided the mapped functions are pure (draw
-    randomness only via [Ccs_util.Prng.stream] keyed by index, never from
-    shared streams).
+    Every combinator is sequential-equivalent: results are delivered in
+    input-index order as soon as every earlier index is done, and the
+    exception that escapes a batch is the one the sequential loop would
+    have hit first, after everything that loop delivers before it. A seeded
+    run therefore produces bit-identical output at any pool size, provided
+    the mapped functions are pure (draw randomness only via
+    [Ccs_util.Prng.stream] keyed by index, never from shared streams).
 
     Nesting is safe: the calling domain always works through its own batch,
     so a task that itself fans out makes progress even when every pool
@@ -53,6 +54,18 @@ val set_jobs : int -> unit
 (** {1 Combinators}
 
     All default to the ambient pool. *)
+
+(** [parallel_emit ~emit f arr] is
+    [Array.iteri (fun i x -> emit i (f i x)) arr] with the [f] calls
+    evaluated concurrently. [emit i r] runs as soon as the results of
+    [0..i] exist, on whichever domain completes that prefix, in index
+    order and one call at a time; a result is dropped once delivered, so
+    the batch holds only results that wait for an earlier index. If [f] or
+    [emit] raises, the results before the lowest such index are delivered
+    and, once every task has ended, that exception is re-raised (later
+    elements may still have been evaluated, unlike the sequential loop). *)
+val parallel_emit :
+  ?pool:Pool.t -> emit:(int -> 'b -> unit) -> (int -> 'a -> 'b) -> 'a array -> unit
 
 (** [parallel_map f arr] is [Array.map f arr]; elements are evaluated
     concurrently but the result is ordered by index. If several elements

@@ -1,13 +1,13 @@
 (* Ccs_par tests: the sequential-equivalence contract of the combinators
-   (qcheck, across pool sizes 1-8), exception ordering, nesting, the
-   per-index Prng streams, and thread-safety of the metrics registry under
-   a parallel batch. *)
+   (qcheck, across pool sizes 1-8), ordered delivery, exception ordering,
+   nesting, the per-index Prng streams, and thread-safety of the metrics
+   registry under a parallel batch. *)
 
 module Par = Ccs_par
 module Prng = Ccs_util.Prng
 
-let with_pool jobs f =
-  let pool = Par.Pool.create ~jobs () in
+let with_pool ?force jobs f =
+  let pool = Par.Pool.create ?force ~jobs () in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
 
 (* ---------- combinators vs the sequential loop ---------- *)
@@ -26,6 +26,98 @@ let prop_mapi_matches_sequential =
     arb_input (fun (jobs, arr) ->
       let f i x = (i * 31) + x in
       with_pool jobs (fun pool -> Par.parallel_mapi ~pool f arr = Array.mapi f arr))
+
+(* Runs [parallel_emit] and returns the [(i, r)] pairs in the order [emit]
+   saw them. [emit] calls never overlap, so a plain ref suffices. *)
+let emitted ?(on_emit = ignore) pool f arr =
+  let seen = ref [] in
+  Par.parallel_emit ~pool
+    ~emit:(fun i r ->
+      on_emit i;
+      seen := (i, r) :: !seen)
+    f arr;
+  List.rev !seen
+
+let prop_emit_in_order =
+  QCheck.Test.make ~name:"parallel_emit delivers Array.mapi in order (pool sizes 1-8)"
+    ~count:60 arb_input (fun (jobs, arr) ->
+      let f i x = (i * 31) + x in
+      with_pool jobs (fun pool ->
+          emitted pool f arr = Array.to_list (Array.mapi (fun i x -> (i, f i x)) arr)))
+
+let test_emit_skewed () =
+  (* Index 0 ends at once and indices 1..7 end in reverse order, the
+     highest first: [emit 0] must run before the batch ends, and every
+     later [emit] in index order once index 1 is done. *)
+  let n = 8 in
+  with_pool ~force:true 4 (fun pool ->
+      let ended = Atomic.make 0 and inside = Atomic.make 0 and overlaps = Atomic.make 0 in
+      let ended_at_emit0 = ref n in
+      let on_emit i =
+        if Atomic.fetch_and_add inside 1 <> 0 then Atomic.incr overlaps;
+        if i = 0 then ended_at_emit0 := Atomic.get ended;
+        Ccs_util.Mono.sleep_ns 200_000;
+        Atomic.decr inside
+      in
+      let f i () =
+        if i > 0 then Ccs_util.Mono.sleep_ns (Ccs_util.Mono.ns_of_ms (10 * (n - i)));
+        Atomic.incr ended;
+        i
+      in
+      let seen = emitted ~on_emit pool f (Array.make n ()) in
+      Alcotest.(check (list int)) "index order" (List.init n Fun.id) (List.map snd seen);
+      Alcotest.(check int) "no overlapping emit" 0 (Atomic.get overlaps);
+      Alcotest.(check bool) "emit 0 before the last task ends" true (!ended_at_emit0 < n));
+  (* Tasks that end in index order faster than [emit] runs: a domain that
+     ends one during another domain's [emit] must leave the delivery to it. *)
+  with_pool ~force:true 4 (fun pool ->
+      let inside = Atomic.make 0 and overlaps = Atomic.make 0 in
+      let on_emit _ =
+        if Atomic.fetch_and_add inside 1 <> 0 then Atomic.incr overlaps;
+        Ccs_util.Mono.sleep_ns 1_000_000;
+        Atomic.decr inside
+      in
+      let f i () =
+        Ccs_util.Mono.sleep_ns 250_000;
+        i
+      in
+      let seen = emitted ~on_emit pool f (Array.make 32 ()) in
+      Alcotest.(check (list int)) "index order, slow emit" (List.init 32 Fun.id)
+        (List.map snd seen);
+      Alcotest.(check int) "no overlapping emit, slow emit" 0 (Atomic.get overlaps))
+
+let test_emit_exception_prefix () =
+  (* Indices 3 and 5 raise, and 5 ends first. Exactly 0..2 are delivered,
+     then 3's exception escapes; likewise when [emit 4] is the first to
+     raise, 0..4 have been offered and 4's exception escapes. *)
+  let arr = Array.init 12 Fun.id in
+  let f i x =
+    if i = 3 then Ccs_util.Mono.sleep_ns (Ccs_util.Mono.ns_of_ms 5);
+    if i = 3 || i = 5 then failwith (string_of_int i) else x
+  in
+  let run pool f emit =
+    let seen = ref [] in
+    match
+      Par.parallel_emit ~pool
+        ~emit:(fun i r ->
+          seen := i :: !seen;
+          emit i r)
+        f arr
+    with
+    | () -> Alcotest.fail "expected an exception"
+    | exception Failure msg -> (List.rev !seen, msg)
+  in
+  List.iter
+    (fun jobs ->
+      with_pool ~force:true jobs (fun pool ->
+          let name = Printf.sprintf "jobs=%d" jobs in
+          Alcotest.(check (pair (list int) string))
+            ("task raises, " ^ name) ([ 0; 1; 2 ], "3")
+            (run pool f (fun _ _ -> ()));
+          Alcotest.(check (pair (list int) string))
+            ("emit raises, " ^ name) ([ 0; 1; 2; 3; 4 ], "e4")
+            (run pool (fun _ x -> x) (fun i _ -> if i >= 4 then failwith ("e" ^ string_of_int i)))))
+    [ 1; 2; 4; 8 ]
 
 let test_map_exception_order () =
   (* Several elements raise; the escaping exception must be the one the
@@ -118,7 +210,11 @@ let () =
         [ q prop_map_matches_sequential;
           q prop_mapi_matches_sequential;
           Alcotest.test_case "exception order" `Quick test_map_exception_order;
-          Alcotest.test_case "nested batches" `Quick test_nested_batches ] );
+          Alcotest.test_case "nested batches" `Quick test_nested_batches;
+          q prop_emit_in_order;
+          Alcotest.test_case "emit order under skew" `Quick test_emit_skewed;
+          Alcotest.test_case "emit prefix before an exception" `Quick
+            test_emit_exception_prefix ] );
       ( "prng",
         [ Alcotest.test_case "stream determinism" `Quick test_prng_stream_deterministic;
           Alcotest.test_case "streams jobs-invariant" `Quick test_prng_streams_jobs_invariant ] );
