@@ -23,6 +23,42 @@ let class_members inst =
           let j = ids.(offsets.(u) + k) in
           (j, Instance.job_p inst j)))
 
+type gjob = { gsize : int; members : int list }
+
+type gclass = { large_jobs : gjob list; small_job : gjob option }
+
+(* Lemma 12 grouping for one class at guess T. [delta_t] is delta*T. *)
+let group_class ~delta_t jobs =
+  let is_small (_, p) = Q.(Q.of_int p < delta_t) in
+  let smalls, bigs = List.partition is_small jobs in
+  (* bundle smalls into packets of size in [delta*T, 2 delta*T) *)
+  let packets = ref [] in
+  let cur_ids = ref [] and cur_sz = ref 0 in
+  List.iter
+    (fun (id, p) ->
+      cur_ids := id :: !cur_ids;
+      cur_sz := !cur_sz + p;
+      if Q.(Q.of_int !cur_sz >= delta_t) then begin
+        packets := { gsize = !cur_sz; members = !cur_ids } :: !packets;
+        cur_ids := [];
+        cur_sz := 0
+      end)
+    smalls;
+  let leftover = if !cur_sz > 0 then Some { gsize = !cur_sz; members = !cur_ids } else None in
+  let big_gjobs = List.map (fun (id, p) -> { gsize = p; members = [ id ] }) bigs in
+  match (leftover, big_gjobs @ !packets) with
+  | None, [] -> assert false (* classes are non-empty *)
+  | None, large -> { large_jobs = large; small_job = None }
+  | Some y, [] -> { large_jobs = []; small_job = Some y }
+  | Some y, j :: rest ->
+      (* merge the leftover into an arbitrary other job of the class *)
+      { large_jobs = { gsize = j.gsize + y.gsize; members = j.members @ y.members } :: rest;
+        small_job = None }
+
+let group_classes ~delta_t inst = Array.map (group_class ~delta_t) (class_members inst)
+
+let too_long inst t = Q.(Q.of_int (Instance.pmax inst) > t)
+
 (* Cancellation checkpoints: configuration enumeration is the hot DFS,
    one guess probe of the dual-approximation search is the coarse site. *)
 let chk_enum = Ccs_resil.Deadline.site ~hot:true "ptas.enum"
@@ -112,6 +148,109 @@ let solve_int_feasibility ?(max_nodes = 50_000) ~nvars ~upper rows =
   | Ilp.Infeasible -> None
   | Ilp.Node_limit -> raise Budget_exceeded
   | Ilp.Unbounded -> None
+
+let hb_groups configs =
+  let index = Hashtbl.create 16 and groups = ref [] in
+  let of_config =
+    Array.map
+      (fun k ->
+        let hb = (List.fold_left ( + ) 0 k, List.length k) in
+        match Hashtbl.find_opt index hb with
+        | Some g -> g
+        | None ->
+            let g = Hashtbl.length index in
+            Hashtbl.replace index hb g;
+            groups := hb :: !groups;
+            g)
+      configs
+  in
+  (of_config, Array.of_list (List.rev !groups))
+
+type program = {
+  nvars : int;
+  rows : row list;
+  configs : int list array;
+  hb_of_config : int array;
+  hb_groups : (int * int) array;
+  n_modules : int;
+  smalls : (int * int list) list;
+}
+
+(* w(s, g), the small classes of the [si]-th size sent to group [g] *)
+let w_var p si g =
+  Array.length p.configs + p.n_modules + (si * Array.length p.hb_groups) + g
+
+let config_program ~machines ~slots ~tbar ~h_unit ~configs ~sizes ~modules ~smalls ~cover
+    ?(extra = []) () =
+  let nk = Array.length configs and modules = Array.of_list modules in
+  let hb_of_config, hb_groups = hb_groups configs in
+  let p =
+    { nvars = nk + Array.length modules + (List.length smalls * Array.length hb_groups);
+      rows = []; configs; hb_of_config; hb_groups; n_modules = Array.length modules; smalls }
+  in
+  let in_group = Array.make (Array.length hb_groups) [] in
+  for ki = nk - 1 downto 0 do
+    in_group.(hb_of_config.(ki)) <- ki :: in_group.(hb_of_config.(ki))
+  done;
+  (* (1) per module size: slots the configurations offer = modules chosen *)
+  let module_row q =
+    let lhs = ref [] in
+    Array.iteri (fun i size -> if size = q then lhs := (nk + i, -1) :: !lhs) modules;
+    Array.iteri
+      (fun ki k ->
+        let cnt = List.length (List.filter (( = ) q) k) in
+        if cnt > 0 then lhs := (ki, cnt) :: !lhs)
+      configs;
+    row_eq !lhs 0
+  in
+  (* (2, 3) per (h, b) group: slots and space left for the small classes *)
+  let group_rows g (h, b) =
+    let ws coeff = List.mapi (fun si (s, _) -> (w_var p si g, coeff s)) smalls in
+    let xs coeff = List.map (fun ki -> (ki, coeff)) in_group.(g) in
+    [ row_le (ws (fun _ -> 1) @ xs (b - slots)) 0;
+      row_le (ws Fun.id @ xs ((h * h_unit) - tbar)) 0 ]
+  in
+  let shift r = { r with coeffs = List.map (fun (i, a) -> (nk + i, a)) r.coeffs } in
+  (* (5) every small class sent to exactly one group *)
+  let small_row si (_, cls) =
+    row_eq (List.init (Array.length hb_groups) (fun g -> (w_var p si g, 1))) (List.length cls)
+  in
+  let rows =
+    (row_eq (List.init nk (fun ki -> (ki, 1))) machines :: List.map module_row sizes)
+    @ List.concat (List.mapi group_rows (Array.to_list hb_groups))
+    @ List.map shift cover
+    @ List.mapi small_row smalls
+    @ extra
+  in
+  { p with rows }
+
+type witness = { x : int array; y : int array; small_classes : int list array }
+
+let decode p sol =
+  let remaining = List.map (fun (s, cls) -> (s, ref cls)) p.smalls in
+  (* Array.init fills the groups in order, so each takes its classes from
+     what the earlier groups left. *)
+  let small_classes =
+    Array.init (Array.length p.hb_groups) (fun g ->
+        let chosen = ref [] in
+        List.iteri
+          (fun si (s, rest) ->
+            for _ = 1 to sol.(w_var p si g) do
+              match !rest with
+              | u :: tl ->
+                  rest := tl;
+                  chosen := (s, u) :: !chosen
+              | [] -> failwith "Ptas.Common: small class accounting mismatch"
+            done)
+          remaining;
+        List.map snd (List.sort (fun (a, _) (b, _) -> compare b a) !chosen))
+  in
+  let nk = Array.length p.configs in
+  { x = Array.sub sol 0 nk; y = Array.sub sol nk p.n_modules; small_classes }
+
+let solve_program p =
+  Option.map (decode p)
+    (solve_int_feasibility ~nvars:p.nvars ~upper:(Array.make p.nvars None) p.rows)
 
 type rung = Rung of int | Paper
 

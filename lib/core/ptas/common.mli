@@ -22,6 +22,32 @@ val param_of_epsilon : float -> param option
     order: the input of the PTASs' per-class grouping. *)
 val class_members : Instance.t -> (int * int) list array
 
+(** {2 The grouping of Lemmas 12 and 15}
+
+    The non-preemptive and preemptive PTASs group each class's jobs at a
+    guess T. Jobs smaller than delta*T are bundled into packets of total
+    size in [delta*T, 2*delta*T). A leftover bundle below delta*T joins
+    some other job of its class, or, if the class has no other, makes it
+    a small class. *)
+
+(** A grouped job: its total (original, unrounded) size and the original
+    jobs it carries. All of them go to one machine non-preemptively, and
+    they fill their layer slots in turn preemptively. *)
+type gjob = { gsize : int; members : int list }
+
+type gclass = {
+  large_jobs : gjob list;  (** every size >= delta*T; empty for small classes *)
+  small_job : gjob option;  (** the single grouped job of a small class *)
+}
+
+(** [group_classes ~delta_t inst] groups every class at the guess T,
+    [delta_t] = delta*T. *)
+val group_classes : delta_t:Rat.t -> Instance.t -> gclass array
+
+(** Some job is longer than the guess: no non-preemptive or preemptive
+    schedule of that makespan exists. *)
+val too_long : Instance.t -> Rat.t -> bool
+
 exception Too_many
 
 (** The enumeration cap, 200000 multisets. *)
@@ -75,6 +101,85 @@ val solve_int_feasibility :
   upper:int option array ->
   row list ->
   int array option
+
+(** {2 The configuration ILP}
+
+    The three PTASs decide one integer program (Section 4). A
+    configuration K is a multiset of module sizes that one machine
+    carries, and x_K counts the machines that run it. Each PTAS declares
+    its module variables y, each with a size, and its cover rows (4).
+    The small classes are counted per rounded size s: w(s, g) of them go
+    to the machines of (h, b) group g, where h is a configuration's total
+    module size and b its number of modules.
+
+    The variables are x_K (variable K), then the module variables in
+    their declared order, then w(s, g) by small size and, within a size,
+    by group. The rows come in this order:
+    - (0) sum_K x_K = m;
+    - (1) per module size q: the q-slots of the chosen configurations
+      equal the chosen modules of size q;
+    - (2, 3) per group g, a pair: sum_s w(s, g) <= sum_{K in g} (c - b) x_K
+      (class slots), then sum_s e_s w(s, g) <= sum_{K in g} (Tbar -
+      h*h_unit) x_K (space), with e_s the space a class of size s takes;
+    - (4) the cover rows;
+    - (5) per small size s: sum_g w(s, g) = the number of classes of size s;
+    - the extra rows (the splittable PTAS's Theorem 11 cap).
+
+    The row order and the variable numbering fix the branch & bound's
+    path, and with it the witness and the schedule. The order of the
+    coefficients within a row does not: the LP merges each row into
+    sparse columns. *)
+
+(** [hb_groups configs] is the (h, b) group of every configuration and
+    the (h, b) of every group, groups numbered by first appearance. *)
+val hb_groups : int list array -> int array * (int * int) array
+
+type program = private {
+  nvars : int;
+  rows : row list;
+  configs : int list array;  (** x_K is variable K *)
+  hb_of_config : int array;  (** configuration -> its (h, b) group *)
+  hb_groups : (int * int) array;  (** group -> (h, b) *)
+  n_modules : int;
+  smalls : (int * int list) list;  (** per small size: (e_s, its classes) *)
+}
+
+(** [config_program ~machines ~slots ~tbar ~h_unit ~configs ~sizes
+    ~modules ~smalls ~cover ?extra ()] builds the program above.
+    [sizes] are the module sizes in row (1) order, [modules] the size of
+    each module variable in variable order, and [smalls] each small size's
+    space e_s and its classes. Space is counted in the units of [tbar]
+    and e_s; a configuration of total size h takes [h * h_unit] of it.
+    The coefficients of [cover] index the module variables (0 is the
+    first declared), those of [extra] the configurations. *)
+val config_program :
+  machines:int ->
+  slots:int ->
+  tbar:int ->
+  h_unit:int ->
+  configs:int list array ->
+  sizes:int list ->
+  modules:int list ->
+  smalls:(int * int list) list ->
+  cover:row list ->
+  ?extra:row list ->
+  unit ->
+  program
+
+(** A solution of a {!program}: [x] per configuration, [y] per module
+    variable, and per (h, b) group the small classes sent there, largest
+    first. *)
+type witness = { x : int array; y : int array; small_classes : int list array }
+
+(** Reads a witness off a solution vector. The groups take their classes
+    of each size in group order, each from the front of what the earlier
+    groups left, and a group lists the classes of one size in the reverse
+    of the order it took them. *)
+val decode : program -> int array -> witness
+
+(** Decides the program, every variable integral and >= 0, as
+    {!solve_int_feasibility}. *)
+val solve_program : program -> witness option
 
 (** Record the shape of one rung's rounded instance into the metrics
     registry (histograms [ptas.large_classes], [ptas.small_size_groups] and

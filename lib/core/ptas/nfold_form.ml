@@ -15,22 +15,7 @@ let build_splittable p inst t =
   let nk = Array.length configs in
   let module_sizes = Array.of_list rounded.Sp.module_sizes in
   let nm = Array.length module_sizes in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb = Array.of_list (List.rev !hb_list) in
+  let hb_of_config, hb = Common.hb_groups configs in
   let nhb = Array.length hb in
   let brick_t = nk + nm + nhb + nhb + nhb in
   let x_off = 0 and y_off = nk and z_off = nk + nm in
@@ -164,22 +149,7 @@ let build_nonpreemptive p inst t =
     Common.multisets ~parts:sizes ~max_sum:tbar ~max_count:cstar () |> Array.of_list
   in
   let nk = Array.length configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb = Array.of_list (List.rev !hb_list) in
+  let hb_of_config, hb = Common.hb_groups configs in
   let nhb = Array.length hb in
   let brick_t = nk + nm + (3 * nhb) in
   let x_off = 0 and y_off = nk and z_off = nk + nm in
@@ -301,7 +271,7 @@ let build_nonpreemptive p inst t =
   { program; n_configs = nk; n_modules = nm; n_hb = nhb }
 
 let feasible_nonpreemptive ?(max_nodes = 30_000) p inst t =
-  if Q.(Q.of_int (Instance.pmax inst) > t) then false
+  if Common.too_long inst t then false
   else begin
     let { program; _ } = build_nonpreemptive p inst t in
     match Nfold.solve_ilp ~max_nodes ~feasibility:true program with

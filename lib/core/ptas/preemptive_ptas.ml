@@ -10,44 +10,14 @@ let guarantee p t =
   let delta = Common.delta p in
   Q.add (Q.mul (paper_budget p) t) (Q.add (Q.mul delta t) (Q.mul (Q.mul delta delta) t))
 
-type gjob = { gsize : int; members : int list }
-
-type gclass = { large_jobs : gjob list; small_job : gjob option }
-
-(* Same Lemma 15 grouping as the non-preemptive case. *)
-let group_class ~delta_t jobs =
-  let is_small (_, p) = Q.(Q.of_int p < delta_t) in
-  let smalls, bigs = List.partition is_small jobs in
-  let packets = ref [] in
-  let cur_ids = ref [] and cur_sz = ref 0 in
-  List.iter
-    (fun (id, p) ->
-      cur_ids := id :: !cur_ids;
-      cur_sz := !cur_sz + p;
-      if Q.(Q.of_int !cur_sz >= delta_t) then begin
-        packets := { gsize = !cur_sz; members = !cur_ids } :: !packets;
-        cur_ids := [];
-        cur_sz := 0
-      end)
-    smalls;
-  let leftover = if !cur_sz > 0 then Some { gsize = !cur_sz; members = !cur_ids } else None in
-  let big_gjobs = List.map (fun (id, p) -> { gsize = p; members = [ id ] }) bigs in
-  match (leftover, big_gjobs @ !packets) with
-  | None, [] -> assert false
-  | None, large -> { large_jobs = large; small_job = None }
-  | Some y, [] -> { large_jobs = []; small_job = Some y }
-  | Some y, j :: rest ->
-      { large_jobs = { gsize = j.gsize + y.gsize; members = j.members @ y.members } :: rest;
-        small_job = None }
-
 type rounded = {
   layer_q : Q.t;  (* delta^2*T, the layer height *)
   layers : int;  (* |L| *)
   tbar_u1 : int;  (* Tbar in units of delta^2*T/(c*d) *)
   cstar : int;
-  gclasses : gclass array;
+  gclasses : Common.gclass array;
   (* (class id, grouped jobs with their layer demands k_j) *)
-  large : (int * (gjob * int) list) list;
+  large : (int * (Common.gjob * int) list) list;
   smalls_by_size : (int * int list) list;  (* size in delta^2*T/c units *)
 }
 
@@ -66,11 +36,11 @@ let round_instance ~rung (p : Common.param) inst t =
   Common.check_parts layers;
   let layer_q = Q.div t (Q.of_int (d * d)) in
   let delta_t = Q.div t (Q.of_int d) in
-  let gclasses = Array.map (group_class ~delta_t) (Common.class_members inst) in
+  let gclasses = Common.group_classes ~delta_t inst in
   let large = ref [] and smalls = Hashtbl.create 8 in
   Array.iteri
     (fun u gc ->
-      match gc.small_job with
+      match gc.Common.small_job with
       | Some y ->
           let s =
             max 1
@@ -82,7 +52,7 @@ let round_instance ~rung (p : Common.param) inst t =
       | None ->
           let jobs =
             List.map
-              (fun gj ->
+              (fun (gj : Common.gjob) ->
                 let k = Bigint.to_int_exn (Q.ceil (Q.div (Q.of_int gj.gsize) layer_q)) in
                 (gj, k))
               gc.large_jobs
@@ -99,122 +69,35 @@ let round_instance ~rung (p : Common.param) inst t =
     smalls_by_size = Hashtbl.fold (fun s cls acc -> (s, cls) :: acc) smalls [];
   }
 
-type layout = {
-  nvars : int;
-  x : int array;
-  y : (int * int, int) Hashtbl.t;  (* (large idx, cardinality) -> var *)
-  w : (int * int, int) Hashtbl.t;
-  configs : int list array;
-  hb_of_config : int array;
-  hb_groups : (int * int) array;  (* (layers used, module count) *)
-}
-
-let build_layout rounded =
+(* The configuration ILP over module cardinalities: a module variable per
+   large class and cardinality k = 1..|L|, class by class, whose cover row
+   (4) asks for the class's total layer demand. Space is counted in units
+   of delta^2*T/(c*d): a layer is c*d units, a small class of rounded size
+   s (in delta^2*T/c units) is s*d units, and Tbar is tbar_u1. *)
+let program (p : Common.param) inst rounded =
+  let d = p.Common.d and c = Instance.c inst in
   let cards = List.init rounded.layers (fun i -> i + 1) in
   let configs =
     Common.multisets ~parts:cards ~max_sum:rounded.layers ~max_count:rounded.cstar ()
   in
-  let configs = Array.of_list configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
+  let cover =
+    List.mapi
+      (fun li (_, jobs) ->
+        let demand = List.fold_left (fun acc (_, k) -> acc + k) 0 jobs in
+        Common.row_eq (List.map (fun k -> ((li * rounded.layers) + k - 1, k)) cards) demand)
+      rounded.large
   in
-  let hb_groups = Array.of_list (List.rev !hb_list) in
-  let next = ref 0 in
-  let fresh () =
-    let v = !next in
-    incr next;
-    v
-  in
-  let x = Array.init (Array.length configs) (fun _ -> fresh ()) in
-  let y = Hashtbl.create 64 in
-  List.iteri
-    (fun li _ -> List.iter (fun k -> Hashtbl.replace y (li, k) (fresh ())) cards)
-    rounded.large;
-  let w = Hashtbl.create 64 in
-  List.iter
-    (fun (s, _) ->
-      Array.iteri (fun hbi _ -> Hashtbl.replace w (s, hbi) (fresh ())) hb_groups)
-    rounded.smalls_by_size;
-  { nvars = !next; x; y; w; configs; hb_of_config; hb_groups }
-
-(* Space accounting uses units u1 = delta^2*T/(c*d): a layer is c*d units, a
-   small class of rounded size s (in delta^2*T/c units) is s*d units, and
-   Tbar is the integer tbar_u1 = c*(d+3)*(d^2+1). *)
-let build_rows (p : Common.param) inst rounded layout =
-  let d = p.Common.d in
-  let c = Instance.c inst in
-  let m = Instance.m inst in
-  let rows = ref [] in
-  let push r = rows := r :: !rows in
-  push (Common.row_eq (Array.to_list (Array.map (fun v -> (v, 1)) layout.x)) m);
-  (* (1) per cardinality: config slots = chosen modules *)
-  List.iter
-    (fun k ->
-      let lhs = ref [] in
-      Array.iteri
-        (fun ki cfg ->
-          let cnt = List.length (List.filter (( = ) k) cfg) in
-          if cnt > 0 then lhs := (layout.x.(ki), cnt) :: !lhs)
-        layout.configs;
-      List.iteri (fun li _ -> lhs := (Hashtbl.find layout.y (li, k), -1) :: !lhs) rounded.large;
-      push (Common.row_eq !lhs 0))
-    (List.init rounded.layers (fun i -> i + 1));
-  (* (2,3) small-class slots and space per (h,b) group *)
-  Array.iteri
-    (fun hbi (h, b) ->
-      let xs = ref [] in
-      Array.iteri
-        (fun ki v -> if layout.hb_of_config.(ki) = hbi then xs := v :: !xs)
-        layout.x;
-      let slot_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), 1)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, b - c)) !xs
-      in
-      push (Common.row_le slot_row 0);
-      let space_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), s * d)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, (h * c * d) - rounded.tbar_u1)) !xs
-      in
-      push (Common.row_le space_row 0))
-    layout.hb_groups;
-  (* (4) per large class: total layer demand covered by its modules *)
-  List.iteri
-    (fun li (_, jobs) ->
-      let demand = List.fold_left (fun acc (_, k) -> acc + k) 0 jobs in
-      let lhs =
-        List.init rounded.layers (fun i -> (Hashtbl.find layout.y (li, i + 1), i + 1))
-      in
-      push (Common.row_eq lhs demand))
-    rounded.large;
-  (* (5) every small class assigned once *)
-  List.iter
-    (fun (s, cls) ->
-      let lhs =
-        Array.to_list
-          (Array.mapi (fun hbi _ -> (Hashtbl.find layout.w (s, hbi), 1)) layout.hb_groups)
-      in
-      push (Common.row_eq lhs (List.length cls)))
-    rounded.smalls_by_size;
-  List.rev !rows
+  Common.config_program ~machines:(Instance.m inst) ~slots:c ~tbar:rounded.tbar_u1
+    ~h_unit:(c * d) ~configs:(Array.of_list configs) ~sizes:cards
+    ~modules:(List.concat_map (fun _ -> cards) rounded.large)
+    ~smalls:(List.map (fun (s, cls) -> (s * d, cls)) rounded.smalls_by_size)
+    ~cover ()
 
 (* ---------------------------------------------------------------- *)
 (* Realization: symmetric solution -> concrete layer sets -> flow-matched
    job pieces -> preemptive schedule. *)
 
-let construct (p : Common.param) inst rounded layout sol =
-  ignore p;
+let construct inst rounded (prog : Common.program) (w : Common.witness) =
   let m = Instance.m inst in
   let nlayers = rounded.layers in
   let large = Array.of_list rounded.large in
@@ -223,17 +106,17 @@ let construct (p : Common.param) inst rounded layout sol =
   let supply = Array.make_matrix nlarge (nlayers + 1) 0 in
   for li = 0 to nlarge - 1 do
     for k = 1 to nlayers do
-      supply.(li).(k) <- sol.(Hashtbl.find layout.y (li, k))
+      supply.(li).(k) <- w.y.((li * nlayers) + k - 1)
     done
   done;
   (* materialize machines *)
   let machines = ref [] in
   Array.iteri
     (fun ki cfg ->
-      for _ = 1 to sol.(layout.x.(ki)) do
+      for _ = 1 to w.x.(ki) do
         machines := (ki, cfg) :: !machines
       done)
-    layout.configs;
+    prog.configs;
   let machines = Array.of_list !machines in
   if Array.length machines <> m then failwith "Preemptive_ptas: machine count mismatch";
   (* assign modules (class, cardinality) to machines and choose layer sets
@@ -355,7 +238,7 @@ let construct (p : Common.param) inst rounded layout sol =
     (fun li (_, jobs) ->
       let jobs_arr = Array.of_list jobs in
       Array.iteri
-        (fun ji (gj, _) ->
+        (fun ji ((gj : Common.gjob), _) ->
           let slots =
             match Hashtbl.find_opt gjob_slots (li, ji) with
             | Some r -> List.sort (fun (_, a) (_, b) -> compare a b) !r
@@ -388,10 +271,10 @@ let construct (p : Common.param) inst rounded layout sol =
         jobs_arr)
     large;
   (* small classes: round robin within (h,b) groups, filling time gaps *)
-  let group_machines = Array.make (Array.length layout.hb_groups) [] in
+  let group_machines = Array.make (Array.length prog.hb_groups) [] in
   Array.iteri
     (fun mi (ki, _) ->
-      let g = layout.hb_of_config.(ki) in
+      let g = prog.hb_of_config.(ki) in
       group_machines.(g) <- mi :: group_machines.(g))
     machines;
   (* free intervals per machine: unused layers, then open-ended tail *)
@@ -400,7 +283,7 @@ let construct (p : Common.param) inst rounded layout sol =
     (fun mi modules ->
       machine_used_layers.(mi) <- List.concat_map snd modules)
     machine_modules;
-  let place_small mi gj =
+  let place_small mi (gj : Common.gjob) =
     let used = Array.make nlayers false in
     List.iter (fun l -> used.(l) <- true) machine_used_layers.(mi);
     (* also account for smalls already placed on this machine: track via a
@@ -460,61 +343,43 @@ let construct (p : Common.param) inst rounded layout sol =
       end
     done
   in
-  let smalls_remaining = List.map (fun (s, cls) -> (s, ref cls)) rounded.smalls_by_size in
   Array.iteri
-    (fun hbi _ ->
-      let chosen = ref [] in
-      List.iter
-        (fun (s, remaining) ->
-          let v = sol.(Hashtbl.find layout.w (s, hbi)) in
-          for _ = 1 to v do
-            match !remaining with
-            | u :: rest ->
-                remaining := rest;
-                chosen := (s, u) :: !chosen
-            | [] -> failwith "Preemptive_ptas: small class accounting mismatch"
-          done)
-        smalls_remaining;
-      let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !chosen in
+    (fun hbi sorted ->
       if sorted <> [] then begin
         let arr = Array.of_list (List.rev group_machines.(hbi)) in
         let count = Array.length arr in
         if count = 0 then failwith "Preemptive_ptas: empty group with small classes";
         List.iteri
-          (fun i (_, u) ->
+          (fun i u ->
             match rounded.gclasses.(u).small_job with
             | Some gj -> place_small arr.(i mod count) gj
             | None -> assert false)
           sorted
       end)
-    layout.hb_groups;
+    w.small_classes;
   Array.map (fun r -> List.rev !r) sched
-
-let too_long inst t = Q.(Q.of_int (Instance.pmax inst) > t)
 
 let attempt rung p inst t =
   let rounded = Ccs_obs.Recorder.phase "ptas.round" (fun () -> round_instance ~rung p inst t) in
-  let layout = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded) in
+  let prog = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> program p inst rounded) in
   Common.observe_rounding
     ~large:(List.length rounded.large)
     ~small_groups:(List.length rounded.smalls_by_size)
-    ~configs:(Array.length layout.configs);
-  let rows = build_rows p inst rounded layout in
-  let upper = Array.make layout.nvars None in
-  match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
+    ~configs:(Array.length prog.configs);
+  match Common.solve_program prog with
   | None -> None
-  | Some sol ->
+  | Some w ->
       let sched =
-        Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct p inst rounded layout sol)
+        Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct inst rounded prog w)
       in
       (match Schedule.validate_preemptive inst sched with
-      | Ok _ -> Some (sched, layout.nvars, rounded.layers)
+      | Ok _ -> Some (sched, prog.nvars, rounded.layers)
       | Error e -> failwith ("Preemptive_ptas: constructed invalid schedule: " ^ e))
 
-let oracle_at rung p inst t = if too_long inst t then None else attempt rung p inst t
+let oracle_at rung p inst t = if Common.too_long inst t then None else attempt rung p inst t
 
 let oracle p inst t =
-  if too_long inst t then None
+  if Common.too_long inst t then None
   else
     Ccs_obs.Recorder.phase "preemptive.oracle"
       ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]

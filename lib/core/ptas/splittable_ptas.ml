@@ -22,6 +22,10 @@ type rounded = {
 
 let paper_budget p = Q.add Q.one (Q.mul (Q.of_int 4) (Common.delta p))
 
+(* Above this many machines the Theorem 11 path bounds the non-trivial
+   configurations and emits the full ones as blocks. *)
+let explicit_limit = 4096
+
 let round_instance ~rung (p : Common.param) inst t =
   let d = p.Common.d in
   let c = Instance.c inst in
@@ -64,119 +68,29 @@ let configurations (p : Common.param) inst rounded =
   let cstar = min (rounded.tbar / (c * p.Common.d)) c in
   Common.multisets ~parts:rounded.module_sizes ~max_sum:rounded.tbar ~max_count:cstar ()
 
-type ilp_layout = {
-  nvars : int;
-  x : int array;  (* config index -> var *)
-  y : (int * int, int) Hashtbl.t;  (* (large idx, module size) -> var *)
-  w : (int * int, int) Hashtbl.t;  (* (small size, hb index) -> var *)
-  configs : int list array;
-  hb_of_config : int array;  (* config -> hb group index *)
-  hb_groups : (int * int) array;  (* hb index -> (h, b) *)
-}
-
-let build_layout rounded configs =
-  let configs = Array.of_list configs in
-  let nconfigs = Array.length configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
+(* The configuration ILP: one module variable per large class and module
+   size, class by class, and one cover row (4) per large class. *)
+let program inst rounded configs =
+  let sizes = rounded.module_sizes in
+  let nq = List.length sizes in
+  let cover =
+    List.mapi
+      (fun li (_, size) -> Common.row_eq (List.mapi (fun qi q -> ((li * nq) + qi, q)) sizes) size)
+      rounded.large
   in
-  let hb_groups = Array.of_list (List.rev !hb_list) in
-  let next = ref 0 in
-  let fresh () =
-    let v = !next in
-    incr next;
-    v
-  in
-  let x = Array.init nconfigs (fun _ -> fresh ()) in
-  let y = Hashtbl.create 64 in
-  List.iteri
-    (fun li _ -> List.iter (fun q -> Hashtbl.replace y (li, q) (fresh ())) rounded.module_sizes)
-    rounded.large;
-  let w = Hashtbl.create 64 in
-  List.iter
-    (fun (s, _) ->
-      Array.iteri (fun hbi _ -> Hashtbl.replace w (s, hbi) (fresh ())) hb_groups)
-    rounded.smalls_by_size;
-  { nvars = !next; x; y; w; configs; hb_of_config; hb_groups }
-
-let build_rows inst rounded layout ~cardinality_cap =
-  let c = Instance.c inst in
-  let m = Instance.m inst in
-  let rows = ref [] in
-  let push r = rows := r :: !rows in
-  (* (0) sum x_K = m *)
-  push (Common.row_eq (Array.to_list (Array.map (fun v -> (v, 1)) layout.x)) m);
-  (* (1) per module size: slots provided = modules chosen *)
-  List.iter
-    (fun q ->
-      let lhs = ref [] in
-      Array.iteri
-        (fun ki k ->
-          let cnt = List.length (List.filter (( = ) q) k) in
-          if cnt > 0 then lhs := (layout.x.(ki), cnt) :: !lhs)
-        layout.configs;
-      List.iteri
-        (fun li _ -> lhs := (Hashtbl.find layout.y (li, q), -1) :: !lhs)
-        rounded.large;
-      push (Common.row_eq !lhs 0))
-    rounded.module_sizes;
-  (* (2,3) per (h,b) group: slots and space for the small classes *)
-  Array.iteri
-    (fun hbi (h, b) ->
-      let xs =
-        Array.to_list
-          (Array.mapi (fun ki v -> (ki, v)) layout.x)
-        |> List.filter (fun (ki, _) -> layout.hb_of_config.(ki) = hbi)
-        |> List.map snd
-      in
-      let slot_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), 1)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, b - c)) xs
-      in
-      push (Common.row_le slot_row 0);
-      let space_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), s)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, h - rounded.tbar)) xs
-      in
-      push (Common.row_le space_row 0))
-    layout.hb_groups;
-  (* (4) each large class exactly covered by its modules *)
-  List.iteri
-    (fun li (_, size) ->
-      let lhs = List.map (fun q -> (Hashtbl.find layout.y (li, q), q)) rounded.module_sizes in
-      push (Common.row_eq lhs size))
-    rounded.large;
-  (* (5) every small class assigned exactly once (grouped by size) *)
-  List.iter
-    (fun (s, cls) ->
-      let lhs =
-        Array.to_list (Array.mapi (fun hbi _ -> (Hashtbl.find layout.w (s, hbi), 1)) layout.hb_groups)
-      in
-      push (Common.row_eq lhs (List.length cls)))
-    rounded.smalls_by_size;
   (* Theorem 11: bound the non-trivial configurations *)
-  (match cardinality_cap with
-  | None -> ()
-  | Some cap ->
-      let qmax = List.hd rounded.module_sizes in
+  let extra =
+    if Instance.m inst <= explicit_limit then []
+    else
+      let qmax = List.hd sizes and nclasses = Instance.num_classes inst in
       let lhs = ref [] in
-      Array.iteri
-        (fun ki k -> if k <> [] && k <> [ qmax ] then lhs := (layout.x.(ki), 1) :: !lhs)
-        layout.configs;
-      if !lhs <> [] then push (Common.row_le !lhs cap));
-  List.rev !rows
+      Array.iteri (fun ki k -> if k <> [] && k <> [ qmax ] then lhs := (ki, 1) :: !lhs) configs;
+      if !lhs = [] then [] else [ Common.row_le !lhs ((nclasses * (nclasses - 1) / 2) + nclasses) ]
+  in
+  Common.config_program ~machines:(Instance.m inst) ~slots:(Instance.c inst) ~tbar:rounded.tbar
+    ~h_unit:1 ~configs ~sizes
+    ~modules:(List.concat_map (fun _ -> sizes) rounded.large)
+    ~smalls:rounded.smalls_by_size ~cover ~extra ()
 
 (* ---------------------------------------------------------------- *)
 (* Schedule construction from an ILP witness. *)
@@ -191,18 +105,19 @@ let pop_module supply q =
       li
   | _ -> failwith "Splittable_ptas: module supply exhausted (ILP inconsistency)"
 
-let construct inst rounded layout sol ~explicit_limit =
+let construct inst rounded (prog : Common.program) (w : Common.witness) =
   let m = Instance.m inst in
   let large = Array.of_list rounded.large in
   let qmax = List.hd rounded.module_sizes in
+  let nq = List.length rounded.module_sizes in
   (* module supply per size from the y variables *)
   let supply = Hashtbl.create 16 in
-  List.iter
-    (fun q ->
+  List.iteri
+    (fun qi q ->
       let entries = ref [] in
       Array.iteri
         (fun li _ ->
-          let v = sol.(Hashtbl.find layout.y (li, q)) in
+          let v = w.y.((li * nq) + qi) in
           if v > 0 then entries := (li, v) :: !entries)
         large;
       Hashtbl.replace supply q !entries)
@@ -213,14 +128,14 @@ let construct inst rounded layout sol ~explicit_limit =
   let explicit_cfgs = ref [] in
   Array.iteri
     (fun ki k ->
-      let count = sol.(layout.x.(ki)) in
+      let count = w.x.(ki) in
       if count > 0 && k <> [] then
         if k = [ qmax ] && count > explicit_limit then full_config_count := count
         else
           for _ = 1 to count do
             explicit_cfgs := (ki, k) :: !explicit_cfgs
           done)
-    layout.configs;
+    prog.configs;
   let explicit_cfgs = Array.of_list !explicit_cfgs in
   if Array.length explicit_cfgs > explicit_limit then
     failwith "Splittable_ptas: explicit machine bound exceeded";
@@ -255,17 +170,17 @@ let construct inst rounded layout sol ~explicit_limit =
     supply;
   (* ---- small classes: round robin inside each (h,b) machine group ---- *)
   (* group -> machines (explicit ids; the full-block range forms one group) *)
-  let group_machines = Array.make (Array.length layout.hb_groups) [] in
+  let group_machines = Array.make (Array.length prog.hb_groups) [] in
   Array.iteri
     (fun mi (ki, _) ->
-      let g = layout.hb_of_config.(ki) in
+      let g = prog.hb_of_config.(ki) in
       group_machines.(g) <- mi :: group_machines.(g))
     explicit_cfgs;
   let full_group =
     if !full_config_count > 0 then begin
       (* locate the (qmax, 1) group *)
       let g = ref (-1) in
-      Array.iteri (fun i (h, b) -> if h = qmax && b = 1 then g := i) layout.hb_groups;
+      Array.iteri (fun i (h, b) -> if h = qmax && b = 1 then g := i) prog.hb_groups;
       !g
     end
     else -1
@@ -273,7 +188,7 @@ let construct inst rounded layout sol ~explicit_limit =
   (* empty machines form the (0,0) group *)
   let empty_group =
     let g = ref (-1) in
-    Array.iteri (fun i (h, b) -> if h = 0 && b = 0 then g := i) layout.hb_groups;
+    Array.iteri (fun i (h, b) -> if h = 0 && b = 0 then g := i) prog.hb_groups;
     !g
   in
   let empty_start = !cursor in
@@ -282,25 +197,8 @@ let construct inst rounded layout sol ~explicit_limit =
     let prev = Option.value ~default:[] (Hashtbl.find_opt small_extra machine) in
     Hashtbl.replace small_extra machine ((cls, load) :: prev)
   in
-  let smalls_remaining =
-    List.map (fun (s, cls) -> (s, ref cls)) rounded.smalls_by_size
-  in
   Array.iteri
-    (fun hbi _ ->
-      (* collect the small classes routed to this group, largest first *)
-      let classes = ref [] in
-      List.iter
-        (fun (s, remaining) ->
-          let v = sol.(Hashtbl.find layout.w (s, hbi)) in
-          for _ = 1 to v do
-            match !remaining with
-            | cls :: rest ->
-                remaining := rest;
-                classes := (s, cls) :: !classes
-            | [] -> failwith "Splittable_ptas: small class accounting mismatch"
-          done)
-        smalls_remaining;
-      let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !classes in
+    (fun hbi sorted ->
       if sorted <> [] then begin
         let machines =
           if hbi = full_group && !full_config_count > 0 then
@@ -309,7 +207,7 @@ let construct inst rounded layout sol ~explicit_limit =
           else `List (Array.of_list (List.rev group_machines.(hbi)))
         in
         List.iteri
-          (fun i (_, cls) ->
+          (fun i cls ->
             let load = Q.of_int (Instance.class_load inst).(cls) in
             match machines with
             | `Range (start, count) ->
@@ -321,7 +219,7 @@ let construct inst rounded layout sol ~explicit_limit =
                 add_small arr.(i mod count) cls load)
           sorted
       end)
-    layout.hb_groups;
+    w.small_classes;
   (* ---- shrink rounded large loads back to the original sizes ---- *)
   let class_load = Instance.class_load inst in
   let remaining = Array.map (fun (u, _) -> Q.of_int class_load.(u)) large in
@@ -390,44 +288,33 @@ let construct inst rounded layout sol ~explicit_limit =
 
 (* ---------------------------------------------------------------- *)
 
-let oracle_at ?(explicit_limit = 4096) rung (p : Common.param) inst t =
+let oracle_at rung (p : Common.param) inst t =
   let rounded, configs =
     Ccs_obs.Recorder.phase "ptas.round" (fun () ->
         let rounded = round_instance ~rung p inst t in
-        (rounded, configurations p inst rounded))
+        (rounded, Array.of_list (configurations p inst rounded)))
   in
-  let layout =
-    Ccs_obs.Recorder.phase "ptas.layout" (fun () -> build_layout rounded configs)
-  in
+  let prog = Ccs_obs.Recorder.phase "ptas.layout" (fun () -> program inst rounded configs) in
   Common.observe_rounding
     ~large:(List.length rounded.large)
     ~small_groups:(List.length rounded.smalls_by_size)
-    ~configs:(List.length configs);
-  let nclasses = Instance.num_classes inst in
-  let cardinality_cap =
-    if Instance.m inst > explicit_limit then Some ((nclasses * (nclasses - 1) / 2) + nclasses)
-    else None
-  in
-  let rows = build_rows inst rounded layout ~cardinality_cap in
-  let upper = Array.make layout.nvars None in
-  match Common.solve_int_feasibility ~nvars:layout.nvars ~upper rows with
+    ~configs:(Array.length configs);
+  match Common.solve_program prog with
   | None -> None
-  | Some sol ->
+  | Some w ->
       let sched =
-        Ccs_obs.Recorder.phase "ptas.construct" (fun () ->
-            construct inst rounded layout sol ~explicit_limit)
+        Ccs_obs.Recorder.phase "ptas.construct" (fun () -> construct inst rounded prog w)
       in
       (match Schedule.validate_splittable inst sched with
-      | Ok _ -> Some (sched, layout.nvars)
+      | Ok _ -> Some (sched, prog.nvars)
       | Error e -> failwith ("Splittable_ptas: constructed invalid schedule: " ^ e))
 
-let oracle ?explicit_limit p inst t =
+let oracle p inst t =
   Ccs_obs.Recorder.phase "splittable.oracle" ~fields:[ ("t", Ccs_obs.Jsonx.Str (Q.to_string t)) ]
   @@ fun () ->
-  Common.budget_ladder p ~paper:(paper_budget p) t (fun rung ->
-      oracle_at ?explicit_limit rung p inst t)
+  Common.budget_ladder p ~paper:(paper_budget p) t (fun rung -> oracle_at rung p inst t)
 
-let solve ?(explicit_limit = 4096) ?progress p inst =
+let solve ?progress p inst =
   if not (Instance.schedulable inst) then
     invalid_arg "Splittable_ptas.solve: C > c*m, no schedule exists";
   Ccs_obs.Recorder.phase "ptas"
@@ -439,7 +326,7 @@ let solve ?(explicit_limit = 4096) ?progress p inst =
   let calls = ref 0 in
   let orc t =
     incr calls;
-    oracle ~explicit_limit p inst t
+    oracle p inst t
   in
   let lb = Bounds.lb_splittable inst in
   let ub = Q.max lb (Bounds.ub_splittable inst) in

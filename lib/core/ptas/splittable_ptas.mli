@@ -18,17 +18,17 @@
     the first rung's witness, and only the paper's rung may reject. A
     smaller rung's schedule keeps the (1+5*delta)T guarantee, and a guess
     a smaller rung accepts is one the paper's accepts, so the accepted
-    guesses stay the paper's. (With m above [explicit_limit] the Theorem
-    11 cap below follows the rung's full module, and DESIGN.md notes why
-    that implication is not shown there.)
+    guesses stay the paper's. (With m above 4096 the Theorem 11 cap below
+    follows the rung's full module, and DESIGN.md notes why that
+    implication is not shown there.)
 
     The implementation solves the ILP in the aggregated form (the paper's
     per-class duplication exists only to expose N-fold structure and "has no
     meaning itself"); small classes of equal rounded size are interchangeable
     and therefore counted rather than enumerated. The duplicated N-fold form
-    is available from {!Nfold_forms} for cross-validation.
+    is available from {!Nfold_form} for cross-validation.
 
-    When [m] exceeds [explicit_limit] the Theorem 11 machinery kicks in
+    When m exceeds 4096 the Theorem 11 machinery kicks in
     automatically: only the two trivial configurations (empty, and one
     full-size module) may be used more than (C choose 2) + C times — an
     extra globally-uniform constraint — and the output uses compressed
@@ -50,7 +50,6 @@ type stats = {
     when a deadline cancels the solve, it still holds the best accepted
     witness and the highest refuted guess. *)
 val solve :
-  ?explicit_limit:int ->
   ?progress:(Schedule.splittable * int) Common.progress ->
   Common.param ->
   Instance.t ->
@@ -60,7 +59,6 @@ val solve :
     provably no schedule with makespan T exists; otherwise the schedule and
     the variable count of the configuration ILP that produced it. *)
 val oracle :
-  ?explicit_limit:int ->
   Common.param ->
   Instance.t ->
   Rat.t ->
@@ -74,7 +72,6 @@ val paper_budget : Common.param -> Rat.t
 (** One rung of {!oracle}: the configuration ILP at that rung's budget
     alone. At {!Common.Paper} it is the paper's oracle. *)
 val oracle_at :
-  ?explicit_limit:int ->
   Common.rung ->
   Common.param ->
   Instance.t ->

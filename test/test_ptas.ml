@@ -455,6 +455,57 @@ let test_int_feasibility_duplicates () =
     (C.solve_int_feasibility ~nvars:1 ~upper [ C.row_eq [ (0, 3); (0, -1) ] 2 ]
     = Some [| 1 |])
 
+(* The shared configuration ILP on a hand-sized input. Row order and
+   variable numbering fix the branch & bound's path, so both are pinned;
+   coefficient order within a row is not, so each row is compared summed
+   per variable, zeros dropped, as the LP reads it. *)
+let test_config_program () =
+  let prog =
+    C.config_program ~machines:4 ~slots:3 ~tbar:20 ~h_unit:2
+      ~configs:[| [ 5; 3 ]; [ 3 ]; [] |] ~sizes:[ 5; 3 ] ~modules:[ 3; 5 ]
+      ~smalls:[ (2, [ 7; 9 ]) ]
+      ~cover:[ C.row_eq [ (1, 5); (0, 3) ] 8 ]
+      ~extra:[ C.row_le [ (0, 1); (1, 1) ] 3 ]
+      ()
+  in
+  let show (r : C.row) =
+    let summed = Hashtbl.create 8 in
+    List.iter
+      (fun (j, a) ->
+        Hashtbl.replace summed j (a + Option.value ~default:0 (Hashtbl.find_opt summed j)))
+      r.coeffs;
+    let terms =
+      Hashtbl.fold (fun j a acc -> if a = 0 then acc else (j, a) :: acc) summed []
+      |> List.sort compare
+      |> List.map (fun (j, a) -> Printf.sprintf "%d:%d" j a)
+    in
+    Printf.sprintf "%s %s %d" (String.concat " " terms)
+      (match r.cmp with Lp.Eq -> "=" | Lp.Le -> "<=" | Lp.Ge -> ">=")
+      r.rhs
+  in
+  (* x = 0..2, y = 3..4, w(s, g) = 5..7; groups (8,2), (3,1), (0,0) *)
+  Alcotest.(check int) "nvars" 8 prog.C.nvars;
+  Alcotest.(check (array (pair int int))) "groups" [| (8, 2); (3, 1); (0, 0) |] prog.C.hb_groups;
+  Alcotest.(check (list string)) "rows"
+    [ "0:1 1:1 2:1 = 4";  (* (0) *)
+      "0:1 4:-1 = 0";  (* (1) size 5 *)
+      "0:1 1:1 3:-1 = 0";  (* (1) size 3 *)
+      "0:-1 5:1 <= 0";  (* (2) group (8,2) *)
+      "0:-4 5:2 <= 0";  (* (3) *)
+      "1:-2 6:1 <= 0";  (* (2) group (3,1) *)
+      "1:-14 6:2 <= 0";  (* (3) *)
+      "2:-3 7:1 <= 0";  (* (2) group (0,0) *)
+      "2:-20 7:2 <= 0";  (* (3) *)
+      "3:3 4:5 = 8";  (* (4) *)
+      "5:1 6:1 7:1 = 2";  (* (5) *)
+      "0:1 1:1 <= 3" (* extra *) ]
+    (List.map show prog.C.rows);
+  let w = C.decode prog [| 1; 0; 3; 1; 1; 2; 0; 0 |] in
+  Alcotest.(check (array int)) "x" [| 1; 0; 3 |] w.C.x;
+  Alcotest.(check (array int)) "y" [| 1; 1 |] w.C.y;
+  Alcotest.(check (array (list int))) "small classes" [| [ 9; 7 ]; []; [] |]
+    w.C.small_classes
+
 (* delta = 1/ceil(1/epsilon), defined only while ceil(1/epsilon) is a
    native int: 2^62 is the first float at or above [max_int]. *)
 let test_param_of_epsilon () =
@@ -485,6 +536,7 @@ let () =
           Alcotest.test_case "ILP node budget" `Quick test_int_feasibility_budget;
           Alcotest.test_case "ILP rows sum duplicates" `Quick
             test_int_feasibility_duplicates;
+          Alcotest.test_case "configuration ILP layout and rows" `Quick test_config_program;
           Alcotest.test_case "budget ladder rungs" `Quick test_ladder_rungs;
           Alcotest.test_case "budget ladder fall-through" `Quick test_ladder_fall_through;
           Alcotest.test_case "fine delta refused before allocating" `Quick
